@@ -3,7 +3,7 @@
 //! gather/scatter-heavy program actually lose its cycles?).
 //!
 //! Each kernel runs at 4 VLT threads on `V4-CMT` and its machine-wide
-//! stall attribution ([`SimResult::stalls`], the same breakdown `vlprof`
+//! stall attribution ([`SimResult::stalls`], the same breakdown `vlt prof`
 //! prints) is normalized to percentage shares — one series per kernel,
 //! one column per [`StallCause`]. Every run's exact conservation
 //! invariant is checked before the shares are reported, so a profile

@@ -16,16 +16,6 @@ pub mod table4;
 pub mod table4_static;
 
 use vlt_stats::{Experiment, Table};
-use vlt_workloads::Scale;
-
-/// Scale selection via `VLT_SCALE` = `test` | `small` | `full`.
-pub fn scale_from_env() -> Scale {
-    match std::env::var("VLT_SCALE").as_deref() {
-        Ok("test") => Scale::Test,
-        Ok("full") => Scale::Full,
-        _ => Scale::Small,
-    }
-}
 
 /// Render an experiment's series as an aligned table: one row per series,
 /// one column per x point, with the paper's value in parentheses when

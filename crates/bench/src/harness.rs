@@ -24,7 +24,7 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Every figure/table record the full suite must leave in [`results_dir`].
-/// The `all` runner checks this set after writing and exits nonzero when
+/// `vlt repro all` checks this set after writing and exits nonzero when
 /// one is absent — a silently-skipped experiment would otherwise look like
 /// a passing suite.
 pub const EXPECTED_RESULTS: [&str; 15] = [
@@ -281,7 +281,7 @@ mod tests {
         let missing = missing_result_files(&results_dir());
         assert!(
             missing.is_empty(),
-            "results/ is missing {missing:?} — run `cargo run --release --bin all` and commit"
+            "results/ is missing {missing:?} — run `cargo run --release --bin vlt -- repro all` and commit"
         );
     }
 

@@ -5,23 +5,23 @@
 //!
 //! One module per table/figure of the paper's evaluation (§7), each
 //! producing a [`vlt_stats::Experiment`] record plus an ASCII table. The
-//! binaries under `src/bin/` are thin wrappers:
+//! `vlt repro` subcommand of the root crate's `vlt` binary runs them:
 //!
 //! ```text
-//! cargo run -p vlt-bench --release --bin fig1    # lane-count scaling
-//! cargo run -p vlt-bench --release --bin table1  # component areas
-//! cargo run -p vlt-bench --release --bin table2  # VLT area overheads
-//! cargo run -p vlt-bench --release --bin table3  # base configuration echo
-//! cargo run -p vlt-bench --release --bin table4  # workload characteristics
-//! cargo run -p vlt-bench --release --bin fig3    # VLT vector-thread speedup
-//! cargo run -p vlt-bench --release --bin fig4    # datapath utilization
-//! cargo run -p vlt-bench --release --bin fig5    # SU design space
-//! cargo run -p vlt-bench --release --bin fig6    # scalar threads on lanes
-//! cargo run -p vlt-bench --release --bin vladvise # static DLP advisor
-//! cargo run -p vlt-bench --release --bin all     # everything + summary
+//! cargo run --release --bin vlt -- repro fig1    # lane-count scaling
+//! cargo run --release --bin vlt -- repro table1  # component areas
+//! cargo run --release --bin vlt -- repro table2  # VLT area overheads
+//! cargo run --release --bin vlt -- repro table3  # base configuration echo
+//! cargo run --release --bin vlt -- repro table4  # workload characteristics
+//! cargo run --release --bin vlt -- repro fig3    # VLT vector-thread speedup
+//! cargo run --release --bin vlt -- repro fig4    # datapath utilization
+//! cargo run --release --bin vlt -- repro fig5    # SU design space
+//! cargo run --release --bin vlt -- repro fig6    # scalar threads on lanes
+//! cargo run --release --bin vlt -- advise        # static DLP advisor
+//! cargo run --release --bin vlt -- repro all     # everything
 //! ```
 //!
-//! Every binary writes `results/<id>.json` with measured *and* paper
+//! Every experiment writes `results/<id>.json` with measured *and* paper
 //! values, which EXPERIMENTS.md summarizes.
 
 pub mod experiments;

@@ -13,7 +13,7 @@ use vlt_scalar::{CoreConfig, StallCause};
 /// What-if component idealizations (causal profiling, DESIGN.md §15).
 ///
 /// Each knob removes one source of lost cycles from the timing model
-/// while leaving the functional semantics untouched; `vlprof --whatif`
+/// while leaving the functional semantics untouched; `vlt prof --whatif`
 /// measures the speedup each one buys and cross-checks it against the
 /// cycles the CPI stack attributes to the corresponding [`StallCause`].
 /// All knobs default to off, and with every knob off the timing model is
@@ -245,6 +245,30 @@ impl SystemConfig {
         c
     }
 
+    /// Resolve a design point by the name the command line uses, case- and
+    /// `-`/`_`-insensitively: `base` (8 lanes), `v2-smt`, `v2-cmp`,
+    /// `v2-cmp-h`, `v4-smt`, `v4-cmt`, `v4-cmp`, `v4-cmp-h`, `cmt`,
+    /// `v4-cmt-lanes` (alias `lane-threads`), and the ultra-wide `v8-2x8`,
+    /// `v8-4x8`, `v8-8x8`. `None` for any other name.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Some(match name.to_ascii_lowercase().replace('_', "-").as_str() {
+            "base" => Self::base(8),
+            "v2-smt" => Self::v2_smt(),
+            "v2-cmp" => Self::v2_cmp(),
+            "v2-cmp-h" => Self::v2_cmp_h(),
+            "v4-smt" => Self::v4_smt(),
+            "v4-cmt" => Self::v4_cmt(),
+            "v4-cmp" => Self::v4_cmp(),
+            "v4-cmp-h" => Self::v4_cmp_h(),
+            "cmt" => Self::cmt(),
+            "v4-cmt-lanes" | "lane-threads" => Self::v4_cmt_lane_threads(),
+            "v8-2x8" => Self::v8_clustered(2),
+            "v8-4x8" => Self::v8_clustered(4),
+            "v8-8x8" => Self::v8_clustered(8),
+            _ => return None,
+        })
+    }
+
     /// Total vector lanes across all clusters.
     pub fn total_lanes(&self) -> usize {
         self.lanes * self.clusters
@@ -327,6 +351,44 @@ mod tests {
         // clusters == 1 keeps the paper's name untouched.
         assert_eq!(SystemConfig::v4_cmt().with_clusters(1).name, "V4-CMT");
         assert_eq!(SystemConfig::base(8).clusters, 1);
+    }
+
+    /// Every command-line name resolves to exactly its constructor's
+    /// configuration (compared field by field through `Debug`).
+    #[test]
+    fn from_name_resolves_every_design_point() {
+        let points = [
+            ("base", SystemConfig::base(8)),
+            ("v2-smt", SystemConfig::v2_smt()),
+            ("v2-cmp", SystemConfig::v2_cmp()),
+            ("v2-cmp-h", SystemConfig::v2_cmp_h()),
+            ("v4-smt", SystemConfig::v4_smt()),
+            ("v4-cmt", SystemConfig::v4_cmt()),
+            ("v4-cmp", SystemConfig::v4_cmp()),
+            ("v4-cmp-h", SystemConfig::v4_cmp_h()),
+            ("cmt", SystemConfig::cmt()),
+            ("v4-cmt-lanes", SystemConfig::v4_cmt_lane_threads()),
+            ("lane-threads", SystemConfig::v4_cmt_lane_threads()),
+            ("v8-2x8", SystemConfig::v8_clustered(2)),
+            ("v8-4x8", SystemConfig::v8_clustered(4)),
+            ("v8-8x8", SystemConfig::v8_clustered(8)),
+        ];
+        for (name, want) in points {
+            let want = format!("{want:?}");
+            let spellings = [name.to_string(), name.to_uppercase(), name.replace('-', "_")];
+            for spelling in spellings {
+                let got = SystemConfig::from_name(&spelling).map(|c| format!("{c:?}"));
+                assert_eq!(got.as_deref(), Some(want.as_str()), "{spelling}");
+            }
+        }
+        assert_eq!(SystemConfig::from_name("V4_Cmt-Lanes").unwrap().name, "V4-CMT-lanes");
+    }
+
+    #[test]
+    fn from_name_rejects_unknown_names() {
+        for name in ["", "v4", "v4-cmt ", "v8-16x8", "base8", "v4-cmt-4L", "lanes"] {
+            assert!(SystemConfig::from_name(name).is_none(), "{name:?}");
+        }
     }
 
     #[test]

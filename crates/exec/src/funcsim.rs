@@ -35,7 +35,7 @@ use crate::trace::{DynInst, DynKind};
 /// The block engine executes ahead of the per-instruction hand-off by up
 /// to one compiled block per thread (bounded by
 /// [`crate::block::MAX_UOPS`]). For barrier-disciplined programs — the
-/// memory model every workload is verified against (`vlint --races`) —
+/// memory model every workload is verified against (`vlt lint --races`) —
 /// this is architecturally invisible. The dynamic checkers observe
 /// pre-execution state per instruction, so enabling either one routes
 /// execution through the interpreter regardless of the configured mode.

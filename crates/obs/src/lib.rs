@@ -18,7 +18,7 @@
 //! * [`CpiObserver`] — per-region, per-barrier-epoch, and whole-run CPI
 //!   stacks: top-down cycle attribution per unit with an exact
 //!   conservation invariant (components sum to the measured budget),
-//!   the causal layer `vlprof --whatif` cross-checks against;
+//!   the causal layer `vlt prof --whatif` cross-checks against;
 //! * [`Multi`] — a composite adapter that fans every hook out to several
 //!   observers so sampling, metrics, and tracing share one simulation pass.
 //!

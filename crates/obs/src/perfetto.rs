@@ -22,7 +22,7 @@
 //! relative magnitudes are what matter). Output is produced by
 //! [`PerfettoObserver::into_json`] after the run finishes and is
 //! checkable with [`validate_chrome_trace`] — the same function the
-//! golden-file tests and the `vlprof` CLI use.
+//! golden-file tests and `vlt prof` use.
 
 use std::collections::BTreeMap;
 

@@ -74,7 +74,7 @@ fn full_workload_trace_is_valid_chrome_json() {
     assert!(count_where(&back, on_pid(3.0)) > 0, "no L2 bank slices");
 }
 
-/// The validator itself must reject broken traces (it guards vlprof's
+/// The validator itself must reject broken traces (it guards `vlt prof`'s
 /// output in CI, so a vacuous pass would be worse than none).
 #[test]
 fn validator_rejects_malformed_traces() {

@@ -3,7 +3,7 @@
 //! idealization knob, the measured cycle gain from turning it on must
 //! not exceed the cycles the faithful run attributed to the matching
 //! [`StallCause`] — otherwise the taxonomy undercounts that cause and
-//! `vlprof --whatif` would report realizations above 100%.
+//! `vlt prof --whatif` would report realizations above 100%.
 //!
 //! And the knobs must be honest in both directions: all-off is
 //! byte-identical to a config that never mentions idealization, while

@@ -8,14 +8,14 @@ use vlt_isa::{Program, TEXT_BASE};
 macro_rules! define_codes {
     ($(($variant:ident, $name:literal, $sev:ident, $doc:literal)),* $(,)?) => {
         /// Every diagnostic the verifier can emit, identified by a stable
-        /// kebab-case name used by the allow mechanism and the `vlint` CLI.
+        /// kebab-case name used by the allow mechanism and `vlt lint`.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub enum Code {
             $(#[doc = $doc] $variant),*
         }
 
         impl Code {
-            /// All codes, for `vlint --list-codes`.
+            /// All codes, for `vlt lint --list-codes`.
             pub const ALL: &'static [Code] = &[$(Code::$variant),*];
 
             /// The stable kebab-case name.
@@ -28,7 +28,7 @@ macro_rules! define_codes {
                 match self { $(Code::$variant => Severity::$sev),* }
             }
 
-            /// One-line description (for `vlint --list-codes`).
+            /// One-line description (for `vlt lint --list-codes`).
             pub fn describe(self) -> &'static str {
                 match self { $(Code::$variant => $doc),* }
             }
@@ -85,7 +85,7 @@ impl fmt::Display for Code {
 /// Diagnostic severity. `Error` marks defects that produce a dynamic fault
 /// or a silently-wrong result; `Warn` marks structural smells and risks;
 /// `Info` marks advisory performance observations (the `--dlp` pass) that
-/// never affect `vlint`'s exit status.
+/// never affect `vlt lint`'s exit status.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Advisory observation (performance structure, not a defect).

@@ -5,7 +5,7 @@
 //! vectorization percentage, the scalar/vector operation ratio, and the
 //! stride/bank behavior of vector memory ops — per program, per `region`
 //! marker, and per barrier epoch, and turns them into VLTCFG partition
-//! advice (`vladvise` in `vlt-bench`, `vlint --dlp` here).
+//! advice (`vlt advise` over the suite, `vlt lint --dlp` per file).
 //!
 //! # How the analysis stays exact
 //!
@@ -1506,7 +1506,7 @@ pub fn advise(p: &DlpProfile) -> Advice {
     let best = ranking[0];
 
     // Hierarchical rows: an 8-thread partition spread over c clusters of
-    // a larger machine (8c lanes). Informational — `vladvise` prices the
+    // a larger machine (8c lanes). Informational — `vlt advise` prices the
     // extra clusters with vlt-area.
     let hierarchical: Vec<PartitionScore> = [2usize, 4, 8]
         .into_iter()
@@ -1573,7 +1573,7 @@ pub fn advise(p: &DlpProfile) -> Advice {
 // Diagnostics
 // ---------------------------------------------------------------------------
 
-/// Turn a profile into `vlint --dlp` diagnostics: a warning when the walk
+/// Turn a profile into `vlt lint --dlp` diagnostics: a warning when the walk
 /// went inexact, and advisory notes for partition opportunities and
 /// hazards.
 pub fn dlp_diagnostics(prog: &Program, p: &DlpProfile) -> Vec<Diagnostic> {
@@ -1670,7 +1670,7 @@ pub fn dlp_diagnostics(prog: &Program, p: &DlpProfile) -> Vec<Diagnostic> {
     out
 }
 
-/// Convenience: analyze and diagnose in one call (the `vlint --dlp` path).
+/// Convenience: analyze and diagnose in one call (the `vlt lint --dlp` path).
 pub fn dlp_report(prog: &Program, opts: &DlpOptions) -> (DlpProfile, Vec<Diagnostic>) {
     let p = analyze(prog, opts);
     let d = dlp_diagnostics(prog, &p);

@@ -1,4 +1,4 @@
-//! Machine-readable diagnostics — the `vlint --json` schema.
+//! Machine-readable diagnostics — the `vlt lint --json` schema.
 //!
 //! Version 1 of the schema is one JSON object per checked file:
 //!
@@ -78,7 +78,7 @@ pub fn report_to_json(path: &str, report: &Report) -> String {
     s
 }
 
-/// One file's outcome inside a `vlint --json` document.
+/// One file's outcome inside a `vlt lint --json` document.
 #[derive(Debug)]
 pub enum FileOutcome {
     /// The file assembled and was analyzed.
@@ -87,7 +87,45 @@ pub enum FileOutcome {
     AssemblyError(String),
 }
 
-/// Parse a full `vlint --json` document — the top-level
+/// Serialize a full `vlt lint --json` document: the top-level
+/// `{"schema": "vlint", "version": 1, "files": [...]}` wrapper around one
+/// `vlint-report` object per `(path, outcome)`, in order. The inverse of
+/// [`vlint_output_from_json`].
+pub fn vlint_output_to_json(files: &[(String, FileOutcome)]) -> String {
+    let body: Vec<String> = files
+        .iter()
+        .map(|(path, outcome)| {
+            let file = match outcome {
+                FileOutcome::Report(report) => report_to_json(path, report),
+                FileOutcome::AssemblyError(err) => assembly_error_to_json(path, err),
+            };
+            file.lines().map(|l| format!("    {l}")).collect::<Vec<_>>().join("\n")
+        })
+        .collect();
+    let mut s = format!(
+        "{{\n  \"schema\": \"vlint\",\n  \"version\": {JSON_SCHEMA_VERSION},\n  \"files\": [\n"
+    );
+    if !body.is_empty() {
+        s.push_str(&body.join(",\n"));
+        s.push('\n');
+    }
+    s.push_str("  ]\n}");
+    s
+}
+
+/// A file that failed to assemble, as a `vlint-report` object with an
+/// `assembly_error` in place of the diagnostics (the assembler stops at
+/// the first syntax error).
+fn assembly_error_to_json(path: &str, err: &str) -> String {
+    format!(
+        "{{\n  \"schema\": \"vlint-report\",\n  \"version\": {JSON_SCHEMA_VERSION},\n  \
+         \"path\": {},\n  \"assembly_error\": {}\n}}",
+        quote(path),
+        quote(err)
+    )
+}
+
+/// Parse a full `vlt lint --json` document — the top-level
 /// `{"schema": "vlint", "version": 1, "files": [...]}` wrapper — into
 /// `(path, outcome)` pairs, in CLI order.
 pub fn vlint_output_from_json(text: &str) -> Result<Vec<(String, FileOutcome)>, String> {
@@ -457,6 +495,29 @@ mod tests {
         assert_eq!(path, "x.s");
         assert!(back.diags.is_empty());
         assert_eq!(back.suppressed, 0);
+    }
+
+    /// The full `vlt lint --json` document round-trips too, assembly-error
+    /// entries and the empty file list included.
+    #[test]
+    fn vlint_output_round_trips() {
+        let report = Report {
+            diags: vec![diag(Code::DeadWrite, Some(2), "li x1, 1", "m")],
+            ..Default::default()
+        };
+        let files = vec![
+            ("a.s".to_string(), FileOutcome::Report(report)),
+            ("b \"q\".s".to_string(), FileOutcome::AssemblyError("line 1: bad\tthing".into())),
+        ];
+        let back = vlint_output_from_json(&vlint_output_to_json(&files)).unwrap();
+        assert_eq!(back.len(), 2);
+        assert_eq!(back[0].0, "a.s");
+        let FileOutcome::Report(r) = &back[0].1 else { panic!("report expected") };
+        assert_eq!(r.diags[0].code, Code::DeadWrite);
+        assert_eq!(back[1].0, "b \"q\".s");
+        let FileOutcome::AssemblyError(e) = &back[1].1 else { panic!("error expected") };
+        assert_eq!(e, "line 1: bad\tthing");
+        assert!(vlint_output_from_json(&vlint_output_to_json(&[])).unwrap().is_empty());
     }
 
     /// A frozen v1 document must keep parsing forever (the schema is

@@ -24,7 +24,7 @@
 //!
 //! The entry points are [`verify`] (default options plus program-embedded
 //! allows) and [`verify_with`]; [`verify_source`] assembles first. The
-//! `vlint` binary wraps these for `.s` files on disk.
+//! `vlt lint` subcommand wraps these for `.s` files on disk.
 
 use std::collections::BTreeSet;
 

@@ -88,7 +88,7 @@ pub fn irregular_suite() -> Vec<&'static dyn Workload> {
 }
 
 /// Regenerate an irregular kernel's assembly source by name (the lint
-/// driver feeds these straight to `vlint`). `None` for unknown names —
+/// driver feeds these straight to `vlt lint`). `None` for unknown names —
 /// the Table 4 workloads are not exposed this way.
 pub fn irregular_source(
     name: &str,

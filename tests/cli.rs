@@ -1,0 +1,198 @@
+//! End-to-end checks of the `vlt` binary: the `lint --json` schema round
+//! trip through the library's own parser (`vlt::verify::json`), and the
+//! command-line contract — a bad command line is a usage error (exit 2)
+//! in every subcommand, never a panic or a silently ignored flag. Only
+//! fast cases: most stop at argument validation.
+
+use std::path::PathBuf;
+use std::process::Command;
+
+use vlt::verify::json::{vlint_output_from_json, FileOutcome};
+use vlt::verify::Severity;
+
+const SAXPY: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/asm/saxpy.s");
+
+/// Run `vlt <args>`: exit status, stdout, stderr.
+fn vlt(args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(env!("CARGO_BIN_EXE_vlt")).args(args).output().expect("vlt runs");
+    let text = |b: Vec<u8>| String::from_utf8(b).unwrap();
+    (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
+/// Assert `vlt <args>` is a usage error: exit 2 with a message, no panic.
+fn usage_error(args: &[&str]) {
+    let (code, _, stderr) = vlt(args);
+    assert_eq!(code, Some(2), "`vlt {}` should be a usage error:\n{stderr}", args.join(" "));
+    assert!(!stderr.contains("panicked"), "`vlt {}` panicked:\n{stderr}", args.join(" "));
+}
+
+/// A scratch directory for one test's input files.
+fn scratch(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("vlt-cli-{test}"));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn lint_json_round_trips_through_the_library_parser() {
+    let dir = scratch("json");
+    // One clean file, one with findings (undef read + dead write).
+    let clean = dir.join("clean.s");
+    std::fs::write(
+        &clean,
+        ".data\nbuf:\n.zero 64\n.text\nla x1, buf\nli x2, 7\nsd x2, 0(x1)\nld x3, 8(x1)\n\
+         add x4, x2, x3\nsd x4, 16(x1)\nhalt\n",
+    )
+    .unwrap();
+    let dirty = dir.join("dirty.s");
+    std::fs::write(&dirty, "add x2, x7, x7\nhalt\n").unwrap();
+
+    let (code, stdout, _) =
+        vlt(&["lint", "--json", clean.to_str().unwrap(), dirty.to_str().unwrap()]);
+    assert_eq!(code, Some(1), "dirty file has an error finding");
+
+    let files = vlint_output_from_json(&stdout)
+        .unwrap_or_else(|e| panic!("CLI emitted unparseable JSON ({e}):\n{stdout}"));
+    assert_eq!(files.len(), 2, "expected two file reports:\n{stdout}");
+
+    let (clean_path, clean_outcome) = &files[0];
+    assert_eq!(clean_path, clean.to_str().unwrap());
+    let FileOutcome::Report(clean_report) = clean_outcome else {
+        panic!("clean file failed to assemble:\n{stdout}");
+    };
+    assert!(clean_report.diags.is_empty(), "clean file reported findings:\n{stdout}");
+
+    let (dirty_path, dirty_outcome) = &files[1];
+    assert_eq!(dirty_path, dirty.to_str().unwrap());
+    let FileOutcome::Report(dirty_report) = dirty_outcome else {
+        panic!("dirty file failed to assemble:\n{stdout}");
+    };
+    assert!(dirty_report.errors() >= 1, "undef read must surface as an error:\n{stdout}");
+    assert!(
+        dirty_report.diags.iter().any(|d| d.severity == Severity::Error && d.sidx == Some(0)),
+        "error not anchored at sidx 0:\n{stdout}"
+    );
+}
+
+#[test]
+fn lint_json_assembly_errors_are_structured() {
+    let bad = scratch("json-asm").join("bad.s");
+    std::fs::write(&bad, "bogus operand soup\n").unwrap();
+
+    let (code, stdout, _) = vlt(&["lint", "--json", bad.to_str().unwrap()]);
+    assert_eq!(code, Some(1), "assembly errors fail the run");
+    let files = vlint_output_from_json(&stdout)
+        .unwrap_or_else(|e| panic!("CLI emitted unparseable JSON ({e}):\n{stdout}"));
+    assert_eq!(files.len(), 1);
+    let FileOutcome::AssemblyError(msg) = &files[0].1 else {
+        panic!("expected an assembly_error entry:\n{stdout}");
+    };
+    assert!(msg.contains("unknown mnemonic"), "unexpected message `{msg}`");
+}
+
+/// `--json` composes with the analysis flags: race and DLP diagnostics
+/// appear in the same machine-readable stream.
+#[test]
+fn lint_json_carries_race_and_dlp_findings() {
+    // Two threads both store to the same address every epoch: race-ww.
+    let racy = scratch("json-races").join("racy.s");
+    std::fs::write(
+        &racy,
+        ".data\nbuf:\n.zero 64\n.text\nla x1, buf\nli x2, 1\nsd x2, 0(x1)\nhalt\n",
+    )
+    .unwrap();
+
+    let (code, stdout, _) = vlt(&["lint", "--json", "--races=2", racy.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "races are warnings, not errors");
+    let files = vlint_output_from_json(&stdout).unwrap();
+    let FileOutcome::Report(report) = &files[0].1 else { panic!("assembled") };
+    assert!(
+        report.diags.iter().any(|d| d.code.name().starts_with("race-")),
+        "race finding missing from JSON:\n{stdout}"
+    );
+}
+
+/// `as --list` prints the listing `dis` recovers from `as -o`, after a
+/// one-line header.
+#[test]
+fn as_list_matches_dis_of_the_written_segment() {
+    let bin = scratch("dis").join("saxpy.bin");
+    let (code, _, _) = vlt(&["as", SAXPY, "-o", bin.to_str().unwrap()]);
+    assert_eq!(code, Some(0));
+    let (code, listing, _) = vlt(&["as", SAXPY, "--list"]);
+    assert_eq!(code, Some(0));
+    let (code, dis, _) = vlt(&["dis", bin.to_str().unwrap()]);
+    assert_eq!(code, Some(0));
+    let (header, body) = listing.split_once('\n').unwrap();
+    assert!(header.ends_with("26 instructions, 1024 data bytes, 4 symbols"), "{header}");
+    assert_eq!(body, dis);
+}
+
+/// More threads than the design point hosts used to panic inside
+/// `System::new`.
+#[test]
+fn run_rejects_more_threads_than_the_config_hosts() {
+    usage_error(&["run", SAXPY, "--config", "v2-cmp", "-t", "4"]);
+}
+
+/// Zero threads and zero lanes used to panic inside the simulator.
+#[test]
+fn run_rejects_zero_threads_and_zero_lanes() {
+    usage_error(&["run", SAXPY, "-t", "0"]);
+    usage_error(&["run", SAXPY, "-f", "-t", "0"]);
+    usage_error(&["run", SAXPY, "--lanes", "0"]);
+}
+
+/// A malformed count used to mean the default, and `--lanes` was silently
+/// dropped on any config but the base processor.
+#[test]
+fn run_rejects_malformed_counts_and_lanes_on_other_configs() {
+    usage_error(&["run", SAXPY, "-t", "four"]);
+    usage_error(&["run", SAXPY, "--max-cycles", "ten"]);
+    usage_error(&["run", SAXPY, "--config", "v4-cmt", "--lanes", "4"]);
+}
+
+/// `--lanes N` keeps meaning the base processor with N lanes.
+#[test]
+fn lanes_select_the_base_processor() {
+    let base = ["run", SAXPY, "--config", "base", "--lanes", "4"];
+    for args in [&["run", SAXPY, "--lanes", "4"][..], &base[..]] {
+        let (code, stdout, stderr) = vlt(args);
+        assert_eq!(code, Some(0), "{stderr}");
+        assert!(stdout.starts_with("config base, 1 thread(s):"), "{stdout}");
+    }
+}
+
+/// A cluster spread the `vltcfg` encoding cannot express used to panic
+/// while generating the kernel.
+#[test]
+fn src_rejects_unencodable_cluster_spreads() {
+    usage_error(&["src", "spmv", "--threads", "4", "--clusters", "3"]);
+    usage_error(&["src", "spmv", "--threads", "2", "--clusters", "4"]);
+    usage_error(&["prof", "spmv", "--threads", "4", "--clusters", "3"]);
+    let (code, stdout, _) = vlt(&["src", "spmv", "--threads", "8", "--clusters", "2"]);
+    assert_eq!(code, Some(0));
+    assert!(stdout.contains("vltcfg"), "{stdout}");
+}
+
+/// A misspelt scale used to mean `small`.
+#[test]
+fn unknown_scales_are_usage_errors() {
+    for sub in [&["advise"][..], &["repro", "fig1"], &["src", "spmv"], &["prof", "spmv"]] {
+        usage_error(&[sub, &["--scale", "tset"][..]].concat());
+    }
+}
+
+#[test]
+fn usage_errors_exit_2_in_every_subcommand() {
+    for sub in ["as", "dis", "run", "lint", "prof", "advise", "regress", "repro", "src"] {
+        usage_error(&[sub, "--bogus"]);
+        let (code, stdout, _) = vlt(&[sub, "--help"]);
+        assert_eq!(code, Some(0), "`vlt {sub} --help`");
+        assert!(stdout.starts_with("usage: vlt"), "{stdout}");
+    }
+    usage_error(&[]);
+    usage_error(&["vlint"]);
+    usage_error(&["run", SAXPY, "--config", "v9-cmt"]);
+    usage_error(&["dis", SAXPY, "--asm"]);
+}
