@@ -23,6 +23,7 @@
 //! busy / partly-idle (short VL) / stalled / all-idle, reproducing the
 //! taxonomy of Figure 4.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use vlt_exec::{AddrArena, AddrRange, DecodedProgram};
@@ -107,11 +108,15 @@ fn fu_index(class: OpClass) -> Option<usize> {
     }
 }
 
+/// Where a token stands in the hand-off to the scalar unit.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum St {
-    Waiting,
-    Done(u64),
-    Reported,
+enum Report {
+    /// Dispatched, not yet issued to a functional unit.
+    Pending,
+    /// Issued with this completion cycle; not yet polled.
+    Ready(u64),
+    /// Polled; the window slot is released at the end of the next tick.
+    Taken,
 }
 
 /// What kind of producer a dep-free entry's future `ready_base` traces back
@@ -145,7 +150,9 @@ struct VuEntry {
     scalar_deps: Vec<u64>,
     ready_base: u64,
     dispatched_at: u64,
-    state: St,
+    /// Issued to a functional unit (its completion awaits or has had the
+    /// scalar unit's poll).
+    issued: bool,
     /// Producer kind behind the current `ready_base` (attribution only).
     wait: WaitSrc,
 }
@@ -222,7 +229,19 @@ pub struct VectorUnit {
     stride: usize,
     /// This unit's cluster id in the thread mapping.
     offset: usize,
-    next_token: u64,
+    /// Hand-off state of every token from `token_base` on, indexed by
+    /// `token - token_base`. Tokens are handed out densely, so a poll is one
+    /// lookup; the front is popped once its window slot is released.
+    reports: VecDeque<Report>,
+    /// The token `reports[0]` describes; every lower token has left the
+    /// window.
+    token_base: u64,
+    /// A token was polled since the last tick (its slot releases at the
+    /// tick's end).
+    taken: bool,
+    /// Same-partition resolutions of one issue pass, `(vthread, seq,
+    /// ready, producer kind)`; a buffer reused across cycles.
+    resolutions: Vec<(usize, u64, u64, WaitSrc)>,
     /// Aggregate datapath utilization (Figure 4 categories).
     pub util: Utilization,
     /// Why each stalled/all-idle datapath-cycle was lost. Conservation
@@ -264,7 +283,10 @@ impl VectorUnit {
             partitions,
             stride: 1,
             offset: 0,
-            next_token: 0,
+            reports: VecDeque::new(),
+            token_base: 0,
+            taken: false,
+            resolutions: Vec::new(),
             util: Utilization::default(),
             stalls: StallBreakdown::default(),
             issued: 0,
@@ -388,8 +410,16 @@ impl VectorUnit {
         let (parked_local, local_threads) = self.localize(parked_threads, nthreads);
         self.account(now, parked_local, local_threads, draining);
 
-        for p in &mut self.partitions {
-            p.window.retain(|e| e.state != St::Reported);
+        if self.taken {
+            self.taken = false;
+            let (reports, base) = (&self.reports, self.token_base);
+            for p in &mut self.partitions {
+                p.window.retain(|e| reports[(e.token.0 - base) as usize] != Report::Taken);
+            }
+            while self.reports.front() == Some(&Report::Taken) {
+                self.reports.pop_front();
+                self.token_base += 1;
+            }
         }
     }
 
@@ -403,9 +433,8 @@ impl VectorUnit {
         mut net: Option<&mut ClusterNet>,
         arena: &AddrArena,
     ) -> usize {
-        let mut resolutions: Vec<(usize, u64, u64, WaitSrc)> = Vec::new();
         {
-            let prog = Arc::clone(&self.prog);
+            let prog = &self.prog;
             let p = &mut self.partitions[pi];
             let lanes = p.lanes;
             for i in 0..p.window.len() {
@@ -413,11 +442,7 @@ impl VectorUnit {
                     break;
                 }
                 let e = &p.window[i];
-                if e.state != St::Waiting
-                    || !e.deps.is_empty()
-                    || e.ready_base > now
-                    || e.dispatched_at >= now
-                {
+                if e.issued || !e.deps.is_empty() || e.ready_base > now || e.dispatched_at >= now {
                     continue;
                 }
                 let class = e.class;
@@ -479,6 +504,7 @@ impl VectorUnit {
                 self.issued += 1;
                 let seq = e.seq;
                 let vthread = e.vthread;
+                self.reports[(e.token.0 - self.token_base) as usize] = Report::Ready(done);
                 if self.log_issues {
                     self.issue_log.push(VecIssue {
                         cluster: self.offset as u32,
@@ -502,8 +528,8 @@ impl VectorUnit {
                 } else {
                     WaitSrc::Vector
                 };
-                p.window[i].state = St::Done(done);
-                resolutions.push((
+                p.window[i].issued = true;
+                self.resolutions.push((
                     vthread,
                     seq,
                     if self.cfg.chaining { chain_ready } else { done },
@@ -513,9 +539,11 @@ impl VectorUnit {
         }
         // Wake same-partition consumers (vector-vector chaining through the
         // window happens at completion granularity).
-        for (vthread, seq, done, src) in resolutions {
+        let mut resolutions = std::mem::take(&mut self.resolutions);
+        for (vthread, seq, done, src) in resolutions.drain(..) {
             self.resolve_from(vthread, seq, done, Some(src));
         }
+        self.resolutions = resolutions;
         budget
     }
 
@@ -528,7 +556,7 @@ impl VectorUnit {
         for pi in 0..pcount {
             let parked = Self::partition_parked(pi, pcount, parked_threads, nthreads);
             let p = &self.partitions[pi];
-            let waiting = p.window.iter().any(|e| matches!(e.state, St::Waiting));
+            let waiting = p.window.iter().any(|e| !e.issued);
             let mut cause = None;
             for f in 0..3 {
                 match p.arith[f].busy_datapaths(now, p.lanes) {
@@ -596,7 +624,7 @@ impl VectorUnit {
         let mut net_wait = false;
         let mut waiting = false;
         for e in &p.window {
-            if !matches!(e.state, St::Waiting) {
+            if e.issued {
                 continue;
             }
             waiting = true;
@@ -664,13 +692,12 @@ impl VectorUnit {
                 }
             }
             for e in &p.window {
-                match e.state {
+                if e.issued {
                     // The SU consumes completions at its next poll.
-                    St::Done(_) | St::Reported => return Some(from),
-                    St::Waiting if e.deps.is_empty() => {
-                        fold_event(&mut ev, from.max(e.ready_base).max(e.dispatched_at + 1));
-                    }
-                    St::Waiting => {}
+                    return Some(from);
+                }
+                if e.deps.is_empty() {
+                    fold_event(&mut ev, from.max(e.ready_base).max(e.dispatched_at + 1));
                 }
             }
         }
@@ -699,7 +726,7 @@ impl VectorUnit {
         for pi in 0..pcount {
             let parked = Self::partition_parked(pi, pcount, parked_threads, nthreads);
             let p = &self.partitions[pi];
-            let waiting = p.window.iter().any(|e| matches!(e.state, St::Waiting));
+            let waiting = p.window.iter().any(|e| !e.issued);
             let add = 3 * p.lanes as u64 * cycles;
             if waiting {
                 self.util.stalled += add;
@@ -749,7 +776,7 @@ impl VectorUnit {
     fn resolve_from(&mut self, vthread: usize, seq: u64, done_at: u64, src: Option<WaitSrc>) {
         let pi = vthread % self.partitions.len();
         for e in self.partitions[pi].window.iter_mut() {
-            if e.state == St::Waiting && e.vthread == vthread {
+            if !e.issued && e.vthread == vthread {
                 if let Some(pos) = e.deps.iter().position(|d| *d == seq) {
                     e.deps.swap_remove(pos);
                     let kind = src.unwrap_or(if e.scalar_deps.contains(&seq) {
@@ -782,8 +809,8 @@ impl VectorSink for VectorUnit {
         if p.window.len() >= cap {
             return None;
         }
-        let token = VecToken(self.next_token);
-        self.next_token += 1;
+        let token = VecToken(self.token_base + self.reports.len() as u64);
+        self.reports.push_back(Report::Pending);
         p.window.push(VuEntry {
             token,
             vthread: d.vthread,
@@ -796,7 +823,7 @@ impl VectorSink for VectorUnit {
             scalar_deps: d.scalar_deps,
             ready_base: d.ready_base,
             dispatched_at: now,
-            state: St::Waiting,
+            issued: false,
             wait: WaitSrc::Scalar,
         });
         Some(token)
@@ -807,18 +834,12 @@ impl VectorSink for VectorUnit {
     }
 
     fn poll(&mut self, token: VecToken) -> Option<u64> {
-        for p in &mut self.partitions {
-            for e in p.window.iter_mut() {
-                if e.token == token {
-                    if let St::Done(t) = e.state {
-                        e.state = St::Reported;
-                        return Some(t);
-                    }
-                    return None;
-                }
-            }
-        }
-        None
+        let i = token.0.checked_sub(self.token_base)?;
+        let r = self.reports.get_mut(usize::try_from(i).ok()?)?;
+        let Report::Ready(t) = *r else { return None };
+        *r = Report::Taken;
+        self.taken = true;
+        Some(t)
     }
 }
 

@@ -4,7 +4,7 @@ use vlt_exec::{AddrArena, AddrRange, DecodedProgram};
 use vlt_isa::asm::assemble;
 use vlt_isa::OpClass;
 use vlt_mem::{MemConfig, MemSystem};
-use vlt_scalar::{VecDispatch, VectorSink};
+use vlt_scalar::{VecDispatch, VecToken, VectorSink};
 
 use crate::vu::{VectorUnit, VuConfig};
 
@@ -290,4 +290,105 @@ fn drained_reports_empty_windows() {
     run_until_done(&mut vu, &mut m, &ar, tok, 0);
     vu.tick(10_001, &mut m, None, &ar, 0, 1, false); // retire the reported entry
     assert!(vu.drained());
+}
+
+// The hand-off contract the scalar unit relies on: `poll` reports a token's
+// completion cycle once, as soon as the instruction issues; the reported
+// entry holds its window slot until the end of the unit's next tick.
+
+#[test]
+fn a_token_polls_none_until_it_issues() {
+    let mut vu = unit(8, 1);
+    let mut m = mem();
+    let ar = arena();
+    let tok = vu.try_dispatch(disp(0, 0, OpClass::VAdd, 64), 0).unwrap();
+    assert_eq!(vu.poll(tok), None, "not issued yet");
+    // Nothing issues in its own dispatch cycle.
+    vu.tick(0, &mut m, None, &ar, 0, 1, false);
+    assert_eq!(vu.poll(tok), None, "not issued in its dispatch cycle");
+}
+
+#[test]
+fn a_token_reports_its_completion_once_at_issue() {
+    let mut vu = unit(8, 1);
+    let mut m = mem();
+    let ar = arena();
+    let tok = vu.try_dispatch(disp(0, 0, OpClass::VAdd, 64), 0).unwrap();
+    vu.tick(0, &mut m, None, &ar, 0, 1, false);
+    vu.tick(1, &mut m, None, &ar, 0, 1, false);
+    // Issued at 1: 1 + 2 (startup) + 8 = 11, reported while still ahead.
+    assert_eq!(vu.poll(tok), Some(11));
+    assert_eq!(vu.poll(tok), None, "a completion is reported once");
+    for now in 2..20 {
+        vu.tick(now, &mut m, None, &ar, 0, 1, false);
+        assert_eq!(vu.poll(tok), None, "reported again at cycle {now}");
+    }
+}
+
+#[test]
+fn tokens_never_handed_out_poll_none() {
+    let mut vu = unit(8, 1);
+    let mut m = mem();
+    let ar = arena();
+    assert_eq!(vu.poll(VecToken(0)), None);
+    let tok = vu.try_dispatch(disp(0, 0, OpClass::VMask, 8), 0).unwrap();
+    for now in 0..4 {
+        vu.tick(now, &mut m, None, &ar, 0, 1, false);
+    }
+    for other in [tok.0 + 1, tok.0 + 1000, u64::MAX] {
+        assert_eq!(vu.poll(VecToken(other)), None, "token {other} was never handed out");
+    }
+    assert!(vu.poll(tok).is_some());
+}
+
+#[test]
+fn a_reported_entry_holds_its_slot_until_the_next_tick_ends() {
+    let mut vu = unit(8, 1); // one 32-entry partition
+    let mut m = mem();
+    let ar = arena();
+    let toks: Vec<_> =
+        (0..32).map(|i| vu.try_dispatch(disp(0, i, OpClass::VMask, 8), 0).unwrap()).collect();
+    vu.tick(0, &mut m, None, &ar, 0, 1, false);
+    vu.tick(1, &mut m, None, &ar, 0, 1, false); // issues the two oldest
+    assert!(vu.try_dispatch(disp(0, 32, OpClass::VMask, 8), 1).is_none(), "window full");
+    assert_eq!(vu.poll(toks[0]), Some(2));
+    assert!(
+        vu.try_dispatch(disp(0, 32, OpClass::VMask, 8), 1).is_none(),
+        "the reported entry keeps its slot until the unit ticks"
+    );
+    vu.tick(2, &mut m, None, &ar, 0, 1, false);
+    assert!(vu.try_dispatch(disp(0, 32, OpClass::VMask, 8), 2).is_some(), "slot released");
+    // The issued-but-unpolled entry still holds its slot.
+    assert!(vu.try_dispatch(disp(0, 33, OpClass::VMask, 8), 2).is_none());
+    assert_eq!(vu.poll(toks[1]), Some(2));
+}
+
+#[test]
+fn tokens_report_correctly_after_a_drain_and_repartition() {
+    let mut vu = unit(8, 1);
+    let mut m = mem();
+    let ar = arena();
+    let old: Vec<_> =
+        (0..3).map(|i| vu.try_dispatch(disp(0, i, OpClass::VAdd, 16), 0).unwrap()).collect();
+    let mut now = 0;
+    let mut left = old.clone();
+    while !left.is_empty() {
+        vu.tick(now, &mut m, None, &ar, 0, 1, false);
+        left.retain(|t| vu.poll(*t).is_none());
+        now += 1;
+    }
+    vu.tick(now, &mut m, None, &ar, 0, 1, false); // release the last reported slot
+    assert!(vu.drained());
+    vu.repartition(2);
+    now += 1;
+    // VL 32 on a 4-lane partition: issue at now + 1, 2 startup, 8 groups.
+    let t0 = vu.try_dispatch(disp(0, 10, OpClass::VAdd, 32), now).unwrap();
+    let t1 = vu.try_dispatch(disp(1, 10, OpClass::VMul, 32), now).unwrap();
+    assert!(old.iter().all(|t| *t != t0 && *t != t1), "tokens are never reused");
+    let d1 = run_until_done(&mut vu, &mut m, &ar, t1, now);
+    assert_eq!(d1, now + 1 + 3 + 8);
+    assert_eq!(vu.poll(t0), Some(now + 1 + 2 + 8));
+    for t in old {
+        assert_eq!(vu.poll(t), None, "a token from before the repartition");
+    }
 }

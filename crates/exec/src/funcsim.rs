@@ -134,9 +134,13 @@ pub struct FuncSim {
 }
 
 impl FuncSim {
-    /// Set up `nthr` threads at the program entry point.
+    /// Most software threads one simulation runs.
+    pub const MAX_THREADS: usize = 64;
+
+    /// Set up `nthr` threads at the program entry point; `nthr` must lie in
+    /// `1..=MAX_THREADS`.
     pub fn new(prog: &Program, nthr: usize) -> Self {
-        assert!((1..=64).contains(&nthr), "thread count out of range");
+        assert!((1..=Self::MAX_THREADS).contains(&nthr), "thread count out of range");
         let decoded = DecodedProgram::new(prog);
         let mem = Memory::load(prog);
         let threads = (0..nthr).map(|t| ArchState::new(prog.entry, t, nthr)).collect();

@@ -2,8 +2,10 @@
 //!
 //! Pipeline model (one `tick` per cycle):
 //!
-//! 1. **Poll** — vector instructions in the ROB check the vector unit for
-//!    completion; completions resolve dependent consumers.
+//! 1. **Poll** — every vector instruction retires from the ROB at
+//!    dispatch, so the vector unit is polled for the instructions handed
+//!    to it, in dispatch order; a completion publishes the instruction's
+//!    register effects and resolves dependent consumers.
 //! 2. **Commit** — in-order per context, total width shared across SMT
 //!    contexts.
 //! 3. **Issue** — oldest-ready-first across contexts, bounded by issue
@@ -66,17 +68,17 @@ pub struct CoreStats {
     pub stalls: StallBreakdown,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum EKind {
     /// Scalar computation, branches, system ops.
     Alu,
     /// Scalar memory access.
     Mem { addr: u64, write: bool },
-    /// Vector instruction in flight in the vector unit. `early` marks
-    /// entries that retire from the ROB at dispatch (no scalar destination;
-    /// the VIQ/window tracks them — paper §2's decoupled vector execution);
-    /// their register effects are published when the VU completes them.
-    Vector { token: VecToken, early: bool },
+    /// Vector instruction handed to the vector unit. It is complete in the
+    /// ROB from dispatch (the VU window tracks it — paper §2's decoupled
+    /// vector execution); its register effects, scalar destinations of
+    /// reductions included, publish when the VU reports its completion.
+    Vector,
     /// Barrier marker (completes immediately; fetch gating enforces order).
     Barrier,
     /// Serializing instruction (`vltcfg`): drains the ROB.
@@ -123,6 +125,9 @@ struct Ctx {
     draining: bool,
 }
 
+/// Most hardware contexts one core holds ([`CoreConfig::with_smt`]).
+const MAX_CONTEXTS: usize = 4;
+
 /// Flatten a register reference into the `reg_map` index space.
 #[inline]
 fn reg_index(r: RegRef) -> usize {
@@ -164,9 +169,15 @@ pub struct OooCore {
     prog: Arc<DecodedProgram>,
     pred: Predictor,
     ctxs: Vec<Ctx>,
-    /// Early-retired vector instructions awaiting VU completion:
-    /// (context, seq, token).
-    pending_vec: Vec<(usize, u64, VecToken)>,
+    /// Vector instructions awaiting VU completion, in dispatch order:
+    /// (context, seq, sidx, token).
+    pending_vec: Vec<(usize, u64, u32, VecToken)>,
+    /// Completions one poll picked up, (context, seq, sidx, cycle); a
+    /// buffer reused across cycles.
+    completed: Vec<(usize, u64, u32, u64)>,
+    /// Issue candidates (seq, context, ROB index); a buffer reused across
+    /// cycles.
+    cands: Vec<(u64, usize, usize)>,
     seq_next: u64,
     div_free: u64,
     /// Statistics counters.
@@ -176,6 +187,7 @@ pub struct OooCore {
 impl OooCore {
     /// Build a core; contexts are bound with [`OooCore::bind`].
     pub fn new(cfg: CoreConfig, core_id: usize, prog: Arc<DecodedProgram>) -> Self {
+        assert!(cfg.smt_contexts <= MAX_CONTEXTS, "at most {MAX_CONTEXTS} contexts per core");
         let ctxs = (0..cfg.smt_contexts).map(|_| Ctx::new()).collect();
         OooCore {
             cfg,
@@ -184,6 +196,8 @@ impl OooCore {
             pred: Predictor::default_su(),
             ctxs,
             pending_vec: Vec::new(),
+            completed: Vec::new(),
+            cands: Vec::new(),
             seq_next: 0,
             div_free: 0,
             stats: CoreStats::default(),
@@ -333,7 +347,7 @@ impl OooCore {
             // by the oldest entry that has not completed yet.
             match c.rob.iter().find(|e| e.done_at.is_none_or(|d| d > now)) {
                 Some(e) => match e.kind {
-                    EKind::Vector { .. } => chain = true,
+                    EKind::Vector => chain = true,
                     EKind::Mem { .. } => bank = true,
                     _ => scalar = true,
                 },
@@ -377,44 +391,31 @@ impl OooCore {
         Ok(())
     }
 
-    /// Stage 1: pick up vector-unit completions, both for ROB-resident
-    /// vector instructions (scalar destinations) and early-retired ones.
+    /// Stage 1: pick up vector-unit completions in dispatch order (the
+    /// VU's stall attribution depends on the order of its resolutions).
     fn poll_vector(&mut self, vu: &mut dyn VectorSink) {
-        for ci in 0..self.ctxs.len() {
-            let vthread = self.ctxs[ci].vthread;
-            let mut resolved: Vec<(u64, u64)> = Vec::new();
-            for e in self.ctxs[ci].rob.iter_mut() {
-                if e.done_at.is_none() {
-                    if let EKind::Vector { token, .. } = e.kind {
-                        if let Some(t) = vu.poll(token) {
-                            e.done_at = Some(t);
-                            resolved.push((e.seq, t));
-                        }
-                    }
-                }
-            }
-            for (seq, t) in resolved {
-                self.resolve_producer(ci, seq, t, vthread, vu);
-            }
-        }
-        let mut completed: Vec<(usize, u64, u64)> = Vec::new();
-        self.pending_vec.retain(|(ci, seq, token)| match vu.poll(*token) {
+        let completed = &mut self.completed;
+        self.pending_vec.retain(|&(ci, seq, sidx, token)| match vu.poll(token) {
             Some(t) => {
-                completed.push((*ci, *seq, t));
+                completed.push((ci, seq, sidx, t));
                 false
             }
             None => true,
         });
-        for (ci, seq, t) in completed {
+        let mut completed = std::mem::take(&mut self.completed);
+        for (ci, seq, sidx, t) in completed.drain(..) {
             // Publish register effects now that the completion is known.
-            let vthread = self.ctxs[ci].vthread;
-            for r in 0..REG_SPACE {
-                if self.ctxs[ci].reg_map[r] == Producer::InFlight(seq) {
-                    self.ctxs[ci].reg_map[r] = Producer::Ready(t);
+            let c = &mut self.ctxs[ci];
+            for d in &self.prog.get(sidx as usize).defs {
+                let r = &mut c.reg_map[reg_index(*d)];
+                if *r == Producer::InFlight(seq) {
+                    *r = Producer::Ready(t);
                 }
             }
+            let vthread = c.vthread;
             self.resolve_producer(ci, seq, t, vthread, vu);
         }
+        self.completed = completed;
     }
 
     /// Broadcast a producer's completion to waiting consumers (this core's
@@ -452,9 +453,9 @@ impl OooCore {
                 }
                 let e = self.ctxs[ci].rob.pop_front().unwrap();
                 // Retire register state: later fetches read Ready(done).
-                // Early-retired vector entries publish at VU completion
-                // (their `done` here is only the dispatch cycle).
-                if !matches!(e.kind, EKind::Vector { early: true, .. }) {
+                // Vector entries publish at VU completion (their `done`
+                // here is only the dispatch cycle).
+                if e.kind != EKind::Vector {
                     let si = self.prog.get(e.sidx as usize);
                     for d in &si.defs {
                         let idx = reg_index(*d);
@@ -481,29 +482,26 @@ impl OooCore {
         let mut arith = self.cfg.arith_units;
         let mut ports = self.cfg.mem_ports;
 
-        // Candidate (ctx, seq) pairs in global age order.
-        let mut cands: Vec<(u64, usize)> = Vec::new();
+        // Candidates in global age order. ROB indices shift only on
+        // commit, so each stays valid through this stage.
+        let mut cands = std::mem::take(&mut self.cands);
         for (ci, c) in self.ctxs.iter().enumerate() {
-            for e in c.rob.iter() {
+            for (pos, e) in c.rob.iter().enumerate() {
                 if !e.issued && e.deps.is_empty() && e.ready_base <= now {
-                    cands.push((e.seq, ci));
+                    cands.push((e.seq, ci, pos));
                 }
             }
         }
         cands.sort_unstable();
 
-        for (seq, ci) in cands {
+        for &(seq, ci, pos) in &cands {
             if slots == 0 {
                 break;
             }
             let vthread = self.ctxs[ci].vthread;
-            // Locate the entry (indices shift only on commit, not here).
-            let Some(pos) = self.ctxs[ci].rob.iter().position(|e| e.seq == seq) else {
-                continue;
-            };
             let (class, kind) = {
                 let e = &self.ctxs[ci].rob[pos];
-                (e.class, e.kind.clone())
+                (e.class, e.kind)
             };
             let done = match kind {
                 EKind::Alu => {
@@ -533,7 +531,7 @@ impl OooCore {
                 }
                 EKind::Barrier | EKind::Done => now,
                 EKind::Serialize => now + 1,
-                EKind::Vector { .. } => continue, // completes via poll
+                EKind::Vector => continue, // completes via poll
             };
             slots -= 1;
             self.stats.issued += 1;
@@ -544,6 +542,8 @@ impl OooCore {
             }
             self.resolve_producer(ci, seq, done, vthread, vu);
         }
+        cands.clear();
+        self.cands = cands;
     }
 
     /// Stage 4: fetch and dispatch. ICOUNT-ordered, 2.4-style: up to two
@@ -557,17 +557,22 @@ impl OooCore {
         src: &mut dyn FetchSource,
         vu: &mut dyn VectorSink,
     ) -> Result<(), ExecError> {
-        // Eligible contexts, fewest in-flight first.
-        let mut order: Vec<usize> = (0..self.ctxs.len())
-            .filter(|&ci| {
-                let c = &self.ctxs[ci];
-                c.thread.is_some()
-                    && !c.halted
-                    && !c.draining
-                    && c.fetch_ready <= now
-                    && (c.rob.len() < self.cfg.window_per_ctx() || c.pending.is_some())
-            })
-            .collect();
+        // Eligible contexts, fewest in-flight first (a stable sort: ties
+        // keep context order).
+        let mut eligible = [0usize; MAX_CONTEXTS];
+        let mut n = 0;
+        for (ci, c) in self.ctxs.iter().enumerate() {
+            if c.thread.is_some()
+                && !c.halted
+                && !c.draining
+                && c.fetch_ready <= now
+                && (c.rob.len() < self.cfg.window_per_ctx() || c.pending.is_some())
+            {
+                eligible[n] = ci;
+                n += 1;
+            }
+        }
+        let order = &mut eligible[..n];
         order.sort_by_key(|&ci| self.ctxs[ci].rob.len());
         if order.is_empty() {
             if self.ctxs.iter().any(|c| c.active()) {
@@ -654,9 +659,9 @@ impl OooCore {
                 Producer::InFlight(s) => {
                     let rob_entry = self.ctxs[ci].rob.iter().find(|e| e.seq == s);
                     let completion_pending = rob_entry.is_none_or(|e| {
-                        // Early-retired vector producers have a placeholder
-                        // done_at (dispatch cycle); wait for the VU instead.
-                        matches!(e.kind, EKind::Vector { early: true, .. }) || e.done_at.is_none()
+                        // Vector producers have a placeholder done_at (the
+                        // dispatch cycle); wait for the VU instead.
+                        e.kind == EKind::Vector || e.done_at.is_none()
                     });
                     match rob_entry {
                         Some(e) if !completion_pending => {
@@ -665,18 +670,22 @@ impl OooCore {
                         _ => {
                             debug_assert!(
                                 rob_entry.is_some()
-                                    || self.pending_vec.iter().any(|(c, q, _)| *c == ci && *q == s),
+                                    || self
+                                        .pending_vec
+                                        .iter()
+                                        .any(|&(c, q, _, _)| c == ci && q == s),
                                 "in-flight producer {s} is neither in the ROB nor pending in the VU"
                             );
                             if !deps.contains(&s) {
                                 deps.push(s);
-                                // Producers absent from the ROB retired early
-                                // into the VU; ROB-resident vector entries are
+                                // Producers absent from the ROB retired into
+                                // the VU; ROB-resident vector entries are
                                 // vector producers too. Everything else is a
-                                // scalar producer (attribution metadata only).
-                                let vector_producer = rob_entry
-                                    .is_none_or(|e| matches!(e.kind, EKind::Vector { .. }));
-                                if !vector_producer {
+                                // scalar producer (attribution metadata, read
+                                // only by the VU).
+                                let vector_producer =
+                                    rob_entry.is_none_or(|e| e.kind == EKind::Vector);
+                                if !vector_producer && si.class.is_vector() {
                                     scalar_deps.push(s);
                                 }
                             }
@@ -704,6 +713,8 @@ impl OooCore {
                     DynKind::VMem { addrs } => *addrs,
                     _ => vlt_exec::AddrRange::EMPTY,
                 };
+                // The VU takes the dependence lists: the ROB entry is
+                // complete from dispatch, so its copy would never be read.
                 let disp = VecDispatch {
                     vthread: self.ctxs[ci].vthread,
                     sidx: d.sidx,
@@ -711,8 +722,8 @@ impl OooCore {
                     class: si.class,
                     addrs,
                     seq,
-                    deps: deps.clone(),
-                    scalar_deps: scalar_deps.clone(),
+                    deps: std::mem::take(&mut deps),
+                    scalar_deps,
                     ready_base,
                 };
                 match vu.try_dispatch(disp, now) {
@@ -723,8 +734,8 @@ impl OooCore {
                         // exception, the VU tracks them); register effects
                         // — including scalar destinations of reductions —
                         // publish when the VU completes (poll_vector).
-                        self.pending_vec.push((ci, seq, token));
-                        EKind::Vector { token, early: true }
+                        self.pending_vec.push((ci, seq, d.sidx, token));
+                        EKind::Vector
                     }
                     None => {
                         self.ctxs[ci].pending = Some(d);
@@ -757,8 +768,7 @@ impl OooCore {
             self.ctxs[ci].reg_map[reg_index(*def)] = Producer::InFlight(seq);
         }
         let done_at = match kind {
-            EKind::Barrier | EKind::Done => Some(now),
-            EKind::Vector { early: true, .. } => Some(now),
+            EKind::Barrier | EKind::Done | EKind::Vector => Some(now),
             _ => None,
         };
         let issued = done_at.is_some();

@@ -91,8 +91,11 @@ pub trait VectorSink {
     /// the VU folds it into any waiting consumers.
     fn resolve(&mut self, vthread: usize, seq: u64, done_at: u64);
 
-    /// Completion cycle, once the instruction has fully executed. Reports
-    /// each token at most once (the VU may then retire the entry).
+    /// The instruction's completion cycle, reported as soon as it issues
+    /// to a functional unit, so the cycle may still lie ahead. Each token
+    /// is reported at most once; `None` before issue, after the report, and
+    /// for a token never handed out. The VU frees the window slot at the
+    /// end of its next tick.
     fn poll(&mut self, token: VecToken) -> Option<u64>;
 }
 

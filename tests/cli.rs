@@ -143,6 +143,13 @@ fn run_rejects_zero_threads_and_zero_lanes() {
     usage_error(&["run", SAXPY, "--lanes", "0"]);
 }
 
+/// A functional run beyond the simulator's thread limit used to panic.
+#[test]
+fn run_rejects_more_functional_threads_than_the_simulator_runs() {
+    usage_error(&["run", SAXPY, "--functional", "-t", "100"]);
+    usage_error(&["run", SAXPY, "-f", "-t", "65"]);
+}
+
 /// A malformed count used to mean the default, and `--lanes` was silently
 /// dropped on any config but the base processor.
 #[test]
