@@ -26,13 +26,11 @@
 //! println!("{} cycles", result.cycles);
 //! ```
 
-pub mod component;
 pub mod config;
 pub mod result;
 pub mod system;
 pub mod vu;
 
-pub use component::{CompId, Component, TickCtx};
 pub use config::{IdealizeConfig, SystemConfig, VclConfig};
 pub use result::{SimError, SimResult, Utilization};
 pub use system::{

@@ -7,11 +7,18 @@
 //! different [`SimObserver`] into it, so sampling, progress heartbeats, and
 //! any future instrumentation cannot drift from the plain run path.
 //!
+//! The driver calls each unit class directly: the OoO scalar units, the
+//! in-order lane cores and the per-cluster vector units tick every stepped
+//! cycle; the inter-cluster network and the memory system are passive (their
+//! state changes only inside the other units' accesses) and only answer the
+//! skip horizon and deliver L2 events.
+//!
 //! Time advances event-driven by default: when a cycle makes no progress,
 //! the driver queries every unit's `next_event` and jumps straight to the
 //! earliest future one, bulk-crediting the skipped span — with results
 //! byte-identical to the naive cycle-by-cycle oracle, which stays
-//! selectable via [`DriverMode::CycleByCycle`].
+//! selectable via [`DriverMode::CycleByCycle`]. That oracle is also what
+//! catches a unit class left out of one of the driver's walks.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -24,7 +31,6 @@ use vlt_scalar::{
     VecDispatch, VecToken, VectorSink,
 };
 
-use crate::component::{CompId, Component, TickCtx};
 use crate::config::SystemConfig;
 use crate::result::{SimError, SimResult, Utilization};
 use crate::vu::{VecIssue, VectorUnit, VuConfig};
@@ -39,12 +45,18 @@ struct TrackedSource {
     /// A `vltcfg` observed this cycle: requested `(threads, clusters)`
     /// hierarchy (clusters `0` = unspecified).
     vlt_request: Option<(u8, u8)>,
+    /// The machine has a vector unit; without one a vector instruction is a
+    /// fault ([`ExecError::NoVectorUnit`]), not work for a scalar unit.
+    has_vu: bool,
 }
 
 impl FetchSource for TrackedSource {
     fn fetch(&mut self, thread: usize) -> Result<FetchResult, ExecError> {
         Ok(match self.sim.step_thread(thread)? {
             Step::Inst(d) => {
+                if !self.has_vu && self.prog.get(d.sidx as usize).class.is_vector() {
+                    return Err(ExecError::NoVectorUnit { tid: thread, pc: d.pc });
+                }
                 if let DynKind::VltCfg { threads, clusters } = d.kind {
                     self.vlt_request = Some((threads, clusters));
                 }
@@ -108,6 +120,9 @@ struct CycleEvents {
     repartition: Option<RepartitionEvent>,
     /// Bitmask of software threads parked at a barrier after this cycle.
     parked: u64,
+    /// A pending repartition took effect this cycle, after draining for
+    /// this many cycles.
+    applied_latency: Option<u64>,
 }
 
 /// Read-only view of the machine handed to [`SimObserver::on_cycle`].
@@ -418,22 +433,6 @@ impl VectorSink for VecRouter<'_> {
     }
 }
 
-/// Forwards exactly the event-delivery hooks ([`SimObserver::on_vec_issue`],
-/// [`SimObserver::on_mem_access`]) to a possibly-unsized observer, so
-/// [`Component::drain_events`] can take a `&mut dyn SimObserver` without
-/// requiring `O: Sized` in the driver.
-struct ObsRef<'a, O: SimObserver + ?Sized>(&'a mut O);
-
-impl<O: SimObserver + ?Sized> SimObserver for ObsRef<'_, O> {
-    fn on_vec_issue(&mut self, now: u64, ev: &VecIssue) {
-        self.0.on_vec_issue(now, ev);
-    }
-
-    fn on_mem_access(&mut self, now: u64, ev: &BankEvent) {
-        self.0.on_mem_access(now, ev);
-    }
-}
-
 /// A configured machine ready to run one program.
 pub struct System {
     cfg: SystemConfig,
@@ -442,20 +441,14 @@ pub struct System {
     lane_cores: Vec<InOrderCore>,
     /// One vector unit per lane cluster (empty without a vector unit).
     vus: Vec<VectorUnit>,
-    /// Inter-cluster network (multi-cluster machines only).
+    /// Inter-cluster network (multi-cluster machines only; passive).
     net: Option<ClusterNet>,
+    /// The memory hierarchy (passive).
     mem: MemSystem,
-    /// Every timed unit, in tick order: scalar units, lane cores, vector
-    /// units, network, memory. The driver iterates this list for ticking,
-    /// the skip horizon, fingerprinting, idle-span crediting, and event
-    /// drains — registering here is all a new unit type needs.
-    components: Vec<CompId>,
     /// Clusters currently holding VLT threads (`vus[..active_clusters]`).
     active_clusters: usize,
     /// An accepted repartition draining toward application.
     vu_pending: Option<PendingRepartition>,
-    /// Drain latency of a repartition applied this cycle (observer pickup).
-    applied_latency: Option<u64>,
     /// Software threads loaded into the functional simulator.
     nthreads: usize,
     /// Barrier releases already flushed, against the funcsim's exact count.
@@ -581,51 +574,20 @@ impl System {
             }
         }
 
-        let mut components: Vec<CompId> = (0..cores.len()).map(CompId::Core).collect();
-        components.extend((0..lane_cores.len()).map(CompId::Lane));
-        components.extend((0..vus.len()).map(CompId::Vu));
-        if net.is_some() {
-            components.push(CompId::Net);
-        }
-        components.push(CompId::Mem);
-
+        let has_vu = cfg.has_vu;
         System {
             cfg,
-            src: TrackedSource { sim, prog: decoded, cur_region: 0, vlt_request: None },
+            src: TrackedSource { sim, prog: decoded, cur_region: 0, vlt_request: None, has_vu },
             cores,
             lane_cores,
             vus,
             net,
             mem,
-            components,
             active_clusters,
             vu_pending: None,
-            applied_latency: None,
             nthreads,
             flushed_releases: 0,
             driver: DriverMode::default(),
-        }
-    }
-
-    /// Borrow a registered component read-only.
-    fn component(&self, id: CompId) -> &dyn Component {
-        match id {
-            CompId::Core(i) => &self.cores[i],
-            CompId::Lane(i) => &self.lane_cores[i],
-            CompId::Vu(i) => &self.vus[i],
-            CompId::Net => self.net.as_ref().expect("network registered but absent"),
-            CompId::Mem => &self.mem,
-        }
-    }
-
-    /// Borrow a registered component mutably.
-    fn component_mut(&mut self, id: CompId) -> &mut dyn Component {
-        match id {
-            CompId::Core(i) => &mut self.cores[i],
-            CompId::Lane(i) => &mut self.lane_cores[i],
-            CompId::Vu(i) => &mut self.vus[i],
-            CompId::Net => self.net.as_mut().expect("network registered but absent"),
-            CompId::Mem => &mut self.mem,
         }
     }
 
@@ -669,32 +631,17 @@ impl System {
     /// Select how the driver advances time (default:
     /// [`DriverMode::EventDriven`]). [`DriverMode::CycleByCycle`] is the
     /// naive oracle — kept selectable so tests and benchmarks can compare.
-    pub fn set_driver(&mut self, mode: DriverMode) {
-        self.driver = mode;
-    }
-
-    /// Builder-style [`System::set_driver`].
     pub fn with_driver(mut self, mode: DriverMode) -> Self {
         self.driver = mode;
         self
-    }
-
-    /// The driver mode in force.
-    pub fn driver_mode(&self) -> DriverMode {
-        self.driver
     }
 
     /// Select the functional execution engine (default:
     /// [`vlt_exec::EngineMode::Block`]). [`vlt_exec::EngineMode::Interp`]
     /// is the cross-validation oracle, mirroring
     /// [`DriverMode::CycleByCycle`] on the timing side.
-    pub fn set_engine(&mut self, engine: vlt_exec::EngineMode) {
-        self.src.sim.set_engine(engine);
-    }
-
-    /// Builder-style [`System::set_engine`].
     pub fn with_engine(mut self, engine: vlt_exec::EngineMode) -> Self {
-        self.set_engine(engine);
+        self.src.sim.set_engine(engine);
         self
     }
 
@@ -704,10 +651,11 @@ impl System {
         &self.src.sim
     }
 
-    /// Every hardware context has drained (components with no notion of
-    /// pending work vote `true`).
+    /// Every hardware context has drained. Only the scalar units and lane
+    /// cores vote: a scalar unit is not done while a vector instruction it
+    /// dispatched is in flight, and the passive units hold no pending work.
     fn done(&self) -> bool {
-        self.components.iter().all(|&id| self.component(id).done())
+        self.cores.iter().all(|c| c.done()) && self.lane_cores.iter().all(|l| l.done())
     }
 
     /// Run to completion (all threads halted and pipelines drained).
@@ -758,10 +706,10 @@ impl System {
         // nothing unless this observer asked, so `run` pays nothing.
         let vec_events = obs.wants_vec_events();
         let mem_events = obs.wants_mem_events();
-        for i in 0..self.components.len() {
-            let id = self.components[i];
-            self.component_mut(id).set_event_logging(vec_events, mem_events);
+        for v in &mut self.vus {
+            v.set_issue_logging(vec_events);
         }
+        self.mem.l2.set_recording(mem_events);
         // Park transitions are reported by diffing against the previous
         // cycle's mask (threads start running, so the baseline is empty).
         let mut parked_prev = 0u64;
@@ -783,7 +731,7 @@ impl System {
                 }
                 obs.on_repartition(now, rp);
             }
-            if let Some(latency) = self.applied_latency.take() {
+            if let Some(latency) = ev.applied_latency {
                 obs.on_repartition_applied(now, latency);
             }
             if ev.parked != parked_prev {
@@ -796,14 +744,18 @@ impl System {
                 parked_prev = ev.parked;
             }
             if vec_events || mem_events {
-                // Component order delivers vector issues before L2 bank
-                // events, matching the historical drain order; units whose
-                // logging is off hold empty logs, so the combined gate is
-                // free for them.
-                for i in 0..self.components.len() {
-                    let id = self.components[i];
-                    self.component_mut(id).drain_events(now, &mut ObsRef(&mut *obs));
+                // Vector issues before L2 bank events, cluster by cluster;
+                // a unit whose logging is off holds an empty log.
+                for v in &mut self.vus {
+                    for e in v.issue_log() {
+                        obs.on_vec_issue(now, e);
+                    }
+                    v.clear_issue_log();
                 }
+                for e in self.mem.l2.recorded_events() {
+                    obs.on_mem_access(now, e);
+                }
+                self.mem.l2.clear_events();
             }
             if self.src.cur_region != acc_region {
                 if acc_cycles > 0 {
@@ -862,12 +814,18 @@ impl System {
         if self.vu_pending.is_some() && self.vus.iter().all(|v| v.drained()) {
             return None;
         }
-        // One uniform poll over the registered component list: a new unit
-        // type registers once and is automatically part of the horizon (it
-        // cannot be silently skipped over). Passive components answer
-        // advisorily (always > `from`), so they only ever shorten a skip.
-        for &id in &self.components {
-            match self.component(id).next_event(from, &self.src) {
+        // The passive units (network, memory) answer advisorily (always
+        // > `from`), so they only ever shorten a skip.
+        let events = self
+            .cores
+            .iter()
+            .map(|c| c.next_event(from, &self.src))
+            .chain(self.lane_cores.iter().map(|l| l.next_event(from, &self.src)))
+            .chain(self.vus.iter().map(|v| v.next_event(from)))
+            .chain(self.net.iter().map(|n| n.next_event(from)))
+            .chain(std::iter::once_with(|| self.mem.next_event(from)));
+        for ev in events {
+            match ev {
                 Some(t) if t <= from => return None,
                 Some(t) => horizon = horizon.min(t),
                 None => {}
@@ -883,20 +841,16 @@ impl System {
     fn credit_idle_span(&mut self, from: u64, span: u64) {
         let parked = self.parked_mask();
         let draining = self.vu_pending.is_some();
-        let System { cores, lane_cores, vus, src, components, nthreads, .. } = self;
-        for &id in components.iter() {
-            let mut ctx = TickCtx::new(parked, *nthreads, draining);
-            match id {
-                CompId::Core(i) => Component::credit_idle_span(&mut cores[i], from, span, &mut ctx),
-                CompId::Lane(i) => {
-                    ctx.fetch = Some(src);
-                    Component::credit_idle_span(&mut lane_cores[i], from, span, &mut ctx);
-                }
-                CompId::Vu(i) => Component::credit_idle_span(&mut vus[i], from, span, &mut ctx),
-                // Passive components hold no per-cycle counters.
-                CompId::Net | CompId::Mem => {}
-            }
+        for c in &mut self.cores {
+            c.credit_idle_span(from, span);
         }
+        for l in &mut self.lane_cores {
+            l.credit_idle_span(from, span, self.src.sim.thread_parked(l.thread()));
+        }
+        for v in &mut self.vus {
+            v.account_idle_span(from, span, parked, self.nthreads, draining);
+        }
+        // The passive units hold no per-cycle counters.
     }
 
     /// A cheap monotone digest of total forward progress; unchanged across
@@ -904,28 +858,47 @@ impl System {
     /// for the horizon scan — correctness rests on `quiescent_horizon`.
     fn progress_fingerprint(&self) -> u64 {
         let mut fp = self.src.sim.executed + self.src.sim.barrier_releases();
-        for &id in &self.components {
-            fp += self.component(id).fingerprint();
+        for c in &self.cores {
+            fp += c.stats.committed + c.stats.issued + c.stats.vec_dispatched;
+        }
+        for l in &self.lane_cores {
+            fp += l.stats.committed;
+        }
+        for v in &self.vus {
+            fp += v.issued;
         }
         fp
     }
 
-    /// Advance the whole machine by one cycle: tick every registered
-    /// component in order. The front-end components (scalar units, lane
-    /// cores) run first; at the boundary to the back-end components the
-    /// driver snapshots park state and processes `vltcfg` requests
-    /// ([`System::pre_backend`]), preserving the historical intra-cycle
-    /// ordering exactly.
+    /// Advance the whole machine by one cycle. The front end ticks first:
+    /// the scalar units (their vector traffic routed to the vector units,
+    /// or to [`NullVectorSink`] on a machine without one), then the lane
+    /// cores. At the boundary the driver snapshots park state and processes
+    /// `vltcfg` requests ([`System::pre_backend`]); then the vector units
+    /// tick. The network and the memory system are passive and never tick.
     fn step(&mut self, now: u64) -> Result<CycleEvents, SimError> {
         let mut ev = CycleEvents::default();
-        let mut backend = false;
-        for i in 0..self.components.len() {
-            let id = self.components[i];
-            if !backend && !matches!(id, CompId::Core(_) | CompId::Lane(_)) {
-                backend = true;
-                self.pre_backend(now, &mut ev);
+        let System { cores, lane_cores, vus, mem, src, active_clusters, vu_pending, .. } = self;
+        if vus.is_empty() {
+            for c in cores.iter_mut() {
+                c.tick(now, mem, src, &mut NullVectorSink)?;
             }
-            self.tick_component(id, now, &ev)?;
+        } else {
+            let pending = vu_pending.is_some();
+            let mut router = VecRouter { vus, active: *active_clusters, pending };
+            for c in cores.iter_mut() {
+                c.tick(now, mem, src, &mut router)?;
+            }
+        }
+        for l in lane_cores.iter_mut() {
+            l.tick(now, mem, src)?;
+        }
+
+        self.pre_backend(now, &mut ev);
+        let draining = self.vu_pending.is_some();
+        let System { vus, net, mem, src, nthreads, .. } = self;
+        for v in vus.iter_mut() {
+            v.tick(now, mem, net.as_mut(), src.sim.arena(), ev.parked, *nthreads, draining);
         }
 
         // Barrier rendezvous completed: flush L1 data caches so post-barrier
@@ -974,7 +947,7 @@ impl System {
         if let Some(p) = self.vu_pending {
             if self.vus.iter().all(|v| v.drained()) {
                 self.apply_partition(p.threads, p.clusters);
-                self.applied_latency = Some(now.saturating_sub(p.since));
+                ev.applied_latency = Some(now.saturating_sub(p.since));
                 self.vu_pending = None;
             }
         }
@@ -1024,52 +997,6 @@ impl System {
         self.active_clusters = c_active;
     }
 
-    /// Tick one component, assembling the [`TickCtx`] capabilities its
-    /// class needs from disjoint borrows of the machine.
-    fn tick_component(&mut self, id: CompId, now: u64, ev: &CycleEvents) -> Result<(), SimError> {
-        let System { cores, lane_cores, vus, net, mem, src, nthreads, active_clusters, .. } = self;
-        let draining = self.vu_pending.is_some();
-        let mut ctx = TickCtx::new(ev.parked, *nthreads, draining);
-        match id {
-            CompId::Core(i) => {
-                let mut null = NullVectorSink;
-                let mut router;
-                let sink: &mut dyn VectorSink = if vus.is_empty() {
-                    &mut null
-                } else {
-                    router = VecRouter { vus, active: *active_clusters, pending: draining };
-                    &mut router
-                };
-                ctx.mem = Some(mem);
-                ctx.fetch = Some(src);
-                ctx.sink = Some(sink);
-                Component::tick(&mut cores[i], now, &mut ctx)?;
-            }
-            CompId::Lane(i) => {
-                ctx.mem = Some(mem);
-                ctx.fetch = Some(src);
-                Component::tick(&mut lane_cores[i], now, &mut ctx)?;
-            }
-            CompId::Vu(i) => {
-                ctx.mem = Some(mem);
-                ctx.net = net.as_mut();
-                ctx.arena = Some(src.sim.arena());
-                Component::tick(&mut vus[i], now, &mut ctx)?;
-            }
-            CompId::Net => {
-                Component::tick(
-                    net.as_mut().expect("network registered but absent"),
-                    now,
-                    &mut ctx,
-                )?;
-            }
-            CompId::Mem => {
-                Component::tick(mem, now, &mut ctx)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Assemble the final result after the machine drains.
     fn finish(
         &self,
@@ -1102,16 +1029,6 @@ impl System {
             clamped_repartitions,
         }
     }
-}
-
-/// Convenience: build and run in one call.
-pub fn run_program(
-    cfg: SystemConfig,
-    prog: &Program,
-    nthreads: usize,
-    max_cycles: u64,
-) -> Result<SimResult, SimError> {
-    System::new(cfg, prog, nthreads).run(max_cycles)
 }
 
 #[cfg(test)]

@@ -242,6 +242,8 @@ impl InOrderCore {
                 }
             }
 
+            // The system driver refuses vector code at fetch on a lane-thread
+            // machine, so this is an internal invariant.
             let si = self.prog.get(d.sidx as usize);
             assert!(
                 !si.class.is_vector(),

@@ -100,8 +100,9 @@ pub trait VectorSink {
 }
 
 /// A vector sink for configurations without a vector unit (the CMP/CMT
-/// baselines). Dispatching panics: scalar-only workloads never emit vector
-/// instructions.
+/// baselines), and this crate's test fake. Dispatching panics: the system
+/// driver refuses vector instructions at fetch on such machines
+/// (`ExecError::NoVectorUnit`), so a dispatch reaching here is a wiring bug.
 #[derive(Debug, Default)]
 pub struct NullVectorSink;
 

@@ -170,6 +170,29 @@ fn lanes_select_the_base_processor() {
     }
 }
 
+/// A vector program on a machine without a vector unit used to panic in
+/// the timing model; it is a failed run naming the thread and PC.
+#[test]
+fn vector_code_on_a_machine_without_a_vector_unit_fails() {
+    let out = scratch("novu");
+    for config in ["cmt", "v4-cmt-lanes"] {
+        let prof_out = out.join(config);
+        let prof = ["prof", SAXPY, "--config", config, "--out", prof_out.to_str().unwrap()];
+        for args in [&["run", SAXPY, "--config", config][..], &prof[..]] {
+            let (code, _, stderr) = vlt(args);
+            let cmd = args.join(" ");
+            assert_eq!(code, Some(1), "`vlt {cmd}` should fail:\n{stderr}");
+            assert!(!stderr.contains("panicked"), "`vlt {cmd}` panicked:\n{stderr}");
+            let msg = format!("vlt {}: ", args[0]);
+            assert!(stderr.contains(&msg), "`vlt {cmd}`: {stderr}");
+            assert!(
+                stderr.contains("thread ") && stderr.contains("vector instruction at 0x"),
+                "`vlt {cmd}`: {stderr}"
+            );
+        }
+    }
+}
+
 /// A cluster spread the `vltcfg` encoding cannot express used to panic
 /// while generating the kernel.
 #[test]
