@@ -37,9 +37,8 @@
 //! collects every thread's written ranges optimistically; pass 2 re-walks
 //! each thread with the union of *other* threads' writes as untrusted
 //! ranges. If every thread completes pass 2 exactly, no cross-thread value
-//! ever influenced addresses or control, so the pass-1 addresses are
-//! schedule-independent. This is what lets the race analysis use
-//! [`site_bounds`] to prune statically-disjoint access pairs.
+//! ever influenced addresses or control, so the pass-1 counts are
+//! schedule-independent.
 
 use std::collections::BTreeMap;
 
@@ -324,9 +323,7 @@ struct WalkOut {
     vmem_sites: BTreeMap<usize, VMemSite>,
     setvl_sites: BTreeMap<usize, SetVlSite>,
     /// Per-(site, barrier-epoch) address hulls `[lo, hi)` over every
-    /// executed access. Epoch-keyed so the race analysis can prune pairs
-    /// that only overlap across barrier-separated epochs.
-    load_hulls: BTreeMap<(usize, u64), (u64, u64)>,
+    /// executed store: pass 2 treats other threads' hulls as untrusted.
     store_hulls: BTreeMap<(usize, u64), (u64, u64)>,
 }
 
@@ -717,7 +714,6 @@ impl<'a> Walker<'a> {
                 let ek = self.epoch as u64;
                 if si.class == OpClass::Load {
                     loaded_tainted = self.tainted(lo, hi);
-                    hull(&mut self.out.load_hulls, (sidx, ek), lo, hi);
                     site_rec = Some(SiteRec {
                         sidx,
                         lo,
@@ -773,7 +769,6 @@ impl<'a> Walker<'a> {
                     } else {
                         let slice = self.arena.slice(addrs);
                         loaded_tainted = slice.iter().any(|&a| self.tainted(a, a.wrapping_add(8)));
-                        hull(&mut self.out.load_hulls, (sidx, ek), lo, hi);
                     }
                     site_rec = Some(SiteRec {
                         sidx,
@@ -1054,9 +1049,7 @@ impl<'a> Walker<'a> {
         for (i, rec) in t.sites[1].iter().enumerate() {
             let (_, slo, shi, d) = spans[i];
             match rec.kind {
-                SiteKind::Load => {
-                    hull(&mut self.out.load_hulls, (rec.sidx, ek), slo, shi);
-                }
+                SiteKind::Load => {}
                 SiteKind::IntStore { value } => {
                     hull(&mut self.out.store_hulls, (rec.sidx, ek), slo, shi);
                     let covered = moving_stores.iter().any(|&(l, h)| l < rec.hi && rec.lo < h);
@@ -1284,47 +1277,6 @@ pub fn analyze(prog: &Program, opts: &DlpOptions) -> DlpProfile {
         vmem_sites: vmem_sites.into_values().collect(),
         setvl_sites: setvl_sites.into_values().collect(),
     }
-}
-
-/// One thread's access-set bounds: static instruction index → barrier
-/// epoch → sorted disjoint `[lo, hi)` byte ranges covering every access
-/// the site made in that epoch. The symbolic walker produces one-element
-/// lists (hulls); the observed walk keeps the exact coalesced sets, which
-/// is what lets the race analysis discharge permutation scatters whose
-/// hulls overlap but whose elements interleave disjointly.
-pub type SiteBounds = BTreeMap<usize, BTreeMap<u64, Vec<(u64, u64)>>>;
-
-/// Per-thread access-set bounds for every (site, barrier-epoch) pair,
-/// over loads and stores — `Some` only when either the symbolic walk of
-/// every thread validated as exact and schedule-independent, or (failing
-/// that) the epoch-synchronous observed walk (`content::observe`)
-/// completed conflict-free, which certifies its per-epoch sets for every
-/// interleaving. A site absent from a thread's map was never executed by
-/// that thread — in any schedule, by the same argument.
-pub fn site_bounds(prog: &Program, threads: usize) -> Option<Vec<SiteBounds>> {
-    let opts = DlpOptions { threads, budget: 20_000_000, ..DlpOptions::default() };
-    let dec = DecodedProgram::new(prog);
-    let (outs, exact) = analyze_threads(&dec, &opts);
-    if !exact {
-        // Symbolic walk couldn't certify (data-dependent steering, shared
-        // epochs the two-pass scheme rejected, …): fall back to concretely
-        // observing the canonical schedule. Conflict-free ⇒ the sets are
-        // schedule-independent, so they are just as valid as walker hulls.
-        return crate::content::observe(prog, threads, opts.budget);
-    }
-    Some(
-        outs.into_iter()
-            .map(|o| {
-                let mut m: BTreeMap<usize, BTreeMap<u64, (u64, u64)>> = BTreeMap::new();
-                for ((s, e), (lo, hi)) in o.load_hulls.into_iter().chain(o.store_hulls) {
-                    hull(m.entry(s).or_default(), e, lo, hi);
-                }
-                m.into_iter()
-                    .map(|(s, per)| (s, per.into_iter().map(|(e, h)| (e, vec![h])).collect()))
-                    .collect()
-            })
-            .collect(),
-    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1893,23 +1845,14 @@ mod tests {
         let s = sim.run_to_completion(1_000_000).unwrap();
         assert_eq!(p.total.insts, s.insts);
         assert_eq!(p.total.elem_ops, s.elem_ops);
-        // And the hull bounds are available for race pruning: the two
-        // threads' vector-store hulls live in epoch 0 and are disjoint.
-        let bounds = site_bounds(&prog, 2).expect("exact walks give bounds");
-        assert_eq!(bounds.len(), 2);
-        let vst = bounds
-            .iter()
-            .map(|m| m.values().filter_map(|epochs| epochs.get(&0)).cloned().collect::<Vec<_>>())
-            .collect::<Vec<_>>();
-        assert!(!vst[0].is_empty() && !vst[1].is_empty());
     }
 
     #[test]
-    fn cross_thread_steering_falls_back_to_observed_walk() {
+    fn cross_thread_steering_defeats_the_shared_walk() {
         // Thread 0 stores a flag another thread branches on after the
-        // barrier: the symbolic walker's pass 2 refuses to certify, but
-        // the communication is barrier-separated, so the epoch-synchronous
-        // observed walk certifies the access sets instead.
+        // barrier: pass 2 refuses to call the counts schedule-independent
+        // (the race analysis's observed walk still certifies the program;
+        // see `content`'s tests).
         let src = ".data\nflag: .dword 0\n.text\n\
                    tid x1\nla x2, flag\nbne x1, x0, reader\n\
                    li x3, 1\nsd x3, 0(x2)\nbarrier\nhalt\n\
@@ -1919,21 +1862,21 @@ mod tests {
         let opts = DlpOptions { threads: 2, budget: 20_000_000, ..DlpOptions::default() };
         let (_, exact) = analyze_threads(&dec, &opts);
         assert!(!exact, "the symbolic walk must refuse this program");
-        assert!(site_bounds(&prog, 2).is_some(), "the observed walk certifies it");
     }
 
     #[test]
-    fn same_epoch_conflict_defeats_bounds() {
+    fn same_epoch_steering_defeats_the_shared_walk() {
         // Both threads write the steering slot in the same epoch and then
-        // load it back to index another access: the walker's pass 2
-        // refuses (a cross-tainted value steers an address) and the
-        // observed walk sees a same-epoch write/write set conflict, so no
-        // bounds may be certified by either path.
+        // load it back to index another access: pass 2 refuses, because a
+        // value another thread may have written steers an address.
         let src = ".data\nidx: .dword 0\nxs: .space 64\n.text\n\
                    tid x1\nla x2, idx\nsd x1, 0(x2)\nld x3, 0(x2)\n\
                    la x4, xs\nslli x5, x3, 3\nadd x4, x4, x5\nld x6, 0(x4)\n\
                    barrier\nhalt\n";
         let prog = assemble(src).unwrap();
-        assert!(site_bounds(&prog, 2).is_none());
+        let dec = DecodedProgram::new(&prog);
+        let opts = DlpOptions { threads: 2, budget: 20_000_000, ..DlpOptions::default() };
+        let (_, exact) = analyze_threads(&dec, &opts);
+        assert!(!exact, "a cross-thread value steers an address");
     }
 }

@@ -480,31 +480,20 @@ pub(crate) struct Access {
     pub esize: u8,
     /// Address form (`None` when the analysis cannot bound the address).
     pub addr: Option<Form>,
-    /// For full-word stores: hull of the value(s) written, evaluated
-    /// against the converged run (`(None, None)` = unbounded, and always
-    /// for loads and sub-word stores). This is the content lattice's
-    /// write half: `races` folds these into the store-value overlay that
-    /// bounds later loads from the same ranges.
-    pub val: Rng,
     /// Barrier-epoch form at the access.
     pub epoch: Form,
     /// Branch refinements in scope.
     pub refine: Refine,
 }
 
-/// A load folded against the initial data image (and, when `widened`,
-/// the store-value overlay).
+/// A load folded against the initial data image, over a span no store
+/// may touch.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Fold {
     /// The address form that was enumerated.
     pub addr: Form,
     /// Byte span `[lo, hi)` of data the fold read.
     pub span: (i64, i64),
-    /// The fold's value hull absorbed overlay store ranges. A widened
-    /// fold is still a sound bound, but it must never be treated as
-    /// synchronized across threads: mid-epoch, two threads can observe
-    /// different values from a concurrently written location.
-    pub widened: bool,
 }
 
 /// Result of analyzing the program as one concrete thread.
@@ -601,7 +590,7 @@ pub(crate) struct Runner<'a> {
 }
 
 /// Analyze the program as concrete thread `tid` of `nthr`. `overlay` is
-/// the store-value overlay from the previous fold round (`races` iterates
+/// the store-span overlay from the previous fold round (`races` iterates
 /// to an overlay fixpoint; an empty overlay means "trust the initial data
 /// image", a poisoned one forbids every fold).
 pub(crate) fn analyze_tid(
@@ -1481,16 +1470,12 @@ impl Runner<'_> {
 
         macro_rules! rec {
             ($write:expr, $esize:expr, $addr:expr) => {
-                rec!($write, $esize, $addr, (None, None))
-            };
-            ($write:expr, $esize:expr, $addr:expr, $val:expr) => {
                 if let Some(out) = sink.as_deref_mut() {
                     out.push(Access {
                         sidx,
                         write: $write,
                         esize: $esize,
                         addr: $addr,
-                        val: $val,
                         epoch: st.epoch.clone(),
                         refine: st.refine.clone(),
                     });
@@ -1699,15 +1684,7 @@ impl Runner<'_> {
                     Op::Sw => 4,
                     _ => 1,
                 };
-                // Only a full-word integer store has a value hull the
-                // content overlay can use: sub-word stores splice bytes
-                // into dwords and FP stores aren't tracked.
-                let val = if op == Op::Sd {
-                    self.form_hull(&self.get_x(st, rd).form().cloned(), &st.refine)
-                } else {
-                    (None, None)
-                };
-                rec!(true, esize, f1.map(|f| f.addc(imm)), val);
+                rec!(true, esize, f1.map(|f| f.addc(imm)));
             }
 
             Op::Vld | Op::Vst => {
@@ -1716,8 +1693,7 @@ impl Runner<'_> {
                     base.add(&lane.scale(8))
                 });
                 if op == Op::Vst {
-                    let val = self.vval_hull(&st.v[rd as usize], &st.refine);
-                    rec!(true, 8, addr, val);
+                    rec!(true, 8, addr);
                 } else {
                     rec!(false, 8, addr.clone());
                     st.v[rd as usize] = addr
@@ -1734,8 +1710,7 @@ impl Runner<'_> {
                     _ => None,
                 };
                 if op == Op::Vsts {
-                    let val = self.vval_hull(&st.v[rd as usize], &st.refine);
-                    rec!(true, 8, addr, val);
+                    rec!(true, 8, addr);
                 } else {
                     rec!(false, 8, addr.clone());
                     st.v[rd as usize] = addr
@@ -1764,8 +1739,7 @@ impl Runner<'_> {
                     _ => None,
                 };
                 if op == Op::Vstx {
-                    let val = self.vval_hull(&st.v[rd as usize], &st.refine);
-                    rec!(true, 8, addr, val);
+                    rec!(true, 8, addr);
                 } else {
                     rec!(false, 8, addr);
                     st.v[rd as usize] = VVal::Top;
@@ -1935,35 +1909,6 @@ impl Runner<'_> {
         self.set_derived(id, info)
     }
 
-    /// Hull of a scalar form under the current bounds.
-    fn form_hull(&self, f: &Option<Form>, refine: &Refine) -> Rng {
-        match f {
-            Some(f) => (self.lb(f, refine), self.ub(f, refine)),
-            None => (None, None),
-        }
-    }
-
-    /// Hull of a vector register's per-lane values.
-    fn vval_hull(&self, v: &VVal, refine: &Refine) -> Rng {
-        match v {
-            VVal::Range(lo, hi) => (self.lb(lo, refine), self.ub(hi, refine)),
-            VVal::Top => (None, None),
-        }
-    }
-
-    /// Join the store-value overlay into an image-derived value hull for
-    /// a fold over `[lo, hi + 8)`. `None` when an unboundable store may
-    /// touch the span (the fold must fail); the bool reports whether the
-    /// hull was widened by overlay ranges (such a fold is sound but never
-    /// synchronized across threads).
-    fn overlay_join(&self, lo: i64, hi: i64, vmin: i64, vmax: i64) -> Option<(i64, i64, bool)> {
-        match self.overlay.query(lo, hi + 8) {
-            Err(()) => None,
-            Ok(None) => Some((vmin, vmax, false)),
-            Ok(Some((wlo, whi))) => Some((vmin.min(wlo), vmax.max(whi), true)),
-        }
-    }
-
     fn register_fold(&mut self, sidx: usize, fold: Fold) {
         match self.folds.get(&sidx) {
             Some(old) if *old == fold => {}
@@ -1981,14 +1926,13 @@ impl Runner<'_> {
     /// initialized data words. Narrow windows are enumerated exactly
     /// (honoring the address stride); wider ones — up to the vector-fold
     /// span — use the chunked image summaries, whose whole-window hull is
-    /// a sound over-approximation of any stride pattern. Stores that may
-    /// touch the span widen the hull with their value bounds (via the
-    /// overlay `races` iterates to a fixpoint); an unboundable
-    /// intersecting store makes the fold fail.
+    /// a sound over-approximation of any stride pattern. A store that may
+    /// touch the span (per the overlay `races` iterates to a fixpoint)
+    /// makes the fold fail.
     fn try_fold(&mut self, sidx: usize, addr: &Form, refine: &Refine) -> Option<Val> {
         let lo = self.lb(addr, refine)?;
         let hi = self.ub(addr, refine)?;
-        if hi < lo || hi - lo > VFOLD_SPAN {
+        if hi < lo || hi - lo > VFOLD_SPAN || self.overlay.touches(lo, hi + 8) {
             return None;
         }
         let step = match addr.gcd_terms() {
@@ -2020,8 +1964,7 @@ impl Runner<'_> {
             let image = self.image.get_or_insert_with(|| crate::content::DataHull::new(self.data));
             image.hull(lo, hi)?
         };
-        let (vmin, vmax, widened) = self.overlay_join(lo, hi, vmin, vmax)?;
-        self.register_fold(sidx, Fold { addr: addr.clone(), span: (lo, hi + 8), widened });
+        self.register_fold(sidx, Fold { addr: addr.clone(), span: (lo, hi + 8) });
         let id = VarId::Gen(sidx as u32);
         let info = VarInfo {
             lo: Some(vmin),
@@ -2044,11 +1987,12 @@ impl Runner<'_> {
     /// the query cheap, and a whole-window hull (ignoring the stride
     /// pattern) is a sound over-approximation. This is the content step
     /// that turns a loaded index vector into bounded gather/scatter
-    /// footprints downstream.
+    /// footprints downstream. Like the scalar fold, it fails on any span
+    /// a store may touch.
     fn try_vfold(&mut self, sidx: usize, addr: &Form, refine: &Refine) -> Option<VVal> {
         let lo = self.lb(addr, refine)?;
         let hi = self.ub(addr, refine)?;
-        if hi < lo || hi - lo > VFOLD_SPAN {
+        if hi < lo || hi - lo > VFOLD_SPAN || self.overlay.touches(lo, hi + 8) {
             return None;
         }
         let step = match addr.gcd_terms() {
@@ -2060,8 +2004,7 @@ impl Runner<'_> {
         }
         let image = self.image.get_or_insert_with(|| crate::content::DataHull::new(self.data));
         let (vmin, vmax) = image.hull(lo, hi)?;
-        let (vmin, vmax, widened) = self.overlay_join(lo, hi, vmin, vmax)?;
-        self.register_fold(sidx, Fold { addr: addr.clone(), span: (lo, hi + 8), widened });
+        self.register_fold(sidx, Fold { addr: addr.clone(), span: (lo, hi + 8) });
         Some(VVal::Range(Form::konst(vmin), Form::konst(vmax)))
     }
 
@@ -2099,7 +2042,6 @@ impl Runner<'_> {
                         write,
                         esize: 8,
                         addr: None,
-                        val: (None, None),
                         epoch: Form::var(VarId::Gen(u32::MAX)),
                         refine: Refine::new(),
                     });
@@ -2333,12 +2275,11 @@ mod tests {
         let out = DATA_BASE as i64 + 64;
         assert_eq!(lo, Some(out));
         assert_eq!(hi, Some(out + 56));
-        let fold = run.folds.values().next().expect("the vld registered a fold");
-        assert!(!fold.widened);
+        assert_eq!(run.folds.len(), 1, "the vld registered a fold");
     }
 
     #[test]
-    fn overlay_widens_scalar_folds() {
+    fn store_spans_block_scalar_folds() {
         // slot at DATA_BASE, out right behind it.
         let src = "
             .data
@@ -2354,52 +2295,21 @@ mod tests {
         ";
         let slot = DATA_BASE as i64;
         let out = slot + 8;
-
-        // No overlay: the load folds to the image value exactly.
-        let run = run_tid(src, 0, 1);
-        assert!(!run.failed);
-        let st = run.accesses.iter().find(|a| a.write).unwrap();
-        assert_eq!(bounds(&run, st), (Some(out + 3), Some(out + 3)));
-        assert!(!run.folds.values().next().unwrap().widened);
-
-        // A store of [8, 16] into the slot widens the fold (and marks it,
-        // so it can never be treated as synchronized across threads).
-        let ov = crate::content::Overlay {
-            poisoned: false,
-            ranges: vec![(slot, slot + 8, (Some(8), Some(16)))],
+        let store_bounds = |spans: Vec<(i64, i64)>| {
+            let ov = crate::content::Overlay { poisoned: false, spans };
+            let run = run_tid_overlay(src, 0, 1, &ov);
+            assert!(!run.failed);
+            let st = run.accesses.iter().find(|a| a.write).unwrap();
+            (st.addr.as_ref().map(|_| bounds(&run, st)), run.folds.len())
         };
-        let run = run_tid_overlay(src, 0, 1, &ov);
-        assert!(!run.failed);
-        let st = run.accesses.iter().find(|a| a.write).unwrap();
-        assert_eq!(bounds(&run, st), (Some(out + 3), Some(out + 16)));
-        assert!(run.folds.values().next().unwrap().widened);
 
-        // An unboundable intersecting store kills the fold: the indexed
+        // No store spans: the load folds to the image value exactly.
+        assert_eq!(store_bounds(Vec::new()), (Some((Some(out + 3), Some(out + 3))), 1));
+        // A store span elsewhere leaves the fold alone.
+        assert_eq!(store_bounds(vec![(out, out + 128)]), (Some((Some(out + 3), Some(out + 3))), 1));
+        // A store that may touch the slot kills the fold: the indexed
         // store's address cannot be bounded at all.
-        let ov = crate::content::Overlay {
-            poisoned: false,
-            ranges: vec![(slot, slot + 8, (None, Some(16)))],
-        };
-        let run = run_tid_overlay(src, 0, 1, &ov);
-        assert!(!run.failed);
-        let st = run.accesses.iter().find(|a| a.write).unwrap();
-        assert!(st.addr.is_none());
-        assert!(run.folds.is_empty());
-    }
-
-    #[test]
-    fn stores_report_value_hulls() {
-        let src = "
-            li x1, 40
-            sd x1, 0(x0)
-            sw x1, 8(x0)
-            halt
-        ";
-        let run = run_tid(src, 0, 1);
-        let sd = &run.accesses[0];
-        let sw = &run.accesses[1];
-        assert_eq!(sd.val, (Some(40), Some(40)));
-        assert_eq!(sw.val, (None, None), "sub-word stores have no dword hull");
+        assert_eq!(store_bounds(vec![(slot + 4, slot + 5)]), (None, 0));
     }
 
     #[test]

@@ -22,6 +22,16 @@
 //! with no barrier inside runs free, so its join variable is private to
 //! each side and the two instances range independently.
 //!
+//! The pairing over-approximates: data-dependent addressing the footprint
+//! pass cannot bound (a scatter through a prefix sum, a gather through a
+//! table another thread fills) surfaces as candidates. One rule
+//! discharges them: when any candidate survives, the epoch-synchronous
+//! observed walk ([`crate::content`]'s `observe`) runs the program on the
+//! canonical schedule, and a walk that completes with no same-epoch
+//! conflict proves every interleaving race-free, so the report is empty.
+//! Otherwise — a real race, a fault, or a walk past its budget — the
+//! symbolic diagnostics stand as they are.
+//!
 //! Debugging aids: set `VLRACE_DEBUG` to dump each per-tid run's
 //! converged variable ranges, and `VLRACE_DEBUG_PAIRS` to dump every
 //! (access, access) pair that survives the feasibility tests.
@@ -71,6 +81,9 @@ struct RaceOut {
 
 const FOLD_ROUNDS: usize = 3;
 
+/// Interpreter steps the observed walk may take before it gives up.
+const OBSERVE_BUDGET: u64 = 20_000_000;
+
 fn analyze(prog: &Program, nthr: usize) -> RaceOut {
     let mut out = RaceOut { diags: Vec::new(), sites: BTreeSet::new() };
     if nthr <= 1 {
@@ -119,47 +132,27 @@ fn analyze(prog: &Program, nthr: usize) -> RaceOut {
     let mut seen: BTreeSet<(usize, usize, Code)> = BTreeSet::new();
     for t1 in 0..nthr {
         for t2 in t1 + 1..nthr {
-            check_pair(&cfg, &runs[t1], &runs[t2], &anchored, None, &mut seen, &mut out);
+            check_pair(&cfg, &runs[t1], &runs[t2], &anchored, &mut seen, &mut out);
         }
     }
 
-    // Lazy refinement: only when the symbolic pass still sees potential
-    // conflicts, ask the static DLP walker for exact, schedule-independent
-    // per-thread address hulls and re-check with provably-disjoint pairs
-    // pruned. Clean programs never pay for the walk; tid-tiled kernels the
-    // symbolic footprints over-approximate (e.g. emergent per-thread
-    // bounds threaded through memory) come back clean here.
-    if !out.sites.is_empty() {
-        if let Some(bounds) = crate::dlp::site_bounds(prog, nthr) {
-            let mut pruned = RaceOut { diags: Vec::new(), sites: BTreeSet::new() };
-            let mut seen2: BTreeSet<(usize, usize, Code)> = BTreeSet::new();
-            for t1 in 0..nthr {
-                for t2 in t1 + 1..nthr {
-                    check_pair(
-                        &cfg,
-                        &runs[t1],
-                        &runs[t2],
-                        &anchored,
-                        Some((&bounds[t1], &bounds[t2])),
-                        &mut seen2,
-                        &mut pruned,
-                    );
-                }
-            }
-            out = pruned;
-        }
+    // The one certifier: symbolic candidates stand unless the observed
+    // walk completes with no same-epoch conflict, which by induction over
+    // barrier epochs rules out a race under every interleaving. Clean
+    // programs never pay for the walk.
+    if !out.sites.is_empty() && crate::content::observe(prog, nthr, OBSERVE_BUDGET) {
+        return RaceOut { diags: Vec::new(), sites: BTreeSet::new() };
     }
 
     out.diags.sort_by_key(|d| (d.sidx, d.code));
     out
 }
 
-/// Analyze every tid, iterating the store-value overlay to a fixpoint:
-/// each round's runs report what their stores may write where, and the
-/// next round's folds absorb those hulls (or fail, when an intersecting
-/// store's value or address is unboundable). Converged means the runs
-/// were produced under exactly the overlay they regenerate, so every
-/// fold's value hull accounts for every store that can touch its span.
+/// Analyze every tid, iterating the store-span overlay to a fixpoint:
+/// each round's runs report where their stores may write, and the next
+/// round's folds fail on any span those stores may touch. Converged means
+/// the runs were produced under exactly the overlay they regenerate, so
+/// no fold read a byte any store can write.
 fn converged_runs(cfg: &Cfg, data: &[u8], nthr: usize) -> Vec<TidRun> {
     let mut overlay = crate::content::Overlay::default();
     let mut runs: Vec<TidRun> = Vec::new();
@@ -173,7 +166,7 @@ fn converged_runs(cfg: &Cfg, data: &[u8], nthr: usize) -> Vec<TidRun> {
             // No fixpoint within the round budget: one last fully
             // conservative pass with a poisoned overlay (every fold whose
             // span any store might reach fails).
-            overlay = crate::content::Overlay { poisoned: true, ranges: Vec::new() };
+            overlay = crate::content::Overlay { poisoned: true, spans: Vec::new() };
             runs = (0..nthr).map(|tid| analyze_tid(cfg, data, tid, nthr, &overlay)).collect();
             break;
         }
@@ -270,10 +263,9 @@ fn collect_mem_sites(cfg: &Cfg, sites: &mut BTreeSet<usize>) {
     }
 }
 
-/// The store-value overlay of a set of runs: every store's address span
-/// with the hull of values it may write, evaluated with each run's own
-/// bounds. A store with no address bound (or a failed run) poisons the
-/// overlay — no fold whose span a store might reach can then succeed.
+/// The store-span overlay of a set of runs: every store's address span,
+/// evaluated with each run's own bounds. A store with no address bound
+/// (or a failed run) poisons the overlay — no fold can then succeed.
 fn build_overlay(runs: &[TidRun]) -> crate::content::Overlay {
     let mut ov = crate::content::Overlay::default();
     for run in runs {
@@ -296,14 +288,14 @@ fn build_overlay(runs: &[TidRun]) -> crate::content::Overlay {
                 ov.poisoned = true;
                 continue;
             };
-            ov.ranges.push((lo, hi + i64::from(acc.esize), acc.val));
+            ov.spans.push((lo, hi + i64::from(acc.esize)));
         }
     }
     // Canonical order so overlay equality is the convergence test.
-    ov.ranges.sort_unstable();
-    ov.ranges.dedup();
+    ov.spans.sort_unstable();
+    ov.spans.dedup();
     if ov.poisoned {
-        ov.ranges.clear();
+        ov.spans.clear();
     }
     ov
 }
@@ -357,7 +349,6 @@ fn uniform(f: &Form, sync: &BTreeSet<VarId>) -> bool {
 fn sync_vars(a: &TidRun, b: &TidRun, anchored: &[bool]) -> BTreeSet<VarId> {
     // Optimistic candidates, then strip until stable (greatest fixpoint).
     let mut sync: BTreeSet<VarId> = BTreeSet::new();
-    let mut blocks: Vec<usize> = Vec::new();
     for (&bb, ja) in &a.joins {
         let Some(jb) = b.joins.get(&bb) else { continue };
         if !anchored.get(bb).copied().unwrap_or(false) {
@@ -384,7 +375,6 @@ fn sync_vars(a: &TidRun, b: &TidRun, anchored: &[bool]) -> BTreeSet<VarId> {
         if !strict(a) || !strict(b) {
             continue;
         }
-        blocks.push(bb);
         // Candidate slots: structurally identical counters with the same
         // advance on every incoming edge.
         let ns = ja.kinds.len().min(jb.kinds.len());
@@ -417,13 +407,8 @@ fn sync_vars(a: &TidRun, b: &TidRun, anchored: &[bool]) -> BTreeSet<VarId> {
             }
             VarId::Gen(s) => {
                 let s = *s as usize;
-                if let (Some(fa), Some(fb)) = (a.folds.get(&s), b.folds.get(&s)) {
-                    // A widened fold absorbed concurrently-written ranges:
-                    // its hull is sound, but mid-epoch the two threads can
-                    // observe different values, so it never synchronizes.
-                    if fa == fb && !fa.widened {
-                        sync.insert(*id);
-                    }
+                if a.folds.get(&s).is_some_and(|fa| b.folds.get(&s) == Some(fa)) {
+                    sync.insert(*id);
                 }
             }
             _ => {}
@@ -457,7 +442,6 @@ fn sync_vars(a: &TidRun, b: &TidRun, anchored: &[bool]) -> BTreeSet<VarId> {
             break;
         }
     }
-    let _ = blocks;
     sync
 }
 
@@ -572,22 +556,11 @@ impl Env for PairEnv<'_> {
     }
 }
 
-/// Exact per-(site, barrier-epoch) access sets (sorted disjoint `[lo, hi)`
-/// ranges) for one thread, from [`crate::dlp::site_bounds`] — the DLP
-/// walker's hulls, or the observed walk's exact sets when the walker
-/// refuses. Two lemmas fall out of pruning with these: *partition* (hulls
-/// confined to per-thread disjoint ranges never overlap) and
-/// *injectivity/permutation* (hulls overlap, but the exact sets of a
-/// provably-injective scatter — radix's exclusive-prefix-sum shape —
-/// interleave without intersecting).
-type SiteHulls = BTreeMap<usize, BTreeMap<u64, Vec<(u64, u64)>>>;
-
 fn check_pair(
     cfg: &Cfg,
     a: &TidRun,
     b: &TidRun,
     anchored: &[bool],
-    bounds: Option<(&SiteHulls, &SiteHulls)>,
     seen: &mut BTreeSet<(usize, usize, Code)>,
     out: &mut RaceOut,
 ) {
@@ -596,21 +569,6 @@ fn check_pair(
         for ab in &b.accesses {
             if !aa.write && !ab.write {
                 continue;
-            }
-            if let Some((ha, hb)) = bounds {
-                // A site absent from a thread's hull map was never
-                // executed by that thread. A conflict needs both accesses
-                // in the same barrier epoch, so the pair survives only if
-                // some epoch's hulls spatially overlap.
-                let (Some(ea), Some(eb)) = (ha.get(&aa.sidx), hb.get(&ab.sidx)) else {
-                    continue;
-                };
-                let overlap = ea.iter().any(|(e, la)| {
-                    eb.get(e).is_some_and(|lb| crate::content::ranges_overlap(la, lb))
-                });
-                if !overlap {
-                    continue;
-                }
             }
             let code = if aa.write && ab.write { Code::RaceWw } else { Code::RaceRw };
             let de = retag(&aa.epoch, 1, &sync).sub(&retag(&ab.epoch, 2, &sync));
