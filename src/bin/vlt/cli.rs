@@ -187,16 +187,17 @@ pub fn machine(mut cfg: SystemConfig, clusters: usize, threads: usize) -> Result
     Ok(cfg)
 }
 
-/// A workload build spreads its `vltcfg` over `clusters`; beyond one
-/// cluster the pair must be an encodable hierarchy.
+/// A workload build configures its threads with one `vltcfg` spread over
+/// `clusters`, so the pair must be an encodable hierarchy: 1, 2, 4 or 8
+/// threads, at least one per cluster.
 pub fn check_spread(threads: usize, clusters: usize) -> Result<()> {
     let encodable = match (u8::try_from(threads), u8::try_from(clusters)) {
         (Ok(t), Ok(c)) => vltcfg::unpack(u64::from(t) | u64::from(c) << 8).is_some(),
         _ => false,
     };
-    if clusters > 1 && !encodable {
+    if !encodable {
         return Err(Error::Usage(format!(
-            "{threads} thread(s) cannot spread over {clusters} clusters \
+            "{threads} thread(s) cannot spread over {clusters} cluster(s) \
              (threads 1, 2, 4 or 8, at least one per cluster)"
         )));
     }

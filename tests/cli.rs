@@ -20,10 +20,12 @@ fn vlt(args: &[&str]) -> (Option<i32>, String, String) {
 }
 
 /// Assert `vlt <args>` is a usage error: exit 2 with a message, no panic.
-fn usage_error(args: &[&str]) {
+/// Returns the message.
+fn usage_error(args: &[&str]) -> String {
     let (code, _, stderr) = vlt(args);
     assert_eq!(code, Some(2), "`vlt {}` should be a usage error:\n{stderr}", args.join(" "));
     assert!(!stderr.contains("panicked"), "`vlt {}` panicked:\n{stderr}", args.join(" "));
+    stderr
 }
 
 /// A scratch directory for one test's input files.
@@ -203,6 +205,23 @@ fn src_rejects_unencodable_cluster_spreads() {
     let (code, stdout, _) = vlt(&["src", "spmv", "--threads", "8", "--clusters", "2"]);
     assert_eq!(code, Some(0));
     assert!(stdout.contains("vltcfg"), "{stdout}");
+}
+
+/// Workload builds assert their thread count divides the work; a count
+/// `vltcfg` cannot encode must stop at the command line instead.
+#[test]
+fn workload_thread_counts_outside_1_2_4_8_are_usage_errors() {
+    for (args, sub) in [
+        (&["src", "spmv", "--threads", "3"][..], "src"),
+        (&["src", "sweep", "--threads", "5"], "src"),
+        (&["src", "spmv", "--threads", "16"], "src"),
+        (&["prof", "mpenc", "--threads", "3"], "prof"),
+        (&["prof", "trfd", "--threads", "3"], "prof"),
+        (&["prof", "ocean", "--threads", "3", "--config", "v4-cmt"], "prof"),
+    ] {
+        let stderr = usage_error(args);
+        assert!(stderr.starts_with(&format!("vlt {sub}: ")), "{stderr}");
+    }
 }
 
 /// A misspelt scale used to mean `small`.
