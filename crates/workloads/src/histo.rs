@@ -4,7 +4,7 @@
 //! A counting sort written the way the paper's applications thread: each
 //! thread histograms its slice of the keys into a *private* bucket block
 //! (data-dependent read-modify-writes whose footprint the content
-//! analysis bounds from the key image — the partition lemma), thread 0
+//! analysis bounds from the key image), thread 0
 //! turns the per-thread histograms into exclusive starting offsets in
 //! `(bucket, thread)` order, and each thread then ranks its keys through
 //! its private offset block and retires them with a `vstx` permutation
@@ -15,9 +15,10 @@
 //!
 //! Verification interest: the scatter's destinations come through memory
 //! (the rank scratch), steered by offsets another thread wrote — beyond
-//! any per-thread symbolic walk. The race analysis discharges it with the
-//! observed epoch-synchronous walk: the per-epoch destination sets are a
-//! permutation of `out`, exactly the injectivity lemma. Zero allows.
+//! any per-thread symbolic walk, so every thread's destination hull spans
+//! all of `out`. The race analysis certifies it with the observed
+//! epoch-synchronous walk: the threads' destination sets within the
+//! epoch are disjoint pieces of one permutation of `out`. Zero allows.
 
 use vlt_exec::FuncSim;
 use vlt_isa::asm::assemble;

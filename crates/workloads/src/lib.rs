@@ -31,10 +31,14 @@
 //!
 //! | name       | structure                              | discharged by      |
 //! |------------|----------------------------------------|--------------------|
-//! | `spmv`     | CSR sparse matrix-vector product       | exact walk hulls   |
-//! | `histo`    | histogram + permutation scatter        | injectivity lemma  |
+//! | `spmv`     | CSR sparse matrix-vector product       | observed walk      |
+//! | `histo`    | histogram + permutation scatter        | observed walk      |
 //! | `hashjoin` | hash build + vectorized indexed probe  | masked-index bound |
-//! | `sweep`    | multi-sweep stencil, permuted schedule | partition lemma    |
+//! | `sweep`    | multi-sweep stencil, permuted schedule | observed walk      |
+//!
+//! "Observed walk" means the symbolic race pass leaves candidates that
+//! the epoch-synchronous observed walk certifies; `hashjoin`'s footprints
+//! alone leave none.
 
 pub mod characterize;
 pub mod common;

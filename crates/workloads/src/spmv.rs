@@ -12,8 +12,9 @@
 //! Verification interest: the gather's addresses are data-dependent
 //! (loaded column offsets), but every steering table is read-only `.data`,
 //! so the content-aware footprint analysis bounds the CSR cursors from the
-//! row-pointer image and the exact multi-thread walk certifies the
-//! remaining gather/partition disjointness — no `vlint.allow.*` anywhere.
+//! row-pointer image and the observed epoch-synchronous walk certifies
+//! the remaining gather/partition disjointness — no `vlint.allow.*`
+//! anywhere.
 
 use vlt_exec::FuncSim;
 use vlt_isa::asm::assemble;

@@ -11,10 +11,11 @@
 //!
 //! Verification interest: the destination addresses are loaded from
 //! memory, yet the content-aware footprint analysis folds each thread's
-//! slice of the schedule table into a value hull that is exactly the
-//! thread's row block — per-thread disjoint index ranges, the partition
-//! lemma — so the data-dependent writes are discharged statically even
-//! though the rows are visited in scrambled order. Zero allows.
+//! slice of the schedule table into a bounded value hull, so the
+//! data-dependent writes stay bounded even though the rows are visited
+//! in scrambled order. The symbolic pairing still leaves a few
+//! candidates, which the observed epoch-synchronous walk certifies (each
+//! thread writes only its own row block). Zero allows.
 
 use vlt_exec::FuncSim;
 use vlt_isa::asm::assemble;

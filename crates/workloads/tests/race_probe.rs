@@ -1,14 +1,16 @@
-//! Developer probe: dump the static race report for every workload (no
-//! asserts, `#[ignore]`d by default). Run it when triaging analysis
-//! precision or auditing the per-kernel `vlint.allow.race_*` lines:
+//! Developer probe: dump the static race report and its wall time for
+//! every workload (no asserts, `#[ignore]`d by default). Run it when a
+//! kernel change makes a report non-empty, or to time the analysis:
 //!
 //! ```text
 //! cargo test -p vlt-workloads --test race_probe -- --ignored --nocapture
 //! PROBE_ONLY=radix cargo test -p vlt-workloads --test race_probe -- --ignored --nocapture
 //! ```
 //!
-//! Note: the reports here are *post-allow* — a kernel that suppresses a
-//! code shows its count under "suppressed", not as diags.
+//! Note: the reports here are final verdicts. Symbolic candidates show
+//! only when the observed walk refuses to certify the program (a real
+//! race, a fault, or a walk past its step budget); a report is
+//! *post-allow*, so a suppressed code counts under "suppressed".
 
 use vlt_verify::check_races;
 use vlt_workloads::{suite, Scale};
