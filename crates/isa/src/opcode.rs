@@ -153,28 +153,6 @@ impl Op {
             _ => None,
         }
     }
-
-    /// True if this instruction writes a *scalar* register whose value is
-    /// derived from vector-lane or FP state (reductions, mask population
-    /// counts, element extracts, FP compares/converts). These are the ops
-    /// through which data-dependent values can reach scalar control flow,
-    /// which is what the static DLP walker must track to stay exact.
-    pub fn scalar_result_from_lanes(self) -> bool {
-        matches!(
-            self,
-            Op::Vredsum
-                | Op::Vredmin
-                | Op::Vredmax
-                | Op::Vpopc
-                | Op::Vmfirst
-                | Op::Vmgetb
-                | Op::Vextract
-                | Op::FcvtXf
-                | Op::Feq
-                | Op::Flt
-                | Op::Fle
-        )
-    }
 }
 
 macro_rules! define_ops {

@@ -10,35 +10,30 @@
 //! # How the analysis stays exact
 //!
 //! The walker drives the real interpreter ([`vlt_exec::interp::step`]) one
-//! thread at a time, so every count it produces is *by construction* the
-//! count [`vlt_exec::RunSummary`] would report — there is no separate
-//! abstract semantics to drift out of sync. Two things are layered on top:
-//!
-//! * a **knownness shadow**: every register and byte of memory is tracked
-//!   as trusted or untrusted. Values become untrusted when they are
-//!   summarized by loop acceleration or (in shared mode) loaded from a
-//!   range another thread writes. The walk *bails* the moment an untrusted
-//!   value would steer control flow, address memory, or set `vl` — so a
-//!   completed walk is exact, and an incomplete one is reported as a
-//!   partial lower bound ([`DlpProfile::exact`] = false, `dlp-inexact`).
-//! * **loop acceleration**: a self-looping basic block whose integer
-//!   effect is verified linear (two trial iterations with equal deltas, a
-//!   fixed point of the block's affine update, hence stable forever) has
-//!   its remaining trip count solved in closed form from the loop branch,
-//!   and `k` iterations of statistics are committed in O(1). Values the
-//!   summary cannot reproduce (FP/vector state, moving stores) are marked
-//!   untrusted rather than guessed, and the solved `k` is clamped to
-//!   windows in which the closed form provably matches the wrapping
-//!   machine arithmetic — underestimating `k` is always safe because the
-//!   loop simply continues concretely.
+//! thread at a time, loops included, so every count it produces is *by
+//! construction* the count [`vlt_exec::RunSummary`] would report — there
+//! is no separate abstract semantics to drift out of sync.
 //!
 //! In shared mode ([`DlpOptions::threads`] > 1) a two-pass scheme makes
 //! the per-thread walks sound without modeling interleavings: pass 1
-//! collects every thread's written ranges optimistically; pass 2 re-walks
-//! each thread with the union of *other* threads' writes as untrusted
-//! ranges. If every thread completes pass 2 exactly, no cross-thread value
-//! ever influenced addresses or control, so the pass-1 counts are
-//! schedule-independent.
+//! collects every thread's written ranges; pass 2 re-walks each thread
+//! with the union of *other* threads' writes as untrusted ranges. A
+//! **knownness shadow** tracks every register and byte of memory as
+//! trusted or untrusted: a value loaded from an untrusted range is
+//! untrusted, and so is everything computed from one. The walk *bails*
+//! the moment an untrusted value would steer control flow, address,
+//! index or mask a memory access, or set `vl`. If every thread completes
+//! pass 2 exactly, no cross-thread value ever influenced addresses or
+//! control, so the pass-1 counts are schedule-independent.
+//!
+//! Nothing is untrusted in pass 1 or in a 1-thread walk, so a walk ends
+//! inexact ([`DlpProfile::exact`] = false, `dlp-inexact`, its counts a
+//! partial lower bound) in only three ways:
+//!
+//! * in pass 2, another thread's write steers an address, index, mask,
+//!   branch or `vl`;
+//! * the walk exhausts its step budget ([`DlpOptions::budget`]);
+//! * the program faults.
 
 use std::collections::BTreeMap;
 
@@ -47,12 +42,14 @@ use vlt_exec::{
 };
 use vlt_isa::{disasm, Op, OpClass, Program, RegRef, VMemPattern, MAX_VL};
 
-use crate::cfg::{Cfg, Term};
 use crate::diag::{Code, Diagnostic};
 
-/// Upper bound on a single committed trip count, far above any real loop
-/// but small enough that `k * per_iteration_counts` cannot overflow `u64`.
-const K_CAP: i128 = 1 << 40;
+/// L2 bank count for the bank-conflict classification of strided and
+/// indexed vector memory ops.
+const BANKS: u64 = 8;
+
+/// Per-barrier-epoch profiles kept; later epochs accumulate into the last.
+const EPOCH_CAP: usize = 64;
 
 /// Options for [`analyze`].
 #[derive(Debug, Clone)]
@@ -62,21 +59,11 @@ pub struct DlpOptions {
     /// Concrete interpreter steps allowed per thread walk before the
     /// profile is cut off as a partial lower bound.
     pub budget: u64,
-    /// Enable loop acceleration (closed-form trip counts). Disabling it
-    /// forces a fully concrete walk, which is exact whenever it finishes
-    /// within budget.
-    pub accelerate: bool,
-    /// L2 bank count for the bank-conflict classification of strided and
-    /// indexed vector memory ops.
-    pub banks: usize,
-    /// Maximum number of per-barrier-epoch profiles kept; later epochs
-    /// accumulate into the last slot.
-    pub epoch_cap: usize,
 }
 
 impl Default for DlpOptions {
     fn default() -> Self {
-        DlpOptions { threads: 1, budget: 50_000_000, accelerate: true, banks: 8, epoch_cap: 64 }
+        DlpOptions { threads: 1, budget: 50_000_000 }
     }
 }
 
@@ -185,14 +172,14 @@ impl Profile {
         }
     }
 
-    /// Add `k` copies of `other` (loop-acceleration commit, merging).
-    fn add_scaled(&mut self, other: &Profile, k: u64) {
-        self.insts += other.insts * k;
-        self.scalar_ops += other.scalar_ops * k;
-        self.vector_insts += other.vector_insts * k;
-        self.elem_ops += other.elem_ops * k;
+    /// Add `other`'s counts (merging threads and regions).
+    fn add(&mut self, other: &Profile) {
+        self.insts += other.insts;
+        self.scalar_ops += other.scalar_ops;
+        self.vector_insts += other.vector_insts;
+        self.elem_ops += other.elem_ops;
         for (a, b) in self.vl_histogram.iter_mut().zip(other.vl_histogram.iter()) {
-            *a += b * k;
+            *a += b;
         }
     }
 
@@ -296,8 +283,8 @@ pub struct DlpProfile {
     pub total: Profile,
     /// Per-region counts, sorted by region id.
     pub regions: Vec<RegionProfile>,
-    /// Per-barrier-epoch counts (index = epoch, capped by
-    /// [`DlpOptions::epoch_cap`] with later epochs merged into the last).
+    /// Per-barrier-epoch counts (index = epoch; epochs past the 64th merge
+    /// into the last slot).
     pub epoch_profiles: Vec<Profile>,
     /// Barrier epochs entered (max over threads).
     pub epochs: u64,
@@ -329,58 +316,13 @@ struct WalkOut {
 
 /// Why a walk stopped before `halt`.
 enum Bail {
-    /// An untrusted value was about to steer execution. A fully concrete
-    /// retry may still succeed (single-thread mode only).
+    /// In pass 2, a value another thread writes was about to steer
+    /// execution.
     Poison(String),
     /// Concrete step budget exhausted.
     Budget,
-    /// The program faulted, or provably never terminates.
+    /// The program faulted.
     Fatal(String),
-}
-
-/// One accelerable self-loop block.
-#[derive(Debug, Clone, Copy)]
-struct AccelBlock {
-    head: usize,
-    branch: usize, // last sidx; conditional branch whose taken target is `head`
-}
-
-/// What kind of memory record a trial run captured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SiteKind {
-    Load,
-    /// Scalar integer store: `value` is the full pre-truncation register
-    /// value, extrapolable when the address is loop-invariant.
-    IntStore {
-        value: u64,
-    },
-    /// FP or vector store: values are not extrapolable.
-    OtherStore,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct SiteRec {
-    sidx: usize,
-    lo: u64,
-    hi: u64, // exclusive
-    elems: u64,
-    conflict: bool,
-    kind: SiteKind,
-}
-
-/// Trial state for one candidate loop block: two fully recorded runs.
-struct Trial {
-    block: AccelBlock,
-    runs: usize,
-    /// Head-state snapshots: entry of run 0, entry of run 1.
-    x: [[u64; 32]; 2],
-    prof: [Profile; 2],
-    /// Input values of non-affine integer-writing instructions, in
-    /// execution order (must repeat exactly between runs).
-    nl_vals: [Vec<u64>; 2],
-    sites: [Vec<SiteRec>; 2],
-    /// Loop-branch operand values (rs1, rs2) per run.
-    branch_vals: [[u64; 2]; 2],
 }
 
 struct Walker<'a> {
@@ -402,47 +344,6 @@ struct Walker<'a> {
     out: WalkOut,
     /// `setvl` result provenance: which site last wrote each x register.
     setvl_origin: [Option<usize>; 32],
-    accel_blocks: BTreeMap<usize, AccelBlock>,
-    trial: Option<Trial>,
-    accelerate: bool,
-}
-
-/// Identify self-looping straight-line blocks whose dynamics the trial
-/// machinery can verify: no instruction may change `vl`/`vm`/the system
-/// state, pull loop-varying data from memory into the integer file, or
-/// move lane data into it (those paths defeat the two-run linearity
-/// argument — see the module docs).
-fn accel_candidates(prog: &DecodedProgram) -> BTreeMap<usize, AccelBlock> {
-    let insts: Vec<_> = prog.insts.iter().map(|si| si.inst).collect();
-    let cfg = Cfg::build(insts);
-    let mut out = BTreeMap::new();
-    'blocks: for (bid, b) in cfg.blocks.iter().enumerate() {
-        let Term::Branch { taken, .. } = b.term else { continue };
-        if taken != bid || b.end == b.start {
-            continue;
-        }
-        for si in &prog.insts[b.start..b.end] {
-            let op = si.inst.op;
-            let bad = matches!(si.class, OpClass::Sys | OpClass::Jump)
-                || matches!(op, Op::Ld | Op::Lw | Op::Lwu | Op::Lb | Op::Lbu)
-                || op.scalar_result_from_lanes()
-                || si.defs.iter().any(|d| matches!(d, RegRef::Vm | RegRef::Vl));
-            if bad {
-                continue 'blocks;
-            }
-            // An indexed vector access whose index register is rewritten
-            // inside the block has non-rigid per-element addresses.
-            if matches!(op, Op::Vldx | Op::Vstx)
-                && prog.insts[b.start..b.end]
-                    .iter()
-                    .any(|o| o.defs.contains(&RegRef::V(si.inst.rs2)))
-            {
-                continue 'blocks;
-            }
-        }
-        out.insert(b.start, AccelBlock { head: b.start, branch: b.end - 1 });
-    }
-    out
 }
 
 /// Is `op` one of the vector-compare opcodes (partial mask writers)?
@@ -456,7 +357,6 @@ impl<'a> Walker<'a> {
         opts: &'a DlpOptions,
         tid: usize,
         cross: Option<&'a RangeSet>,
-        accel_blocks: BTreeMap<usize, AccelBlock>,
     ) -> Self {
         let st = ArchState::new(prog.program.entry, tid, opts.threads);
         let mem = Memory::load(&prog.program);
@@ -481,9 +381,6 @@ impl<'a> Walker<'a> {
                 ..WalkOut::default()
             },
             setvl_origin: [None; 32],
-            accel_blocks,
-            trial: None,
-            accelerate: opts.accelerate,
         }
     }
 
@@ -560,83 +457,21 @@ impl<'a> Walker<'a> {
                 return Err(Bail::Budget);
             }
 
-            // Trial bookkeeping: start a trial at a candidate head, abandon
-            // one whose control left the block.
-            if self.accelerate {
-                if let Some(t) = &self.trial {
-                    if sidx < t.block.head || sidx > t.block.branch {
-                        self.trial = None;
-                    }
-                }
-                if self.trial.is_none() {
-                    if let Some(&block) = self.accel_blocks.get(&sidx) {
-                        self.trial = Some(Trial {
-                            block,
-                            runs: 0,
-                            x: [self.st.x, [0; 32]],
-                            prof: [Profile::default(), Profile::default()],
-                            nl_vals: [Vec::new(), Vec::new()],
-                            sites: [Vec::new(), Vec::new()],
-                            branch_vals: [[0; 2]; 2],
-                        });
-                    }
-                }
-            }
-
-            // Pre-capture trial inputs (the step may overwrite its own
-            // sources) and the stored value / stride for site records.
-            let mut nl_capture: Option<Vec<u64>> = None;
-            let mut store_value = 0u64;
-            if let Some(t) = &self.trial {
-                if t.runs < 2 {
-                    let inst = &si.inst;
-                    let writes_x = si.defs.iter().any(|d| matches!(d, RegRef::I(_)));
-                    if writes_x && !matches!(inst.op, Op::Add | Op::Sub | Op::Addi) {
-                        let vals: Vec<u64> = si
-                            .uses
-                            .iter()
-                            .filter_map(|u| match u {
-                                RegRef::I(r) => Some(self.st.get_x(*r)),
-                                _ => None,
-                            })
-                            .collect();
-                        nl_capture = Some(vals);
-                    }
-                    // Strided vector accesses must also hold their stride
-                    // constant for hull extrapolation to be rigid.
-                    if matches!(inst.op, Op::Vlds | Op::Vsts) {
-                        nl_capture.get_or_insert_with(Vec::new).push(self.st.get_x(inst.rs2));
-                    }
-                    if matches!(inst.op, Op::Sd | Op::Sw | Op::Sb) {
-                        store_value = self.st.get_x(inst.rd);
-                    }
-                    if sidx == t.block.branch {
-                        let vals = [self.st.get_x(inst.rs1), self.st.get_x(inst.rs2)];
-                        if let Some(t) = &mut self.trial {
-                            t.branch_vals[t.runs] = vals;
-                        }
-                    }
-                }
-            }
-
+            // Read before the step: `setvl x1, x1` overwrites its request.
+            let rs1 = self.st.get_x(si.inst.rs1);
             let d = match interp::step(&mut self.st, &mut self.mem, self.prog, &mut self.arena) {
                 Ok(d) => d,
                 Err(e) => return Err(Bail::Fatal(format!("fault: {e}"))),
             };
             self.steps += 1;
-            self.absorb(si, &d, nl_capture, store_value)?;
+            self.absorb(si, &d, rs1);
         }
     }
 
     /// Record one concretely executed instruction: statistics, knownness
-    /// propagation, site bookkeeping, and trial progress.
-    fn absorb(
-        &mut self,
-        si: &StaticInst,
-        d: &DynInst,
-        nl_capture: Option<Vec<u64>>,
-        store_value: u64,
-    ) -> Result<(), Bail> {
+    /// propagation and site bookkeeping. `rs1` is the value the
+    /// instruction's `rs1` held before it executed.
+    fn absorb(&mut self, si: &StaticInst, d: &DynInst, rs1: u64) {
         let sidx = d.sidx as usize;
         let inst = &si.inst;
 
@@ -649,12 +484,12 @@ impl<'a> Walker<'a> {
             profile: Profile::default(),
         });
         entry.profile.record(si.class, d);
-        let ei = self.epoch.min(self.opts.epoch_cap - 1).min(self.out.epoch_profiles.len() - 1);
+        let ei = self.epoch.min(EPOCH_CAP - 1).min(self.out.epoch_profiles.len() - 1);
         self.out.epoch_profiles[ei].record(si.class, d);
         if matches!(d.kind, DynKind::Barrier) {
             self.epoch += 1;
             self.out.epochs = self.out.epochs.max(self.epoch as u64);
-            if self.epoch < self.opts.epoch_cap && self.epoch >= self.out.epoch_profiles.len() {
+            if self.epoch < EPOCH_CAP && self.epoch >= self.out.epoch_profiles.len() {
                 self.out.epoch_profiles.push(Profile::default());
             }
         }
@@ -675,14 +510,6 @@ impl<'a> Walker<'a> {
             }
         }
         if inst.op == Op::SetVl {
-            // Request value: reconstruct the pre-clamp request from rs1.
-            // rs1 may equal rd (overwritten), so use the captured value if
-            // a trial recorded it; otherwise the clamped result bounds it.
-            let req = if inst.rs1 == inst.rd {
-                self.st.vl as u64 // clamped: best available lower bound
-            } else {
-                self.st.get_x(inst.rs1)
-            };
             let s = self.out.setvl_sites.entry(sidx).or_insert_with(|| SetVlSite {
                 sidx,
                 execs: 0,
@@ -691,8 +518,8 @@ impl<'a> Walker<'a> {
                 result_read: false,
             });
             s.execs += 1;
-            s.min_request = s.min_request.min(req);
-            s.max_request = s.max_request.max(req);
+            s.min_request = s.min_request.min(rs1);
+            s.max_request = s.max_request.max(rs1);
             if inst.rd != 0 {
                 self.setvl_origin[inst.rd as usize] = Some(sidx);
             }
@@ -706,35 +533,19 @@ impl<'a> Walker<'a> {
             RegRef::Vm => self.vm_known,
             RegRef::Vl => true,
         });
-        let mut site_rec: Option<SiteRec> = None;
         let mut loaded_tainted = false;
         match d.kind {
             DynKind::Mem { addr, size } => {
                 let (lo, hi) = (addr, addr.wrapping_add(size as u64));
-                let ek = self.epoch as u64;
                 if si.class == OpClass::Load {
                     loaded_tainted = self.tainted(lo, hi);
-                    site_rec = Some(SiteRec {
-                        sidx,
-                        lo,
-                        hi,
-                        elems: 0,
-                        conflict: false,
-                        kind: SiteKind::Load,
-                    });
                 } else {
                     if inputs_known {
                         self.unknown.remove(lo, hi);
                     } else {
                         self.unknown.insert(lo, hi);
                     }
-                    hull(&mut self.out.store_hulls, (sidx, ek), lo, hi);
-                    let kind = if matches!(inst.op, Op::Sd | Op::Sw | Op::Sb) {
-                        SiteKind::IntStore { value: store_value }
-                    } else {
-                        SiteKind::OtherStore
-                    };
-                    site_rec = Some(SiteRec { sidx, lo, hi, elems: 0, conflict: false, kind });
+                    hull(&mut self.out.store_hulls, (sidx, self.epoch as u64), lo, hi);
                 }
             }
             DynKind::VMem { addrs } => {
@@ -745,12 +556,12 @@ impl<'a> Walker<'a> {
                 for &a in slice {
                     lo = lo.min(a);
                     hi = hi.max(a.wrapping_add(8));
-                    banks_hit |= 1 << ((a >> 3) as usize % self.opts.banks.clamp(1, 64));
+                    banks_hit |= 1 << ((a >> 3) % BANKS);
                 }
                 let write = si.class == OpClass::VStore;
                 let conflict = {
                     let distinct = banks_hit.count_ones() as u64;
-                    elems >= self.opts.banks as u64 && distinct * 2 <= self.opts.banks as u64
+                    elems >= BANKS && distinct * 2 <= BANKS
                 };
                 if elems > 0 {
                     let ek = self.epoch as u64;
@@ -770,14 +581,6 @@ impl<'a> Walker<'a> {
                         let slice = self.arena.slice(addrs);
                         loaded_tainted = slice.iter().any(|&a| self.tainted(a, a.wrapping_add(8)));
                     }
-                    site_rec = Some(SiteRec {
-                        sidx,
-                        lo,
-                        hi,
-                        elems,
-                        conflict,
-                        kind: if write { SiteKind::OtherStore } else { SiteKind::Load },
-                    });
                 }
                 // Stride bookkeeping (Table 4's stride column).
                 let stride = match inst.op.vmem_pattern() {
@@ -831,295 +634,15 @@ impl<'a> Walker<'a> {
                 RegRef::Vl => {}
             }
         }
-
-        // ---- trial progress ----
-        if let Some(t) = &mut self.trial {
-            if t.runs < 2 {
-                let r = t.runs;
-                t.prof[r].record(si.class, d);
-                if let Some(vals) = nl_capture {
-                    t.nl_vals[r].extend(vals);
-                }
-                if let Some(rec) = site_rec {
-                    t.sites[r].push(rec);
-                }
-                if sidx == t.block.branch {
-                    let completed = matches!(d.kind, DynKind::Branch { taken: true, .. });
-                    if completed {
-                        t.runs += 1;
-                        if t.runs == 1 {
-                            t.x[1] = self.st.x;
-                        } else {
-                            return self.try_commit();
-                        }
-                    } else {
-                        self.trial = None; // loop exited during trials
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Two trial runs are complete: verify the block's integer dynamics
-    /// are a stable linear recurrence, solve the loop branch for the
-    /// remaining trip count, and commit it in O(1). On any verification
-    /// failure the trial is simply dropped — execution continues
-    /// concretely, which is always sound.
-    fn try_commit(&mut self) -> Result<(), Bail> {
-        let t = self.trial.take().expect("trial present");
-        let head_x = self.st.x; // state after run 2, at block head
-
-        // Per-register deltas must repeat: a fixed vector of the block's
-        // affine update, hence the delta for every future iteration.
-        let mut delta = [0u64; 32];
-        for r in 0..32 {
-            let d1 = t.x[1][r].wrapping_sub(t.x[0][r]);
-            let d2 = head_x[r].wrapping_sub(t.x[1][r]);
-            if d1 != d2 {
-                return Ok(());
-            }
-            delta[r] = d1;
-        }
-        // Non-affine integer results must have had identical inputs, and
-        // both runs must have followed the identical path.
-        if t.nl_vals[0] != t.nl_vals[1] || t.prof[0] != t.prof[1] {
-            return Ok(());
-        }
-        if t.sites[0].len() != t.sites[1].len() {
-            return Ok(());
-        }
-        // Memory sites must translate rigidly between runs.
-        let mut site_deltas: Vec<i64> = Vec::with_capacity(t.sites[1].len());
-        for (a, b) in t.sites[0].iter().zip(t.sites[1].iter()) {
-            if a.sidx != b.sidx || a.elems != b.elems {
-                return Ok(());
-            }
-            let dlo = b.lo.wrapping_sub(a.lo) as i64;
-            let dhi = b.hi.wrapping_sub(a.hi) as i64;
-            if dlo != dhi {
-                return Ok(());
-            }
-            site_deltas.push(dlo);
-        }
-
-        // Solve the loop branch: how many further iterations stay taken?
-        let br = &self.prog.get(t.block.branch).inst;
-        let (a0, b0) = (t.branch_vals[1][0], t.branch_vals[1][1]);
-        let (da, db) = (
-            t.branch_vals[1][0].wrapping_sub(t.branch_vals[0][0]) as i64,
-            t.branch_vals[1][1].wrapping_sub(t.branch_vals[0][1]) as i64,
-        );
-        let signed = matches!(br.op, Op::Blt | Op::Bge);
-        let (av, bv): (i128, i128) =
-            if signed { (a0 as i64 as i128, b0 as i64 as i128) } else { (a0 as i128, b0 as i128) };
-        let (lo_w, hi_w): (i128, i128) =
-            if signed { (i64::MIN as i128, i64::MAX as i128) } else { (0, u64::MAX as i128) };
-        // Window in which the closed-form trajectory matches wrapping
-        // machine arithmetic, per operand.
-        let window = |v: i128, d: i128| -> Option<i128> {
-            if d == 0 {
-                None // unconstrained
-            } else if d > 0 {
-                Some((hi_w - v) / d)
-            } else {
-                Some((v - lo_w) / -d)
-            }
-        };
-        let mut cap: Option<i128> = Some(K_CAP);
-        let mut tighten = |w: Option<i128>| {
-            if let Some(w) = w {
-                cap = Some(cap.map_or(w, |c| c.min(w)));
-            }
-        };
-        tighten(window(av, da as i128));
-        tighten(window(bv, db as i128));
-        // Extrapolated site endpoints must stay inside [0, 2^63).
-        for (rec, &d) in t.sites[1].iter().zip(site_deltas.iter()) {
-            if rec.lo as i128 >= 1 << 62 || rec.hi as i128 >= 1 << 62 {
-                return Ok(());
-            }
-            tighten(window(rec.lo as i128, d as i128));
-            tighten(window(rec.hi as i128, d as i128));
-        }
-
-        // g(j) = g0 + j*dg is the branch-operand difference after j more
-        // iterations; the taken predicate in terms of g decides the count.
-        let g0 = av - bv;
-        let dg = (da as i128) - (db as i128);
-        let n_cond: Option<i128> = match br.op {
-            Op::Blt | Op::Bltu => {
-                if dg <= 0 {
-                    if g0 + dg < 0 {
-                        None
-                    } else {
-                        Some(0)
-                    }
-                } else {
-                    Some(((-1 - g0).div_euclid(dg)).max(0))
-                }
-            }
-            Op::Bge | Op::Bgeu => {
-                if dg >= 0 {
-                    if g0 + dg >= 0 {
-                        None
-                    } else {
-                        Some(0)
-                    }
-                } else {
-                    Some((g0.div_euclid(-dg)).max(0))
-                }
-            }
-            Op::Beq => {
-                if dg == 0 {
-                    if g0 == 0 {
-                        None
-                    } else {
-                        Some(0)
-                    }
-                } else if g0 + dg == 0 {
-                    Some(1)
-                } else {
-                    Some(0)
-                }
-            }
-            Op::Bne => {
-                if dg == 0 {
-                    if g0 != 0 {
-                        None
-                    } else {
-                        Some(0)
-                    }
-                } else {
-                    let num = -g0;
-                    if num % dg == 0 && num / dg >= 1 {
-                        Some(num / dg - 1)
-                    } else {
-                        None
-                    }
-                }
-            }
-            _ => Some(0),
-        };
-
-        let k = match (n_cond, cap) {
-            (None, None) => {
-                // Nothing ever changes and the branch stays taken: the
-                // program provably never terminates.
-                return Err(Bail::Fatal(format!("non-terminating loop at sidx {}", t.block.head)));
-            }
-            (None, Some(c)) => c,
-            (Some(n), None) => n,
-            (Some(n), Some(c)) => n.min(c),
-        };
-        if k <= 0 {
-            return Ok(());
-        }
-        let k = k as u64;
-
-        // ---- commit ----
-        let region = self.st.region;
-        self.out.total.add_scaled(&t.prof[1], k);
-        if let Some(e) = self.out.regions.get_mut(&region) {
-            e.profile.add_scaled(&t.prof[1], k);
-        }
-        let ei = self.epoch.min(self.opts.epoch_cap - 1).min(self.out.epoch_profiles.len() - 1);
-        self.out.epoch_profiles[ei].add_scaled(&t.prof[1], k);
-
-        // Per-site extrapolation. Gather moving-store spans first so a
-        // rigid store under one is conservatively poisoned, not replayed.
-        let mut spans: Vec<(usize, u64, u64, i64)> = Vec::with_capacity(t.sites[1].len());
-        for (rec, &d) in t.sites[1].iter().zip(site_deltas.iter()) {
-            let (lo, hi) = (rec.lo as i128, rec.hi as i128);
-            let (slo, shi) = if d >= 0 {
-                (lo + d as i128, hi + (k as i128) * d as i128)
-            } else {
-                (lo + (k as i128) * d as i128, hi + d as i128)
-            };
-            debug_assert!(slo >= 0 && shi < 1 << 63);
-            spans.push((rec.sidx, slo as u64, shi as u64, d));
-        }
-        let moving_stores: Vec<(u64, u64)> = t.sites[1]
-            .iter()
-            .zip(spans.iter())
-            .filter(|(rec, (_, _, _, d))| !matches!(rec.kind, SiteKind::Load) && *d != 0)
-            .map(|(_, &(_, lo, hi, _))| (lo, hi))
-            .collect();
-        let ek = self.epoch as u64; // accel blocks contain no barriers
-        for (i, rec) in t.sites[1].iter().enumerate() {
-            let (_, slo, shi, d) = spans[i];
-            match rec.kind {
-                SiteKind::Load => {}
-                SiteKind::IntStore { value } => {
-                    hull(&mut self.out.store_hulls, (rec.sidx, ek), slo, shi);
-                    let covered = moving_stores.iter().any(|&(l, h)| l < rec.hi && rec.lo < h);
-                    if d == 0 && !covered {
-                        // Loop-invariant address: the stored integer is on
-                        // the verified linear trajectory, so the final
-                        // value is exact and the slot stays trusted.
-                        let dv = value.wrapping_sub(match t.sites[0][i].kind {
-                            SiteKind::IntStore { value: v0 } => v0,
-                            _ => return Ok(()),
-                        });
-                        let fin = value.wrapping_add(dv.wrapping_mul(k));
-                        match rec.hi - rec.lo {
-                            8 => self.mem.write_u64(rec.lo, fin),
-                            4 => self.mem.write_u32(rec.lo, fin as u32),
-                            _ => self.mem.write_u8(rec.lo, fin as u8),
-                        }
-                        self.unknown.remove(rec.lo, rec.hi);
-                    } else {
-                        self.unknown.insert(slo, shi);
-                    }
-                }
-                SiteKind::OtherStore => {
-                    hull(&mut self.out.store_hulls, (rec.sidx, ek), slo, shi);
-                    self.unknown.insert(slo, shi);
-                }
-            }
-            // Vector site dynamic counters scale with k.
-            if let Some(v) = self.out.vmem_sites.get_mut(&rec.sidx) {
-                if rec.elems > 0
-                    || matches!(self.prog.get(rec.sidx).class, OpClass::VLoad | OpClass::VStore)
-                {
-                    v.execs += k;
-                    v.elems += rec.elems * k;
-                    v.conflict_execs += rec.conflict as u64 * k;
-                }
-            }
-        }
-
-        // Integer state jumps k iterations ahead; FP/vector/mask state in
-        // the block is summarized as untrusted.
-        for (r, d) in delta.iter().enumerate().skip(1) {
-            self.st.x[r] = self.st.x[r].wrapping_add(d.wrapping_mul(k));
-        }
-        for si in &self.prog.insts[t.block.head..=t.block.branch] {
-            for def in &si.defs {
-                match def {
-                    RegRef::F(r) => self.fk &= !(1 << r),
-                    RegRef::V(r) => self.vk &= !(1 << r),
-                    _ => {}
-                }
-            }
-        }
-        Ok(())
     }
 
     fn finish(mut self, end: Result<(), Bail>) -> WalkOut {
         match end {
-            Ok(()) => {
-                self.out.exact = true;
-            }
-            Err(Bail::Poison(why)) => {
-                self.out.note = Some(why);
-            }
+            Ok(()) => self.out.exact = true,
+            Err(Bail::Poison(why) | Bail::Fatal(why)) => self.out.note = Some(why),
             Err(Bail::Budget) => {
                 self.out.note =
                     Some(format!("budget of {} concrete steps exhausted", self.opts.budget));
-            }
-            Err(Bail::Fatal(why)) => {
-                self.out.note = Some(why);
             }
         }
         self.out
@@ -1135,40 +658,22 @@ fn hull<K: Ord>(m: &mut BTreeMap<K, (u64, u64)>, key: K, lo: u64, hi: u64) {
         .or_insert((lo, hi));
 }
 
-/// Walk one thread. `poison_retry` controls the accel-off fallback.
+/// Walk one thread, against `cross` (other threads' stores) in pass 2.
 fn walk_thread(
     prog: &DecodedProgram,
     opts: &DlpOptions,
     tid: usize,
     cross: Option<&RangeSet>,
-    candidates: &BTreeMap<usize, AccelBlock>,
 ) -> WalkOut {
-    let mut w = Walker::new(prog, opts, tid, cross, candidates.clone());
+    let mut w = Walker::new(prog, opts, tid, cross);
     let end = w.run();
-    let retry = matches!(end, Err(Bail::Poison(_))) && opts.accelerate;
-    let out = w.finish(end);
-    if !out.exact && retry {
-        // The poison came from acceleration's summarization (the only
-        // source of unknowns in this configuration besides cross ranges,
-        // which don't go away on retry). A fully concrete walk is exact if
-        // it fits the budget.
-        let mut w2 = Walker::new(prog, opts, tid, cross, BTreeMap::new());
-        w2.accelerate = false;
-        let end2 = w2.run();
-        let out2 = w2.finish(end2);
-        if out2.exact || out2.total.insts > out.total.insts {
-            return out2;
-        }
-    }
-    out
+    w.finish(end)
 }
 
 /// Internal: walk all threads with the two-pass cross-validation.
 fn analyze_threads(prog: &DecodedProgram, opts: &DlpOptions) -> (Vec<WalkOut>, bool) {
-    let candidates = if opts.accelerate { accel_candidates(prog) } else { BTreeMap::new() };
     let nthr = opts.threads.max(1);
-    let pass1: Vec<WalkOut> =
-        (0..nthr).map(|t| walk_thread(prog, opts, t, None, &candidates)).collect();
+    let pass1: Vec<WalkOut> = (0..nthr).map(|t| walk_thread(prog, opts, t, None)).collect();
     if nthr == 1 {
         let exact = pass1[0].exact;
         return (pass1, exact);
@@ -1200,15 +705,15 @@ fn analyze_threads(prog: &DecodedProgram, opts: &DlpOptions) -> (Vec<WalkOut>, b
                 }
             }
         }
-        pass2.push(walk_thread(prog, opts, t, Some(&cross), &candidates));
+        pass2.push(walk_thread(prog, opts, t, Some(&cross)));
     }
     let exact = pass2.iter().all(|o| o.exact);
     (pass2, exact)
 }
 
 /// Statically predict the program's DLP profile (Table-4 quantities) by
-/// walking each thread with the knownness shadow and loop acceleration
-/// described in the module docs.
+/// walking each thread with the knownness shadow described in the module
+/// docs.
 pub fn analyze(prog: &Program, opts: &DlpOptions) -> DlpProfile {
     let dec = DecodedProgram::new(prog);
     let (outs, exact) = analyze_threads(&dec, opts);
@@ -1221,13 +726,13 @@ pub fn analyze(prog: &Program, opts: &DlpOptions) -> DlpProfile {
     let mut epochs = 0u64;
     let mut notes = Vec::new();
     for (tid, o) in outs.iter().enumerate() {
-        total.add_scaled(&o.total, 1);
+        total.add(&o.total);
         for (rid, rp) in &o.regions {
             regions
                 .entry(*rid)
                 .and_modify(|e| {
                     e.first_sidx = e.first_sidx.min(rp.first_sidx);
-                    e.profile.add_scaled(&rp.profile, 1);
+                    e.profile.add(&rp.profile);
                 })
                 .or_insert_with(|| rp.clone());
         }
@@ -1235,7 +740,7 @@ pub fn analyze(prog: &Program, opts: &DlpOptions) -> DlpProfile {
             if epoch_profiles.len() <= i {
                 epoch_profiles.push(Profile::default());
             }
-            epoch_profiles[i].add_scaled(p, 1);
+            epoch_profiles[i].add(p);
         }
         epochs = epochs.max(o.epochs + 1);
         for (s, v) in &o.vmem_sites {
@@ -1693,37 +1198,20 @@ mod tests {
     }
 
     #[test]
-    fn loop_acceleration_matches_concrete_execution() {
-        // 100k-iteration counting loop; the budget can only afford a few
-        // thousand concrete steps, so only acceleration can finish it.
-        let src = "li x1, 0\nli x2, 100000\nli x3, 0\n\
-                   loop:\nadd x3, x3, x2\naddi x1, x1, 1\nbne x1, x2, loop\n\
-                   sd x3, -8(sp)\nhalt\n";
-        let prog = assemble(src).unwrap();
-        let opts = DlpOptions { budget: 5_000, ..DlpOptions::default() };
-        let p = analyze(&prog, &opts);
-        assert!(p.exact, "accelerated walk should be exact: {:?}", p.notes);
-        let s = dynamic(&prog);
-        assert_eq!(p.total.insts, s.insts);
-        assert_eq!(p.total.scalar_ops, s.scalar_ops);
-    }
-
-    #[test]
-    fn accelerated_counter_store_keeps_final_value_exact() {
-        // The loop stores its counter each iteration and the tail reloads
-        // it into a branch: the rigid-store extrapolation must keep the
-        // reloaded value trusted and exact.
-        let src = "li x1, 0\nli x2, 50000\n\
-                   loop:\naddi x1, x1, 1\nsd x1, -8(sp)\nbne x1, x2, loop\n\
-                   ld x4, -8(sp)\nbne x4, x2, bad\nli x5, 1\nhalt\n\
-                   bad:\nli x5, 2\nhalt\n";
-        let prog = assemble(src).unwrap();
-        let opts = DlpOptions { budget: 2_000, ..DlpOptions::default() };
-        let p = analyze(&prog, &opts);
-        assert!(p.exact, "{:?}", p.notes);
-        let s = dynamic(&prog);
-        assert_eq!(p.total.insts, s.insts);
-        assert_eq!(p.total.scalar_ops, s.scalar_ops);
+    fn long_scalar_loops_walk_exact() {
+        // A 100k-iteration counting loop, and a 50k-iteration loop whose
+        // stored counter the tail reloads into a branch.
+        assert_matches_dynamic(
+            "li x1, 0\nli x2, 100000\nli x3, 0\n\
+             loop:\nadd x3, x3, x2\naddi x1, x1, 1\nbne x1, x2, loop\n\
+             sd x3, -8(sp)\nhalt\n",
+        );
+        assert_matches_dynamic(
+            "li x1, 0\nli x2, 50000\n\
+             loop:\naddi x1, x1, 1\nsd x1, -8(sp)\nbne x1, x2, loop\n\
+             ld x4, -8(sp)\nbne x4, x2, bad\nli x5, 1\nhalt\n\
+             bad:\nli x5, 2\nhalt\n",
+        );
     }
 
     #[test]
@@ -1773,6 +1261,21 @@ mod tests {
         assert!(diags.iter().any(|d| d.code == Code::DlpSetvlClamp), "{diags:?}");
         let a = advise(&p);
         assert!(a.max_threads <= 4, "mvl 8 cannot satisfy a fixed VL-12 phase");
+    }
+
+    #[test]
+    fn setvl_records_its_request_before_overwriting_it() {
+        // `setvl x1, x1` replaces its request of 100 with the granted 64:
+        // the site must still record what was asked for.
+        let src = ".data\nxs: .space 512\n.text\n\
+                   li x1, 100\nsetvl x1, x1\nla x3, xs\nregion 1\nvld v1, x3\nhalt\n";
+        let prog = assemble(src).unwrap();
+        let (p, diags) = dlp_report(&prog, &DlpOptions::default());
+        assert!(p.exact, "{:?}", p.notes);
+        let site = &p.setvl_sites[0];
+        assert_eq!((site.min_request, site.max_request), (100, 100));
+        let clamp = diags.iter().find(|d| d.code == Code::DlpSetvlClamp).expect("clamp diagnostic");
+        assert!(clamp.msg.contains("fixed setvl request 100 "), "{}", clamp.msg);
     }
 
     #[test]
@@ -1859,7 +1362,7 @@ mod tests {
                    reader:\nbarrier\nld x4, 0(x2)\nbne x4, x0, done\ndone:\nhalt\n";
         let prog = assemble(src).unwrap();
         let dec = DecodedProgram::new(&prog);
-        let opts = DlpOptions { threads: 2, budget: 20_000_000, ..DlpOptions::default() };
+        let opts = DlpOptions { threads: 2, budget: 20_000_000 };
         let (_, exact) = analyze_threads(&dec, &opts);
         assert!(!exact, "the symbolic walk must refuse this program");
     }
@@ -1875,7 +1378,7 @@ mod tests {
                    barrier\nhalt\n";
         let prog = assemble(src).unwrap();
         let dec = DecodedProgram::new(&prog);
-        let opts = DlpOptions { threads: 2, budget: 20_000_000, ..DlpOptions::default() };
+        let opts = DlpOptions { threads: 2, budget: 20_000_000 };
         let (_, exact) = analyze_threads(&dec, &opts);
         assert!(!exact, "a cross-thread value steers an address");
     }

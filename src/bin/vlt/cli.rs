@@ -5,6 +5,7 @@
 use std::process::ExitCode;
 
 use vlt_core::SystemConfig;
+use vlt_exec::FuncSim;
 use vlt_isa::asm::assemble;
 use vlt_isa::{vltcfg, Program};
 use vlt_workloads::Scale;
@@ -185,6 +186,18 @@ pub fn machine(mut cfg: SystemConfig, clusters: usize, threads: usize) -> Result
         return Err(Error::Usage(format!("{name} supports at most {max} threads, got {threads}")));
     }
     Ok(cfg)
+}
+
+/// `threads`, if the functional simulator can run that many: `vlt run
+/// --functional` runs it, and `vlt lint`'s analyses walk each thread on
+/// its interpreter. Otherwise a message naming `what` asked for them.
+pub fn check_threads(what: &str, threads: usize) -> std::result::Result<usize, String> {
+    let max = FuncSim::MAX_THREADS;
+    if (1..=max).contains(&threads) {
+        Ok(threads)
+    } else {
+        Err(format!("{what} supports 1 to {max} threads, got {threads}"))
+    }
 }
 
 /// A workload build configures its threads with one `vltcfg` spread over

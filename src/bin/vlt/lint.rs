@@ -23,6 +23,12 @@
 //!   -q, --quiet       print nothing for clean files
 //! ```
 //!
+//! Both analyses walk every thread on the functional simulator's
+//! interpreter, so a thread count (`N`, or `vlint.threads`) must be in
+//! `1..=64`, the count `vlt run --functional` accepts. An out-of-range `N`
+//! is a usage error; an out-of-range `vlint.threads` is reported against
+//! its file, exit 2.
+//!
 //! Exit status: 0 when every file is clean, 1 when any file has an
 //! error-severity finding (or any finding under `--strict`), 2 on usage,
 //! I/O, or internal analysis problems.
@@ -94,8 +100,14 @@ fn lint(args: &Args) -> Result<ExitCode> {
         opts.allow.insert(code);
     }
     // `Some(None)`: the flag without a count; `Some(Some(n))`: `--flag=n`.
-    let races = if args.has("--races") { Some(args.positive("--races")?) } else { None };
-    let dlp = if args.has("--dlp") { Some(args.positive("--dlp")?) } else { None };
+    let count = |flag| -> Result<Option<Option<usize>>> {
+        if !args.has(flag) {
+            return Ok(None);
+        }
+        let n = args.positive(flag)?;
+        Ok(Some(n.map(|n| cli::check_threads(flag, n)).transpose().map_err(Error::Usage)?))
+    };
+    let (races, dlp) = (count("--races")?, count("--dlp")?);
     if args.positional.is_empty() {
         return Err(Error::Usage("no input paths".into()));
     }
@@ -128,14 +140,17 @@ fn lint(args: &Args) -> Result<ExitCode> {
             }
         };
         let opts = opts.clone().with_program_allows(&prog);
+        let race_threads = races
+            .map(|n| n.or_else(|| prog.symbol("vlint.threads").map(|v| v as usize)).unwrap_or(2));
+        if let Some(Err(msg)) = race_threads.map(|n| cli::check_threads("vlint.threads", n)) {
+            return trouble(format!("{path}: {msg}"));
+        }
         // A panic inside the analyses is an internal error, not a finding:
         // report it and exit 2 so CI can tell "program has races" (1) from
         // "the checker itself fell over" (2).
         let analysis = std::panic::catch_unwind(|| {
             let mut report = verify_with(&prog, &opts);
-            if let Some(n) = races {
-                let threads =
-                    n.or_else(|| prog.symbol("vlint.threads").map(|v| v as usize)).unwrap_or(2);
+            if let Some(threads) = race_threads {
                 let races = check_races_with(&prog, threads, &opts);
                 report.diags.extend(races.diags);
                 report.suppressed += races.suppressed;

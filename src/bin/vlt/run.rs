@@ -57,12 +57,7 @@ fn run(args: &Args) -> Result<ExitCode> {
     // simulator's thread limit applies; a timed one must fit its threads
     // into the config's contexts.
     let cfg = if functional {
-        if threads > FuncSim::MAX_THREADS {
-            let max = FuncSim::MAX_THREADS;
-            let msg =
-                format!("functional simulation supports at most {max} threads, got {threads}");
-            return Err(Error::Usage(msg));
-        }
+        cli::check_threads("functional simulation", threads).map_err(Error::Usage)?;
         cfg
     } else {
         cli::machine(cfg, 1, threads)?

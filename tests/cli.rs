@@ -152,6 +152,24 @@ fn run_rejects_more_functional_threads_than_the_simulator_runs() {
     usage_error(&["run", SAXPY, "-f", "-t", "65"]);
 }
 
+/// `vlt lint` walks every thread on the functional simulator's
+/// interpreter. A count beyond its 64 threads used to panic (`--dlp`) or
+/// run for minutes (`--races`, a file's `vlint.threads`), and a file
+/// declaring 0 threads linted clean after analysing nothing.
+#[test]
+fn lint_thread_counts_outside_1_to_64_are_usage_errors() {
+    usage_error(&["lint", "--dlp=300000", SAXPY]);
+    usage_error(&["lint", "--races=65", SAXPY]);
+    let dir = scratch("lint-threads");
+    for n in [0, 100_000] {
+        let file = dir.join(format!("threads-{n}.s"));
+        std::fs::write(&file, format!(".eq vlint.threads, {n}\nhalt\n")).unwrap();
+        let path = file.to_str().unwrap();
+        let stderr = usage_error(&["lint", "--races", path]);
+        assert!(stderr.starts_with(&format!("vlt lint: {path}: ")), "{stderr}");
+    }
+}
+
 /// A malformed count used to mean the default, and `--lanes` was silently
 /// dropped on any config but the base processor.
 #[test]
