@@ -492,7 +492,7 @@ pub fn step(
                     continue;
                 }
                 let addr = match inst.op {
-                    Op::Vld => base + 8 * e as u64,
+                    Op::Vld => base.wrapping_add(8 * e as u64),
                     Op::Vlds => base.wrapping_add(st.get_x(rs2).wrapping_mul(e as u64)),
                     _ => base.wrapping_add(st.v[rs2 as usize][e]),
                 };
@@ -510,7 +510,7 @@ pub fn step(
                     continue;
                 }
                 let addr = match inst.op {
-                    Op::Vst => base + 8 * e as u64,
+                    Op::Vst => base.wrapping_add(8 * e as u64),
                     Op::Vsts => base.wrapping_add(st.get_x(rs2).wrapping_mul(e as u64)),
                     _ => base.wrapping_add(st.v[rs2 as usize][e]),
                 };

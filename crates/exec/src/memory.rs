@@ -102,7 +102,7 @@ impl Memory {
             }
         } else {
             for (i, b) in out.iter_mut().enumerate() {
-                *b = self.read_u8(addr + i as u64);
+                *b = self.read_u8(addr.wrapping_add(i as u64));
             }
         }
         out
@@ -114,7 +114,7 @@ impl Memory {
             self.page_mut(addr)[off..off + N].copy_from_slice(&bytes);
         } else {
             for (i, b) in bytes.iter().enumerate() {
-                self.write_u8(addr + i as u64, *b);
+                self.write_u8(addr.wrapping_add(i as u64), *b);
             }
         }
     }
@@ -152,13 +152,13 @@ impl Memory {
     /// Bulk write.
     pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
         for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr + i as u64, *b);
+            self.write_u8(addr.wrapping_add(i as u64), *b);
         }
     }
 
     /// Bulk read.
     pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len).map(|i| self.read_u8(addr + i as u64)).collect()
+        (0..len).map(|i| self.read_u8(addr.wrapping_add(i as u64))).collect()
     }
 
     /// Number of resident pages (for footprint assertions in tests).
@@ -171,7 +171,7 @@ impl Memory {
     pub fn checksum(&self, addr: u64, len: usize) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for i in 0..len {
-            h ^= self.read_u8(addr + i as u64) as u64;
+            h ^= self.read_u8(addr.wrapping_add(i as u64)) as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01B3);
         }
         h

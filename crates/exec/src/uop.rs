@@ -984,7 +984,7 @@ pub fn exec(
             match m {
                 VMode::Unit => {
                     for e in 0..vl {
-                        let addr = base + 8 * e as u64;
+                        let addr = base.wrapping_add(8 * e as u64);
                         st.v[rd][e] = mem.read_u64(addr);
                         addrs.push(addr);
                     }
@@ -1020,7 +1020,7 @@ pub fn exec(
             match m {
                 VMode::Unit => {
                     for e in 0..vl {
-                        let addr = base + 8 * e as u64;
+                        let addr = base.wrapping_add(8 * e as u64);
                         mem.write_u64(addr, st.v[rs][e]);
                         addrs.push(addr);
                     }

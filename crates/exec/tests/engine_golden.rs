@@ -132,6 +132,37 @@ fn vextract_vinsert_wrap_index_modulo_mvl() {
 }
 
 #[test]
+fn accesses_wrap_past_the_top_of_the_address_space() {
+    check_both(
+        r#"
+        li    x5, 0x04030201
+        slli  x5, x5, 32
+        sd    x5, -8(x0)       # the last dword of the address space
+        li    x6, 0x08070605
+        sd    x6, 0(x0)
+        li    x7, 9
+        sd    x7, 8(x0)
+        li    x1, -8
+        li    x2, 4
+        setvl x0, x2
+        vld   v1, x1           # elements at -8, 0, 8, 16: the sum wraps
+        vst   v1, x1
+        li    x3, -4
+        ld    x4, 0(x3)        # bytes -4..3 straddle the top
+        sd    x4, 0(x3)
+        halt
+    "#,
+        |s, eng| {
+            let st = s.thread(0);
+            assert_eq!(st.v[1][..4], [0x0403_0201_0000_0000, 0x0807_0605, 9, 0], "{eng}: vld");
+            assert_eq!(st.x[4], 0x0807_0605_0403_0201, "{eng}: straddling ld");
+            assert_eq!(s.mem.read_u64(u64::MAX - 7), 0x0403_0201_0000_0000, "{eng}: top dword");
+            assert_eq!(s.mem.read_u64(0), 0x0807_0605, "{eng}: bottom dword");
+        },
+    );
+}
+
+#[test]
 fn masked_ops_preserve_disabled_elements() {
     check_both(
         r#"

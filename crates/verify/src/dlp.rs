@@ -16,15 +16,22 @@
 //!
 //! In shared mode ([`DlpOptions::threads`] > 1) a two-pass scheme makes
 //! the per-thread walks sound without modeling interleavings: pass 1
-//! collects every thread's written ranges; pass 2 re-walks each thread
-//! with the union of *other* threads' writes as untrusted ranges. A
-//! **knownness shadow** tracks every register and byte of memory as
-//! trusted or untrusted: a value loaded from an untrusted range is
-//! untrusted, and so is everything computed from one. The walk *bails*
-//! the moment an untrusted value would steer control flow, address,
-//! index or mask a memory access, or set `vl`. If every thread completes
-//! pass 2 exactly, no cross-thread value ever influenced addresses or
-//! control, so the pass-1 counts are schedule-independent.
+//! collects every thread's written ranges and the hull of the bytes each
+//! load site read; pass 2 re-walks each thread with the union of *other*
+//! threads' writes as untrusted ranges. A **knownness shadow** tracks
+//! every register and byte of memory as trusted or untrusted: a value
+//! loaded from an untrusted range is untrusted, and so is everything
+//! computed from one. The walk *bails* the moment an untrusted value would
+//! steer control flow, address, index or mask a memory access, or set
+//! `vl`. If every thread completes pass 2 exactly, no cross-thread value
+//! ever influenced addresses or control, so the pass-1 counts are
+//! schedule-independent.
+//!
+//! Pass 2 walks only the threads whose pass-1 load hulls meet another
+//! thread's writes. For any other thread nothing can become untrusted:
+//! its pass-2 walk would load the same bytes as pass 1, none of them
+//! untrusted, and replay pass 1 step for step, so its pass-1 result
+//! stands.
 //!
 //! Nothing is untrusted in pass 1 or in a 1-thread walk, so a walk ends
 //! inexact ([`DlpProfile::exact`] = false, `dlp-inexact`, its counts a
@@ -312,6 +319,10 @@ struct WalkOut {
     /// Per-(site, barrier-epoch) address hulls `[lo, hi)` over every
     /// executed store: pass 2 treats other threads' hulls as untrusted.
     store_hulls: BTreeMap<(usize, u64), (u64, u64)>,
+    /// Per-site hulls `[lo, hi)` of the bytes each load read, recorded in
+    /// pass 1 of a shared walk only: pass 2 skips a thread none of whose
+    /// hulls meets another thread's stores.
+    load_hulls: BTreeMap<usize, (u64, u64)>,
 }
 
 /// Why a walk stopped before `halt`.
@@ -329,6 +340,8 @@ struct Walker<'a> {
     prog: &'a DecodedProgram,
     opts: &'a DlpOptions,
     cross: Option<&'a RangeSet>,
+    /// Pass 1 of a shared walk: keep [`WalkOut::load_hulls`].
+    record_loads: bool,
     st: ArchState,
     mem: Memory,
     arena: AddrArena,
@@ -365,6 +378,7 @@ impl<'a> Walker<'a> {
             prog,
             opts,
             cross,
+            record_loads: cross.is_none() && opts.threads > 1,
             st,
             mem,
             arena,
@@ -539,6 +553,9 @@ impl<'a> Walker<'a> {
                 let (lo, hi) = (addr, addr.wrapping_add(size as u64));
                 if si.class == OpClass::Load {
                     loaded_tainted = self.tainted(lo, hi);
+                    if self.record_loads {
+                        hull(&mut self.out.load_hulls, sidx, lo, hi);
+                    }
                 } else {
                     if inputs_known {
                         self.unknown.remove(lo, hi);
@@ -580,6 +597,9 @@ impl<'a> Walker<'a> {
                     } else {
                         let slice = self.arena.slice(addrs);
                         loaded_tainted = slice.iter().any(|&a| self.tainted(a, a.wrapping_add(8)));
+                        if self.record_loads {
+                            hull(&mut self.out.load_hulls, sidx, lo, hi);
+                        }
                     }
                 }
                 // Stride bookkeeping (Table 4's stride column).
@@ -696,7 +716,7 @@ fn analyze_threads(prog: &DecodedProgram, opts: &DlpOptions) -> (Vec<WalkOut>, b
         })
         .collect();
     let mut pass2 = Vec::with_capacity(nthr);
-    for t in 0..nthr {
+    for (t, first) in pass1.into_iter().enumerate() {
         let mut cross = RangeSet::default();
         for (u, s) in store_sets.iter().enumerate() {
             if u != t {
@@ -705,7 +725,10 @@ fn analyze_threads(prog: &DecodedProgram, opts: &DlpOptions) -> (Vec<WalkOut>, b
                 }
             }
         }
-        pass2.push(walk_thread(prog, opts, t, Some(&cross)));
+        // A thread that loads no byte another thread stores never sees an
+        // untrusted value, so its pass-2 walk would replay pass 1.
+        let exposed = first.load_hulls.values().any(|&(lo, hi)| cross.intersects(lo, hi));
+        pass2.push(if exposed { walk_thread(prog, opts, t, Some(&cross)) } else { first });
     }
     let exact = pass2.iter().all(|o| o.exact);
     (pass2, exact)
@@ -1381,5 +1404,23 @@ mod tests {
         let opts = DlpOptions { threads: 2, budget: 20_000_000 };
         let (_, exact) = analyze_threads(&dec, &opts);
         assert!(!exact, "a cross-thread value steers an address");
+    }
+
+    #[test]
+    fn vector_index_steering_defeats_the_shared_walk() {
+        // Thread 1 stores byte offsets with a vector store before the
+        // barrier; thread 0 loads them with a vector load after it and
+        // gathers through them. Only vector loads read the other thread's
+        // bytes, so their hulls alone must send thread 0 through pass 2.
+        let src = ".data\nidx: .space 64\nxs: .space 512\n.text\n\
+                   li x9, 8\nsetvl x0, x9\ntid x1\nla x2, idx\nla x3, xs\n\
+                   beq x1, x0, reader\n\
+                   vid v1\nli x5, 3\nvsll.vs v1, v1, x5\nvst v1, x2\nbarrier\nhalt\n\
+                   reader:\nbarrier\nvld v1, x2\nvldx v2, x3, v1\nhalt\n";
+        let prog = assemble(src).unwrap();
+        let dec = DecodedProgram::new(&prog);
+        let opts = DlpOptions { threads: 2, budget: 20_000_000 };
+        let (_, exact) = analyze_threads(&dec, &opts);
+        assert!(!exact, "another thread's stored offsets steer a gather");
     }
 }

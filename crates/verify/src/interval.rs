@@ -57,9 +57,10 @@ impl Iv {
     }
 
     /// Widen against the previous iterate: any side that moved outward
-    /// jumps straight to unbounded. With this, chains of joins terminate
-    /// in at most two steps per side, which is what lets `absint` keep
-    /// iterating its fixpoint to state *equality*.
+    /// jumps straight to unbounded, and a side that held stays put. Each
+    /// side can then move at most once more, which is what lets `absint`
+    /// sweep its fixpoint to state *equality*: it widens a loop head's
+    /// input this way once the input has arrived and grown once.
     pub fn widen(self, prev: Iv) -> Iv {
         Iv {
             lo: match (self.lo, prev.lo) {
@@ -70,31 +71,6 @@ impl Iv {
             hi: match (self.hi, prev.hi) {
                 (Some(n), Some(p)) if n > p => None,
                 (Some(n), Some(_)) => Some(n),
-                _ => None,
-            },
-        }
-    }
-
-    /// Join with delayed widening: the precise hull while it stays no
-    /// wider than `cap`, after which any side that grew past `self`'s
-    /// jumps to unbounded. Hulls only ever expand across fixpoint
-    /// iterations, so each side is monotone and the width cap bounds the
-    /// number of distinct iterates — the equality-driven fixpoint in
-    /// `absint` terminates without per-block visit counters.
-    pub fn join_widen(self, other: Iv, cap: i64) -> Iv {
-        let j = self.join(other);
-        if let (Some(l), Some(h)) = (j.lo, j.hi) {
-            if h.checked_sub(l).is_some_and(|w| w <= cap) {
-                return j;
-            }
-        }
-        Iv {
-            lo: match (j.lo, self.lo) {
-                (Some(n), Some(p)) if n >= p => Some(n),
-                _ => None,
-            },
-            hi: match (j.hi, self.hi) {
-                (Some(n), Some(p)) if n <= p => Some(n),
                 _ => None,
             },
         }
@@ -327,21 +303,5 @@ mod tests {
             assert!(steps < 4, "widening failed to stabilize");
         }
         assert_eq!(cur, Iv { lo: Some(0), hi: None });
-
-        // join_widen with a cap: precise until the width cap, then one
-        // jump. The downward direction behaves symmetrically.
-        let mut cur = Iv::new(0, 0);
-        for k in 1..=4 {
-            cur = cur.join_widen(Iv::new(0, 10 * k), 25);
-        }
-        assert_eq!(cur, Iv { lo: Some(0), hi: None });
-        let mut cur = Iv::new(0, 0);
-        for k in 1..=4 {
-            cur = cur.join_widen(Iv::new(-10 * k, 0), 25);
-        }
-        assert_eq!(cur, Iv { lo: None, hi: Some(0) });
-        // A side pinned by the cap window stays precise.
-        let stable = Iv::new(0, 10).join_widen(Iv::new(3, 12), 25);
-        assert_eq!(stable, Iv::new(0, 12));
     }
 }

@@ -11,8 +11,10 @@
 //!    ([`Cfg`]) over it,
 //! 2. runs a forward abstract interpretation for def-before-use, constant
 //!    propagation, and `vl`/`vltcfg`/`vm` state (module `absint`),
-//! 3. statically checks constant-addressed memory accesses against the
-//!    `DATA_BASE`/`STACK_BASE` layout, including alignment,
+//! 3. statically checks memory accesses against the
+//!    `DATA_BASE`/`STACK_BASE` layout: constant addresses exactly,
+//!    including alignment, and other addresses when their whole interval
+//!    misses,
 //! 4. checks SPMD convergence of `barrier` and `vltcfg` against branch
 //!    structure (module `structure`),
 //! 5. runs a backward liveness pass for dead writes (module `liveness`).

@@ -213,6 +213,34 @@ fn vector_code_on_a_machine_without_a_vector_unit_fails() {
     }
 }
 
+/// Addresses that wrap past the top of the address space used to panic a
+/// debug build: a unit-stride vector access in both engines, an access
+/// straddling the top in memory, and the last element of a vector
+/// footprint in the linter. Every engine wraps them, like release builds.
+#[test]
+fn wrapping_addresses_run_and_lint_without_panicking() {
+    let dir = scratch("wrap");
+    let progs = [
+        "li x1, -8\nli x2, 4\nsetvl x0, x2\nvld v1, x1\nvst v1, x1\nhalt\n",
+        "li x1, -4\nld x2, 0(x1)\nsd x2, 0(x1)\nhalt\n",
+        "li x1, 1\nslli x1, x1, 63\naddi x1, x1, -1\nli x2, 64\nsetvl x0, x2\n\
+         vld v1, x1\nhalt\n",
+    ];
+    for (i, src) in progs.iter().enumerate() {
+        let path = dir.join(format!("wrap{i}.s"));
+        std::fs::write(&path, src).unwrap();
+        let file = path.to_str().unwrap();
+        for (args, want) in
+            [(&["run", "-f", file][..], 0), (&["run", file], 0), (&["lint", "--dlp", file], 1)]
+        {
+            let (code, stdout, stderr) = vlt(args);
+            let cmd = args.join(" ");
+            assert!(!stderr.contains("panicked"), "`vlt {cmd}` panicked:\n{stderr}");
+            assert_eq!(code, Some(want), "`vlt {cmd}`:\n{stdout}{stderr}");
+        }
+    }
+}
+
 /// A cluster spread the `vltcfg` encoding cannot express used to panic
 /// while generating the kernel.
 #[test]
