@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 
-use vlt_core::{EngineMode, SimError, SimResult, System, SystemConfig};
+use vlt_core::{SimError, SimResult, System, SystemConfig};
 use vlt_workloads::{Built, Scale, Workload};
 
 /// Default cycle budget per simulation.
@@ -27,7 +27,7 @@ pub fn results_dir() -> PathBuf {
 /// `vlt repro all` checks this set after writing and exits nonzero when
 /// one is absent — a silently-skipped experiment would otherwise look like
 /// a passing suite.
-pub const EXPECTED_RESULTS: [&str; 15] = [
+pub const EXPECTED_RESULTS: [&str; 16] = [
     "irregular_stalls",
     "table1",
     "table2",
@@ -43,6 +43,7 @@ pub const EXPECTED_RESULTS: [&str; 15] = [
     "ext_lanes",
     "ext_chaining",
     "ext_cluster",
+    "ablations",
 ];
 
 /// The expected result records missing from `dir`, as `<id>.json` names
@@ -88,29 +89,15 @@ impl std::fmt::Display for SuiteError {
 impl std::error::Error for SuiteError {}
 
 /// Run one built workload on a configuration, verifying the result.
-/// `label` names the workload in error messages. Uses the default
-/// functional engine; see [`run_built_on`] to pin one.
+/// `label` names the workload in error messages.
 pub fn run_built(
     cfg: SystemConfig,
     built: &Built,
     threads: usize,
     label: &str,
 ) -> Result<SimResult, SuiteError> {
-    run_built_on(cfg, built, threads, label, EngineMode::default())
-}
-
-/// [`run_built`] with an explicit functional engine — the equivalence
-/// suites run every workload under both [`EngineMode::Block`] and the
-/// [`EngineMode::Interp`] oracle and compare results byte-for-byte.
-pub fn run_built_on(
-    cfg: SystemConfig,
-    built: &Built,
-    threads: usize,
-    label: &str,
-    engine: EngineMode,
-) -> Result<SimResult, SuiteError> {
     let run = format!("{label} on {} x{threads}", cfg.name);
-    let mut system = System::new(cfg, &built.program, threads).with_engine(engine);
+    let mut system = System::new(cfg, &built.program, threads);
     let result =
         system.run(MAX_CYCLES).map_err(|source| SuiteError::Sim { run: run.clone(), source })?;
     (built.verifier)(system.funcsim()).map_err(|message| SuiteError::Verify { run, message })?;
@@ -202,7 +189,8 @@ pub fn run_suite_parallel(specs: Vec<RunSpec>) -> Result<Vec<SimResult>, SuiteEr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vlt_workloads::workload;
+    use vlt_exec::ExecError;
+    use vlt_workloads::{workload, PaperRow};
 
     #[test]
     fn suite_preserves_spec_order() {
@@ -228,9 +216,13 @@ mod tests {
         }
     }
 
+    /// The Table 4 row of a test double: no paper data.
+    fn no_paper_row(description: &'static str) -> PaperRow {
+        PaperRow { pct_vect: None, avg_vl: None, common_vls: &[], opportunity: None, description }
+    }
+
     #[test]
     fn suite_memoizes_builds_across_configs() {
-        use vlt_workloads::PaperRow;
         static BUILDS: AtomicUsize = AtomicUsize::new(0);
         struct Counting;
         impl Workload for Counting {
@@ -241,13 +233,7 @@ mod tests {
                 false
             }
             fn paper_row(&self) -> PaperRow {
-                PaperRow {
-                    pct_vect: None,
-                    avg_vl: None,
-                    common_vls: &[],
-                    opportunity: None,
-                    description: "build-counting test double",
-                }
+                no_paper_row("build-counting test double")
             }
             fn build_spread(
                 &self,
@@ -300,14 +286,46 @@ mod tests {
 
     #[test]
     fn failures_are_reported_not_panicked() {
-        // A 1-cycle budget cannot finish any workload: the suite must
-        // surface a timeout error instead of panicking in a worker.
-        let w = workload("radix").unwrap();
-        let built = w.build(1, Scale::Test);
-        let err = {
-            let mut system = System::new(SystemConfig::base(1), &built.program, 1);
-            system.run(1).expect_err("1 cycle cannot finish")
+        // A workload that requests a zero vector length faults in the
+        // functional layer. Run among passing specs, the pool must hand
+        // back the first failing spec's fault in spec order instead of
+        // panicking in a worker.
+        struct ZeroVl;
+        impl Workload for ZeroVl {
+            fn name(&self) -> &'static str {
+                "zero-vl"
+            }
+            fn vectorizable(&self) -> bool {
+                true
+            }
+            fn paper_row(&self) -> PaperRow {
+                no_paper_row("faulting test double")
+            }
+            fn build_spread(&self, _threads: usize, _clusters: usize, _scale: Scale) -> Built {
+                let program = vlt_isa::asm::assemble("li x1, 0\nsetvl x2, x1\nhalt\n").unwrap();
+                Built { program, verifier: Box::new(|_| Ok(())) }
+            }
+        }
+        static ZERO_VL: ZeroVl = ZeroVl;
+
+        let radix = workload("radix").unwrap();
+        let spec = |workload: &'static dyn Workload, config| RunSpec {
+            workload,
+            config,
+            threads: 1,
+            scale: Scale::Test,
         };
-        assert!(matches!(err, SimError::Timeout { .. }));
+        let specs = vec![
+            spec(radix, SystemConfig::base(8)),
+            spec(&ZERO_VL, SystemConfig::v2_cmp()),
+            spec(radix, SystemConfig::base(8)),
+            spec(&ZERO_VL, SystemConfig::v4_cmp()),
+        ];
+        match run_suite_parallel(specs) {
+            Err(SuiteError::Sim { run, source: SimError::Exec(ExecError::ZeroVl { .. }) }) => {
+                assert_eq!(run, "zero-vl on V2-CMP x1")
+            }
+            other => panic!("expected the V2-CMP run's zero-vl fault, got {other:?}"),
+        }
     }
 }

@@ -5,7 +5,8 @@
 //! plus the four irregular kernels) and thread configuration including
 //! the clustered ultra-wide machine, under the event-driven driver and
 //! under **both** functional engines (the block compiler and the
-//! interpreter oracle). And because event logging enables extra code
+//! interpreter oracle), whose metrics and trace documents must match too.
+//! And because event logging enables extra code
 //! paths inside the vector unit and the L2, the event-driven and
 //! cycle-by-cycle drivers are cross-checked *with logging on* too,
 //! including the metrics registry and trace documents they produce.
@@ -83,22 +84,27 @@ fn run_stacked(
 /// Tentpole acceptance: observer-on and observer-off runs are
 /// byte-identical (result and final memory) for all thirteen workloads
 /// at every supported thread count, under the event-driven driver, for
-/// both functional engines.
+/// both functional engines — and the two engines produce the same
+/// metrics and trace documents.
 #[test]
 fn full_stack_is_invisible_to_the_simulation() {
     for w in suite().into_iter().chain(irregular_suite()) {
         for (cfg, threads) in configs(w) {
-            for engine in [EngineMode::Block, EngineMode::Interp] {
+            let [block, interp] = [EngineMode::Block, EngineMode::Interp].map(|engine| {
                 let name = format!("{} x{threads} ({}, {engine:?})", w.name(), cfg.name);
                 let (plain, mem_plain) = run_plain(w, cfg.clone(), threads, engine);
-                let (stacked, mem_stacked, _, _) =
+                let (stacked, mem_stacked, metrics, trace) =
                     run_stacked(w, cfg.clone(), threads, DriverMode::EventDriven, engine);
                 assert_eq!(plain, stacked, "{name}: SimResult diverged under observation");
                 assert_eq!(
                     mem_plain, mem_stacked,
                     "{name}: final memory diverged under observation"
                 );
-            }
+                (metrics, trace)
+            });
+            let name = format!("{} x{threads} ({})", w.name(), cfg.name);
+            assert!(block.0 == interp.0, "{name}: metrics diverged across engines");
+            assert!(block.1 == interp.1, "{name}: trace diverged across engines");
         }
     }
 }

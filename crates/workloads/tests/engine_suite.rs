@@ -12,7 +12,8 @@
 //!
 //! The default tests are a smoke subset sized for debug builds; the
 //! `#[ignore]`d matrix covers all nine workloads at 1/2/4/8 threads ×
-//! both drivers and runs in CI's release step via `--include-ignored`.
+//! both drivers, plus the functional layer at Small scale × 4 threads,
+//! and runs in CI's release step via `--include-ignored`.
 
 use vlt_core::{DriverMode, EngineMode, System, SystemConfig};
 use vlt_exec::FuncSim;
@@ -116,7 +117,8 @@ fn engines_agree_at_eight_threads() {
 }
 
 /// Full acceptance matrix: all nine workloads × 1/2/4/8 threads × both
-/// drivers, byte-identical `SimResult`s and final memory between engines.
+/// drivers, byte-identical `SimResult`s and final memory between engines,
+/// plus the functional layer at the suite's Small scale × 4 threads.
 #[test]
 #[ignore = "release-mode CI step: 9 workloads x 4 thread counts x 2 drivers x 2 engines"]
 fn engines_agree_full_matrix() {
@@ -128,5 +130,6 @@ fn engines_agree_full_matrix() {
                 check_system(w, &cfg, &built, threads, driver);
             }
         }
+        check_functional(w, &built_on(w, 4, Scale::Small).1, 4);
     }
 }

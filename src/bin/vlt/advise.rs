@@ -42,11 +42,11 @@ fn advise(args: &Args) -> Result<ExitCode> {
     let scale = args.scale.unwrap_or(Scale::Small);
 
     let rows = ex::run(scale);
-    print_static(&ex::static_table(&rows), &rows, "table4_static");
+    print_static(&ex::static_table(&rows), &rows, "table4_static")?;
 
     let irr = ex::run_irregular(scale);
     println!();
-    print_static(&ex::irregular_static_table(&irr), &irr, "irregular_static");
+    print_static(&ex::irregular_static_table(&irr), &irr, "irregular_static")?;
 
     if !args.has("--validate") {
         return Ok(ExitCode::SUCCESS);
@@ -55,11 +55,11 @@ fn advise(args: &Args) -> Result<ExitCode> {
     println!("\nvalidating against the dynamic characterization...");
     let mut errs = Vec::new();
     let dyn_rows = ex::dynamic_rows(scale);
-    print_and_write(&ex::dynamic_table(&dyn_rows), "table4_dynamic");
+    print_and_write(&ex::dynamic_table(&dyn_rows), "table4_dynamic")?;
     errs.extend(ex::validate(&rows, &dyn_rows));
 
     let irr_dyn = ex::dynamic_rows_irregular(scale);
-    print_and_write(&ex::dynamic_table(&irr_dyn), "irregular_dynamic");
+    print_and_write(&ex::dynamic_table(&irr_dyn), "irregular_dynamic")?;
     errs.extend(ex::validate(&irr, &irr_dyn));
 
     if !errs.is_empty() {
@@ -75,7 +75,7 @@ fn advise(args: &Args) -> Result<ExitCode> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn print_static(t: &Table, rows: &[ex::StaticRow], name: &str) {
+fn print_static(t: &Table, rows: &[ex::StaticRow], name: &str) -> Result<()> {
     println!("{t}");
     for r in rows {
         let a = &r.advice;
@@ -100,5 +100,5 @@ fn print_static(t: &Table, rows: &[ex::StaticRow], name: &str) {
             .collect();
         println!("{}: ranking: {}", r.name, ranked.join(" > "));
     }
-    write_table(t, name);
+    write_table(t, name)
 }

@@ -27,7 +27,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use vlt_bench::harness::MAX_CYCLES;
-use vlt_core::{EngineMode, IdealizeConfig, SimResult, StallCause, System, SystemConfig};
+use vlt_core::{IdealizeConfig, SimResult, StallCause, System, SystemConfig};
 use vlt_obs::perfetto::validate_chrome_trace;
 use vlt_obs::{CpiObserver, MetricsObserver, Multi, PerfettoObserver};
 use vlt_stats::json::Json;
@@ -58,8 +58,6 @@ options:
   --threads N     software threads (default: 4, the examples' shape)
   --scale S       workload problem size: test | small | full
                   (default: small; ignored for .s files)
-  --engine E      functional engine: block (threaded-code blocks, the
-                  default) | interp (the single-step oracle)
   --whatif CAUSE  after profiling, re-run with the hardware component
                   behind CAUSE idealized and report the measured speedup
                   against the attributed cycles: bank-conflict,
@@ -74,7 +72,6 @@ options:
         Flag(&["--clusters"], Takes::Value),
         Flag(&["--threads"], Takes::Value),
         Flag(&["--scale"], Takes::Value),
-        Flag(&["--engine"], Takes::Value),
         Flag(&["--whatif"], Takes::Value),
         Flag(&["--diff"], Takes::Two),
         Flag(&["--out"], Takes::Value),
@@ -132,11 +129,10 @@ fn simulate(
     cfg: &SystemConfig,
     target: &Target,
     threads: usize,
-    engine: EngineMode,
     obs: Option<&mut Multi<'_>>,
 ) -> Result<SimResult> {
     let failed = Error::Failed;
-    let mut sys = System::new(cfg.clone(), &target.program, threads).with_engine(engine);
+    let mut sys = System::new(cfg.clone(), &target.program, threads);
     let result = match obs {
         Some(multi) => sys.run_observed(MAX_CYCLES, multi),
         None => sys.run(MAX_CYCLES),
@@ -157,11 +153,6 @@ fn prof(args: &Args) -> Result<ExitCode> {
         return Ok(ExitCode::SUCCESS);
     }
     let name = args.single("workload or .s file")?;
-    let engine = match args.value("--engine") {
-        None | Some("block") => EngineMode::Block,
-        Some("interp") => EngineMode::Interp,
-        Some(s) => return Err(Error::Usage(format!("unknown engine {s:?} (block | interp)"))),
-    };
     let threads = args.threads.unwrap_or(4);
     let cfg = args.config.clone().unwrap_or_else(SystemConfig::v4_cmt);
     let cfg = cli::machine(cfg, args.clusters.unwrap_or(1), threads)?;
@@ -175,7 +166,7 @@ fn prof(args: &Args) -> Result<ExitCode> {
     let mut cpi = CpiObserver::new();
     let result = {
         let mut multi = Multi::new().with(&mut metrics).with(&mut trace).with(&mut cpi);
-        simulate(&cfg, &target, threads, engine, Some(&mut multi))?
+        simulate(&cfg, &target, threads, Some(&mut multi))?
     };
     let failed = Error::Failed;
     cpi.check_conservation().map_err(|e| failed(format!("CPI stack not conserving: {e}")))?;
@@ -201,7 +192,7 @@ fn prof(args: &Args) -> Result<ExitCode> {
     print_summary(&target.label, &cfg, &result, &metrics_doc);
     print_cpi(&cpi);
     if let Some(causes) = causes {
-        run_whatif(&cfg, &target, threads, engine, &result, &causes)?;
+        run_whatif(&cfg, &target, threads, &result, &causes)?;
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -214,7 +205,6 @@ fn run_whatif(
     cfg: &SystemConfig,
     target: &Target,
     threads: usize,
-    engine: EngineMode,
     base: &SimResult,
     causes: &[StallCause],
 ) -> Result<()> {
@@ -228,7 +218,7 @@ fn run_whatif(
         let mut icfg = cfg.clone();
         icfg.ideal = ideal;
         eprintln!("vlt prof: what-if {} ...", cause.name());
-        let r = simulate(&icfg, target, threads, engine, None)?;
+        let r = simulate(&icfg, target, threads, None)?;
         let attributed = base.stalls().get(cause);
         let gain = base.cycles.saturating_sub(r.cycles);
         // The causal cross-check: removing a component can never buy more

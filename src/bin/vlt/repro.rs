@@ -6,10 +6,12 @@
 //! vlt repro all --scale small   # every record, then check none is missing
 //! ```
 
+use std::io;
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 use vlt_bench::experiments as ex;
-use vlt_bench::{missing_result_files, results_dir, EXPECTED_RESULTS};
+use vlt_bench::{missing_result_files, results_dir, SuiteError, EXPECTED_RESULTS};
 use vlt_stats::Table;
 use vlt_workloads::Scale;
 
@@ -20,7 +22,7 @@ pub const COMMAND: Command = Command {
     usage: "usage: vlt repro <experiment|all> [--scale test|small|full]\n\n\
             experiments: table1 table2 table3 table4 table4_static table4_dynamic\n             \
             fig1 fig3 fig4 fig5 fig6 ext_lanes ext_chaining ext_cluster\n             \
-            irregular_stalls\n\
+            irregular_stalls ablations\n\
             all runs every experiment (default scale: small)",
     flags: &[Flag(&["--scale"], Takes::Value)],
     main: repro,
@@ -35,41 +37,44 @@ fn repro(args: &Args) -> Result<ExitCode> {
 }
 
 /// Run one experiment: print its table and write `results/<id>.json`. A
-/// failed sweep exits 1 with the failing run's diagnostic.
+/// failed sweep or write exits 1 with the diagnostic.
 fn experiment(id: &str, scale: Scale) -> Result<()> {
     use ex::table4_static as t4s;
-    match id {
-        "table1" => ex::emit(&ex::table1::run()),
-        "table2" => ex::emit(&ex::table2::run()),
-        "table3" => {
-            let t = ex::table3::run();
-            println!("{t}");
-            let p = t
-                .write_to(&results_dir(), "table3")
-                .map_err(|e| Error::Failed(format!("could not write results JSON: {e}")))?;
-            println!("wrote {}", p.display());
-        }
+    let e = match id {
+        "table1" => ex::table1::run(),
+        "table2" => ex::table2::run(),
+        "table3" => return print_and_write(&ex::table3::run(), id),
         "table4" => {
             println!("{}", ex::table4::render_full(scale));
-            match ex::table4::run(scale).write_to(&results_dir()) {
-                Ok(p) => println!("wrote {}", p.display()),
-                Err(err) => eprintln!("could not write results JSON: {err}"),
-            }
+            return written(ex::table4::run(scale).write_to(&results_dir()));
         }
-        "table4_static" => print_and_write(&t4s::static_table(&t4s::run(scale)), id),
-        "table4_dynamic" => print_and_write(&t4s::dynamic_table(&t4s::dynamic_rows(scale)), id),
-        "fig1" => ex::emit_result(ex::fig1::run(scale)),
-        "fig3" => ex::emit_result(ex::fig3::run(scale)),
-        "fig4" => ex::emit_result(ex::fig4::run(scale)),
-        "fig5" => ex::emit_result(ex::fig5::run(scale)),
-        "fig6" => ex::emit_result(ex::fig6::run(scale)),
-        "ext_lanes" => ex::emit_result(ex::ext_lanes::run(scale)),
-        "ext_chaining" => ex::emit_result(ex::ext_chaining::run(scale)),
-        "ext_cluster" => ex::emit_result(ex::ext_cluster::run(scale)),
-        "irregular_stalls" => ex::emit_result(ex::irregular_stalls::run(scale)),
+        "table4_static" => return print_and_write(&t4s::static_table(&t4s::run(scale)), id),
+        "table4_dynamic" => {
+            return print_and_write(&t4s::dynamic_table(&t4s::dynamic_rows(scale)), id)
+        }
+        "fig1" => ex::fig1::run(scale)?,
+        "fig3" => ex::fig3::run(scale)?,
+        "fig4" => ex::fig4::run(scale)?,
+        "fig5" => ex::fig5::run(scale)?,
+        "fig6" => ex::fig6::run(scale)?,
+        "ext_lanes" => ex::ext_lanes::run(scale)?,
+        "ext_chaining" => ex::ext_chaining::run(scale)?,
+        "ext_cluster" => ex::ext_cluster::run(scale)?,
+        "irregular_stalls" => ex::irregular_stalls::run(scale)?,
+        "ablations" => ex::ablations::run(scale)?,
         _ => return Err(Error::Usage(format!("unknown experiment `{id}`"))),
+    };
+    for t in ex::render(&e) {
+        println!("{t}");
     }
-    Ok(())
+    written(e.write_to(&results_dir()))
+}
+
+/// A failed sweep fails the command with the failing run's diagnostic.
+impl From<SuiteError> for Error {
+    fn from(e: SuiteError) -> Self {
+        Error::Failed(e.to_string())
+    }
 }
 
 /// Every expected record, then fail loudly if any is absent afterwards.
@@ -89,16 +94,36 @@ fn all(scale: Scale) -> Result<ExitCode> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Print `t`, then write it as `results/<name>.json`.
-pub fn print_and_write(t: &Table, name: &str) {
+/// Print `t`, then write it as `results/<id>.json`.
+pub fn print_and_write(t: &Table, id: &str) -> Result<()> {
     println!("{t}");
-    write_table(t, name);
+    write_table(t, id)
 }
 
-/// Write `t` as `results/<name>.json`, reporting (not failing on) errors.
-pub fn write_table(t: &Table, name: &str) {
-    match t.write_to(&results_dir(), name) {
-        Ok(p) => println!("wrote {}", p.display()),
-        Err(err) => eprintln!("could not write results JSON: {err}"),
+/// Write `t` as `results/<id>.json`.
+pub fn write_table(t: &Table, id: &str) -> Result<()> {
+    written(t.write_to(&results_dir(), id))
+}
+
+/// Report where a record was written. A record that cannot be written
+/// fails the command (exit 1): a stale committed copy would otherwise pass
+/// CI's `git diff --exit-code results/`.
+fn written(r: io::Result<PathBuf>) -> Result<()> {
+    let path = r.map_err(|e| Error::Failed(format!("could not write results JSON: {e}")))?;
+    println!("wrote {}", path.display());
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_record_that_cannot_be_written_fails_the_command() {
+        let file = std::env::temp_dir().join(format!("vlt-repro-not-a-dir-{}", std::process::id()));
+        std::fs::write(&file, "a regular file, not a directory").unwrap();
+        let outcome = written(Table::new("t", &["a"]).write_to(&file, "t"));
+        std::fs::remove_file(&file).unwrap();
+        assert!(matches!(outcome, Err(Error::Failed(_))));
     }
 }

@@ -290,4 +290,8 @@ fn usage_errors_exit_2_in_every_subcommand() {
     usage_error(&["vlint"]);
     usage_error(&["run", SAXPY, "--config", "v9-cmt"]);
     usage_error(&["dis", SAXPY, "--asm"]);
+    // The functional engine is not a user choice: both engines give the
+    // same results, metrics and trace (the obs equivalence suite holds
+    // them to it).
+    usage_error(&["prof", "mpenc", "--scale", "test", "--engine", "interp"]);
 }
