@@ -46,8 +46,8 @@ pub fn run(scale: Scale) -> Vec<StaticRow> {
 }
 
 /// Statically analyze the irregular kernels (SpMV, histogram, hash-join
-/// probe, multi-sweep stencil) — the content-steered mix the footprint
-/// analyzer has to discharge without annotations.
+/// probe, multi-sweep stencil) — the content-steered mix the analyzers
+/// have to certify without annotations.
 pub fn run_irregular(scale: Scale) -> Vec<StaticRow> {
     rows_over(&irregular_suite(), scale)
 }

@@ -18,9 +18,9 @@ use vlt_workloads::{Built, Scale, Workload};
 /// Default cycle budget per simulation.
 pub const MAX_CYCLES: u64 = 2_000_000_000;
 
-/// Where JSON records land (repo-relative).
+/// Where JSON records land: `results/` under the working directory.
 pub fn results_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results")
+    PathBuf::from("results")
 }
 
 /// Every figure/table record the full suite must leave in [`results_dir`].
@@ -264,7 +264,8 @@ mod tests {
 
     #[test]
     fn committed_results_are_complete() {
-        let missing = missing_result_files(&results_dir());
+        let committed = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        let missing = missing_result_files(&committed);
         assert!(
             missing.is_empty(),
             "results/ is missing {missing:?} — run `cargo run --release --bin vlt -- repro all` and commit"

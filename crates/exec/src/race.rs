@@ -16,12 +16,15 @@
 //! them, and any same-epoch overlap between distinct threads with at least
 //! one write is reported as a [`RaceRecord`].
 //!
-//! Mirroring [`crate::checker`], a predictor built from the static side
-//! (`vlt_verify::predicted_race_sites`) can be installed; every dynamic
-//! conflict is then `debug_assert`ed to involve only statically-predicted
-//! sites. The static analysis is conservative by construction, so a dynamic
-//! race it did not predict means one of the two implementations is wrong —
-//! this is the cross-validation that keeps them honest.
+//! Mirroring [`crate::checker`], a predictor built from `vlt lint`'s race
+//! analysis (`vlt_verify::predicted_race_sites`) can be installed; every
+//! dynamic conflict is then `debug_assert`ed to involve only predicted
+//! sites. That analysis is an observed walk of the program on the
+//! canonical schedule: it predicts no site for a program it proves
+//! race-free and every memory-access site otherwise. A dynamic race at an
+//! unpredicted site therefore means the walk certified a racy program —
+//! one of the two implementations is wrong. This checker takes nothing
+//! from the walk but the prediction, so it stays an independent oracle.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -32,7 +35,7 @@ use crate::arena::AddrArena;
 use crate::program::DecodedProgram;
 use crate::trace::{DynInst, DynKind};
 
-/// `sidx -> bool`: did the static race analysis consider this instruction a
+/// `sidx -> bool`: did the race analysis consider this instruction a
 /// potential race participant? (Build one from
 /// `vlt_verify::predicted_race_sites`.)
 pub type SitePredictor = Box<dyn Fn(usize) -> bool + Send + Sync>;
@@ -40,7 +43,7 @@ pub type SitePredictor = Box<dyn Fn(usize) -> bool + Send + Sync>;
 /// Configuration for the dynamic race checker.
 #[derive(Default)]
 pub struct RaceConfig {
-    /// Optional static-analysis prediction to `debug_assert` observed
+    /// Optional race-analysis prediction to `debug_assert` observed
     /// conflicts against.
     pub predictor: Option<SitePredictor>,
 }

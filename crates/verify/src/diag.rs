@@ -66,9 +66,9 @@ define_codes! {
     (Unreachable,      "unreachable",       Warn,  "instruction not reachable from the entry point"),
     (DeadWrite,        "dead-write",        Warn,  "register written but the value can never be read afterwards"),
     (IndirectFlow,     "indirect-flow",     Warn,  "`jr`/`jalr` present: indirect control flow is not statically tracked (analysis is partial)"),
-    (RaceWw,           "race-ww",           Warn,  "two threads may write overlapping addresses within the same barrier epoch"),
-    (RaceRw,           "race-rw",           Warn,  "one thread may read an address another thread writes within the same barrier epoch"),
-    (RaceUnknown,      "race-unknown",      Warn,  "access whose footprint the race analysis cannot bound may conflict across threads within an epoch"),
+    (RaceWw,           "race-ww",           Warn,  "two threads write the same byte within one barrier epoch (the first racy epoch of the race walk)"),
+    (RaceRw,           "race-rw",           Warn,  "one thread reads a byte another thread writes within one barrier epoch (the first racy epoch of the race walk)"),
+    (RaceUnknown,      "race-unknown",      Warn,  "the race walk gave no verdict (a fault, its step budget, or too many threads): any shared access may race"),
     (DlpInexact,       "dlp-inexact",       Warn,  "the static DLP walk could not stay exact (data-dependent control, indirect flow, or budget): the profile is a partial lower bound"),
     (DlpShortVl,       "dlp-short-vl",      Info,  "parallel region runs vector code at short average VL (<= half MVL): a VLT lane partition recovers the idle lanes"),
     (DlpScalarRegion,  "dlp-scalar-region", Info,  "parallel region executes no vector element operations: scalar VLT threads-on-lanes applies"),

@@ -1,9 +1,7 @@
 //! A small signed-interval domain.
 //!
-//! Shared by the abstract interpreter (`absint`, which threads an interval
-//! alongside its constant domain to prove whole-range memory bounds), the
-//! footprint/race analyses (whose `Rng = (Option<i64>, Option<i64>)` pairs
-//! are exactly this shape), and the static DLP analyzer. `None` on either
+//! The abstract interpreter (`absint`) threads an interval alongside its
+//! constant domain to prove whole-range memory bounds. `None` on either
 //! side means unbounded; when both bounds are present `lo <= hi` holds.
 //! Arithmetic saturates to unbounded on `i64` overflow, which keeps the
 //! domain sound for the wrapping machine semantics: a bound is only ever
@@ -31,11 +29,6 @@ impl Iv {
     pub fn new(lo: i64, hi: i64) -> Iv {
         debug_assert!(lo <= hi);
         Iv { lo: Some(lo), hi: Some(hi) }
-    }
-
-    /// True when neither side is bounded.
-    pub fn is_top(self) -> bool {
-        self.lo.is_none() && self.hi.is_none()
     }
 
     /// The value if the interval pins exactly one.
@@ -140,19 +133,6 @@ impl Iv {
             Iv::TOP
         }
     }
-
-    /// The footprint analyses' range-pair form.
-    pub fn to_rng(self) -> (Option<i64>, Option<i64>) {
-        (self.lo, self.hi)
-    }
-
-    /// Build from the footprint analyses' range-pair form.
-    pub fn from_rng(r: (Option<i64>, Option<i64>)) -> Iv {
-        match (r.0, r.1) {
-            (Some(l), Some(h)) if l > h => Iv::TOP, // empty/contradictory: no claim
-            _ => Iv { lo: r.0, hi: r.1 },
-        }
-    }
 }
 
 fn opt2(a: Option<i64>, b: Option<i64>, f: impl Fn(i64, i64) -> Option<i64>) -> Option<i64> {
@@ -173,25 +153,6 @@ fn max_opt_hi(a: Option<i64>, b: Option<i64>) -> Option<i64> {
     match (a, b) {
         (Some(a), Some(b)) => Some(a.max(b)),
         _ => None,
-    }
-}
-
-/// The tighter of two lower bounds (`None` = unbounded). Shared with the
-/// race analysis' range intersections.
-pub(crate) fn max_opt(a: Option<i64>, b: Option<i64>) -> Option<i64> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.max(b)),
-        (Some(a), None) | (None, Some(a)) => Some(a),
-        (None, None) => None,
-    }
-}
-
-/// The tighter of two upper bounds (`None` = unbounded).
-pub(crate) fn min_opt(a: Option<i64>, b: Option<i64>) -> Option<i64> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (Some(a), None) | (None, Some(a)) => Some(a),
-        (None, None) => None,
     }
 }
 
@@ -233,13 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn rng_roundtrip() {
-        let r = (Some(4), None);
-        assert_eq!(Iv::from_rng(r).to_rng(), r);
-        assert_eq!(Iv::from_rng((Some(5), Some(2))), Iv::TOP);
-    }
-
-    #[test]
     fn overflow_saturates_per_side() {
         // Each bound saturates independently: an overflowing corner loses
         // only its own side, never fabricates a tighter one.
@@ -269,21 +223,6 @@ mod tests {
         assert_eq!(ge0.mul(Iv::exact(-1)), Iv::TOP);
         assert!(ge0.contains(i64::MAX));
         assert!(!ge0.contains(-1));
-    }
-
-    #[test]
-    fn empty_interval_propagates_as_top() {
-        // A contradictory range pair (the footprint analyses produce these
-        // when refinements conflict) must degrade to "no claim", and stay
-        // there through arithmetic and joins.
-        let e = Iv::from_rng((Some(5), Some(2)));
-        assert!(e.is_top());
-        assert!(e.add_k(1).is_top());
-        assert!(e.join(Iv::exact(7)).is_top());
-        assert_eq!(e.mul(Iv::exact(2)), Iv::TOP);
-        // from_rng only normalizes fully-bounded contradictions; half
-        // bounded pairs pass through untouched.
-        assert_eq!(Iv::from_rng((None, Some(-3))), Iv { lo: None, hi: Some(-3) });
     }
 
     #[test]

@@ -38,7 +38,6 @@ mod cfg;
 mod content;
 mod diag;
 pub mod dlp;
-mod footprint;
 mod interval;
 pub mod json;
 mod liveness;
@@ -49,7 +48,7 @@ pub use absint::{AbsState, Cv, Init};
 pub use cfg::{direct_target, Block, Cfg, Term};
 pub use diag::{Code, Diagnostic, Options, Report, Severity};
 pub use interval::Iv;
-pub use races::{check_races, check_races_with, footprint_hulls, predicted_race_sites, SiteHull};
+pub use races::{check_races, check_races_with, predicted_race_sites};
 
 /// Verify an assembled program with default options plus any
 /// program-embedded `vlint.allow.*` symbols.

@@ -11,7 +11,8 @@
 //! perturbs exactly one line of it.
 //!
 //! The opposite direction sits beside the corpus: race-free programs whose
-//! symbolic footprints overlap, which the analysis must still clear.
+//! address hulls overlap, or whose control flow is indirect, which the
+//! analysis must still clear.
 
 use vlt_isa::asm::assemble;
 use vlt_verify::{check_races, Code, Report};
@@ -121,6 +122,19 @@ fn expect_race(src: &str, code: Code, what: &str) {
     }
 }
 
+/// Like [`expect_race`], and every diagnostic is anchored at `anchor`.
+fn expect_race_at(src: &str, code: Code, anchor: &str, what: &str) {
+    expect_race(src, code, what);
+    for t in THREADS {
+        let r = races(src, t);
+        assert!(
+            r.diags.iter().all(|d| d.disasm == anchor),
+            "{what}: expected every diagnostic at `{anchor}` at {t} threads:\n{}",
+            r.diags.iter().map(|d| format!("  {d}\n")).collect::<String>()
+        );
+    }
+}
+
 // --- partitioning defects ----------------------------------------------
 
 #[test]
@@ -143,7 +157,7 @@ fn overlapping_strided_writes() {
     // The partial-table stride collapses from 8*nthr to 8: the interleave
     // becomes a dense overlap of every thread's 16 elements.
     let src = mutate("li      x8, 32             # byte stride = 8 * nthr_max", "li      x8, 8");
-    expect_race(&src, Code::RaceWw, "strided scatter with collapsed stride");
+    expect_race_at(&src, Code::RaceWw, "vsts v2, x7, x8", "strided scatter with collapsed stride");
 }
 
 #[test]
@@ -182,7 +196,7 @@ fn neighbor_read_without_barrier() {
 fn racy_reduction() {
     // Every thread stores its reduction to out[0] instead of out[tid].
     let src = mutate("    slli    x6, x10, 3\n    add     x5, x5, x6\n", "");
-    expect_race(&src, Code::RaceWw, "shared accumulator store");
+    expect_race_at(&src, Code::RaceWw, "sd x4, 0(x5)", "shared accumulator store");
 }
 
 // --- data-dependent addressing -----------------------------------------
@@ -190,12 +204,14 @@ fn racy_reduction() {
 #[test]
 fn loaded_index_scatter() {
     // The partial table is scattered through an index vector loaded from
-    // memory: the footprint cannot be bounded statically.
+    // the table itself. The loaded offsets are all 0, so each thread's
+    // scatter hits its own first slot, which its neighbours' index loads
+    // read in the same epoch: a read/write race.
     let src = mutate(
         "    li      x8, 32             # byte stride = 8 * nthr_max\n    vsts    v2, x7, x8\n",
         "    vld     v4, x7\n    vstx    v2, x7, v4\n",
     );
-    expect_race(&src, Code::RaceUnknown, "scatter through loaded indices");
+    expect_race(&src, Code::RaceRw, "scatter through loaded indices");
 }
 
 // --- race-free shapes only the observed walk can certify ---------------
@@ -229,17 +245,9 @@ out:
 #[test]
 fn interleaved_table_scatter_is_race_free() {
     use vlt_exec::{FuncSim, RaceConfig};
-    use vlt_verify::{footprint_hulls, predicted_race_sites};
+    use vlt_verify::predicted_race_sites;
 
     let prog = assemble(INTERLEAVED_TABLE).unwrap();
-    // Both threads' symbolic scatter hulls cover the bytes between the
-    // rows' extremes, so the pairing pass alone reports a candidate.
-    let out = prog.symbol("out").unwrap() as i64;
-    let hulls = footprint_hulls(&prog, 2).expect("boundable");
-    let scatters: Vec<_> = hulls.iter().filter(|h| h.write).collect();
-    assert_eq!(scatters.len(), 2);
-    assert!(scatters.iter().all(|h| h.covers(out + 8, out + 120)), "{scatters:?}");
-
     let r = races(INTERLEAVED_TABLE, 2);
     assert!(
         r.diags.is_empty(),
@@ -254,6 +262,46 @@ fn interleaved_table_scatter_is_race_free() {
     });
     sim.run_to_completion(1_000_000).unwrap();
     assert!(sim.race_checker().unwrap().is_clean());
+}
+
+/// Every thread calls a store routine through `jalr` and returns through
+/// `jr`; the routine stores the thread's own slot of `slots`.
+const INDIRECT_STORE: &str = r#"
+    .data
+slots:
+    .zero 64
+    .text
+    tid     x10
+    la      x5, store
+    jalr    x1, x5             # call store
+    barrier
+    halt
+store:
+    la      x6, slots
+    slli    x7, x10, 3
+    add     x6, x6, x7         # slots + 8*tid
+    sd      x10, 0(x6)
+    jr      x1
+"#;
+
+#[test]
+fn indirect_call_to_disjoint_slots_is_race_free() {
+    for t in THREADS {
+        let r = races(INDIRECT_STORE, t);
+        assert!(
+            r.diags.is_empty(),
+            "disjoint stores behind `jalr` at {t} threads:\n{}",
+            r.diags.iter().map(|d| format!("  {d}\n")).collect::<String>()
+        );
+    }
+}
+
+#[test]
+fn indirect_call_to_a_shared_slot_races() {
+    // Without the slot offset every thread stores slot 0.
+    let src = INDIRECT_STORE.replacen("    add     x6, x6, x7         # slots + 8*tid\n", "", 1);
+    assert_ne!(src, INDIRECT_STORE);
+    expect_race_at(&src, Code::RaceWw, "sd x10, 0(x6)", "shared slot behind `jalr`");
 }
 
 // --- the dynamic side sees the same defects ----------------------------

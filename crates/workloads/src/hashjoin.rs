@@ -10,11 +10,10 @@
 //! the per-probe output. A `vpopc` per chunk accumulates the match count.
 //!
 //! Verification interest: the probe's gather indices are hashes of loaded
-//! keys — arbitrary values — yet the footprint analysis proves every
-//! access in-bounds *statically*: the `vand.vs` transfer pins the masked
-//! byte offsets to `[0, mask]`, which lands the gather inside the
-//! thread's own table block, so the per-thread partitions never overlap
-//! and the race analysis needs no dynamic walk at all. Zero allows.
+//! keys — arbitrary values — masked by `vand.vs` to byte offsets in
+//! `[0, mask]`, which lands the gather inside the thread's own table
+//! block. The race walk certifies that no thread's partition meets
+//! another's within an epoch. Zero allows.
 
 use vlt_exec::FuncSim;
 use vlt_isa::asm::assemble;

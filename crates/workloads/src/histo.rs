@@ -3,8 +3,7 @@
 //!
 //! A counting sort written the way the paper's applications thread: each
 //! thread histograms its slice of the keys into a *private* bucket block
-//! (data-dependent read-modify-writes whose footprint the content
-//! analysis bounds from the key image), thread 0
+//! (data-dependent read-modify-writes steered by the key image), thread 0
 //! turns the per-thread histograms into exclusive starting offsets in
 //! `(bucket, thread)` order, and each thread then ranks its keys through
 //! its private offset block and retires them with a `vstx` permutation
@@ -14,11 +13,10 @@
 //! indexing and the final scatter need no shifts in the hot loops.
 //!
 //! Verification interest: the scatter's destinations come through memory
-//! (the rank scratch), steered by offsets another thread wrote — beyond
-//! any per-thread symbolic walk, so every thread's destination hull spans
-//! all of `out`. The race analysis certifies it with the observed
-//! epoch-synchronous walk: the threads' destination sets within the
-//! epoch are disjoint pieces of one permutation of `out`. Zero allows.
+//! (the rank scratch), steered by offsets another thread wrote, so every
+//! thread's destinations may span all of `out`. The race walk certifies
+//! it: the threads' destination sets within the epoch are disjoint
+//! pieces of one permutation of `out`. Zero allows.
 
 use vlt_exec::FuncSim;
 use vlt_isa::asm::assemble;

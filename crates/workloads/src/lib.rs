@@ -26,19 +26,19 @@
 //!
 //! Alongside the nine Table-4 applications, an **irregular suite**
 //! ([`irregular_suite`]) of four gather/scatter-heavy kernels exercises
-//! the content-aware footprint analysis — data-dependent addressing that
-//! the verifier must certify without any `vlint.allow.*` annotation:
+//! the race walk on data-dependent addressing, which the verifier must
+//! certify without any `vlint.allow.*` annotation:
 //!
-//! | name       | structure                              | discharged by      |
-//! |------------|----------------------------------------|--------------------|
-//! | `spmv`     | CSR sparse matrix-vector product       | observed walk      |
-//! | `histo`    | histogram + permutation scatter        | observed walk      |
-//! | `hashjoin` | hash build + vectorized indexed probe  | masked-index bound |
-//! | `sweep`    | multi-sweep stencil, permuted schedule | observed walk      |
+//! | name       | structure                              | data-dependent accesses          |
+//! |------------|----------------------------------------|----------------------------------|
+//! | `spmv`     | CSR sparse matrix-vector product       | row-pointer-steered gathers      |
+//! | `histo`    | histogram + permutation scatter        | scatter through rank offsets     |
+//! | `hashjoin` | hash build + vectorized indexed probe  | masked gathers through hashes    |
+//! | `sweep`    | multi-sweep stencil, permuted schedule | row stores through a schedule    |
 //!
-//! "Observed walk" means the symbolic race pass leaves candidates that
-//! the epoch-synchronous observed walk certifies; `hashjoin`'s footprints
-//! alone leave none.
+//! The epoch-synchronous observed walk certifies all four: it runs each
+//! barrier epoch concretely and finds every thread's writes clear of the
+//! bytes the other threads touch in that epoch.
 
 pub mod characterize;
 pub mod common;

@@ -29,7 +29,7 @@
 //! no-intra-epoch-sharing invariant was violated. Guard words between
 //! `keys`/`buf` and `buf`/`hist` keep the over-reads out of every written
 //! footprint; results are unchanged. The data-dependent scatter itself is
-//! beyond static bounding and carries a documented `race-unknown` allow.
+//! certified by the race walk, with no allow.
 
 use vlt_exec::FuncSim;
 use vlt_isa::asm::assemble;

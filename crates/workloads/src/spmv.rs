@@ -10,11 +10,10 @@
 //! `vmul.vv`/`vredsum` dot-product accumulation.
 //!
 //! Verification interest: the gather's addresses are data-dependent
-//! (loaded column offsets), but every steering table is read-only `.data`,
-//! so the content-aware footprint analysis bounds the CSR cursors from the
-//! row-pointer image and the observed epoch-synchronous walk certifies
-//! the remaining gather/partition disjointness — no `vlint.allow.*`
-//! anywhere.
+//! (loaded column offsets) and the CSR cursors come from the row-pointer
+//! image. The race walk certifies the kernel: in every epoch each thread
+//! writes only its own rows of `y`, which no other thread reads — no
+//! `vlint.allow.*` anywhere.
 
 use vlt_exec::FuncSim;
 use vlt_isa::asm::assemble;

@@ -80,9 +80,9 @@ pub fn suite() -> Vec<&'static dyn Workload> {
 }
 
 /// The four irregular kernels: gather/scatter-heavy SPMD programs whose
-/// data-dependent addressing the content-aware footprint analysis must
-/// certify without any `vlint.allow.*` annotation. Kept out of [`suite`]
-/// — they are verification workloads, not Table 4 rows.
+/// data-dependent addressing the race walk must certify without any
+/// `vlint.allow.*` annotation. Kept out of [`suite`] — they are
+/// verification workloads, not Table 4 rows.
 pub fn irregular_suite() -> Vec<&'static dyn Workload> {
     vec![&crate::spmv::Spmv, &crate::histo::Histo, &crate::hashjoin::HashJoin, &crate::sweep::Sweep]
 }

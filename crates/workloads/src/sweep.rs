@@ -10,12 +10,9 @@
 //! produce).
 //!
 //! Verification interest: the destination addresses are loaded from
-//! memory, yet the content-aware footprint analysis folds each thread's
-//! slice of the schedule table into a bounded value hull, so the
-//! data-dependent writes stay bounded even though the rows are visited
-//! in scrambled order. The symbolic pairing still leaves a few
-//! candidates, which the observed epoch-synchronous walk certifies (each
-//! thread writes only its own row block). Zero allows.
+//! memory, and the rows are visited in scrambled order. The race walk
+//! certifies the kernel: in every epoch each thread writes only its own
+//! row block. Zero allows.
 
 use vlt_exec::FuncSim;
 use vlt_isa::asm::assemble;

@@ -2,9 +2,8 @@
 //! sweep): golden results at 1/2/4/8 threads under both drivers and both
 //! engines, and the full strict-lint bar — static verifier, barrier-epoch
 //! race analysis, and DLP walk all clean with **zero** `vlint.allow.*`
-//! annotations. These four kernels exist to exercise the content-aware
-//! footprint analysis on data-dependent addressing; this file is where
-//! that claim is enforced.
+//! annotations. These four kernels exist to exercise the race walk on
+//! data-dependent addressing; this file is where that claim is enforced.
 
 use vlt_core::{DriverMode, EngineMode, System, SystemConfig};
 use vlt_exec::{FuncSim, RaceConfig};

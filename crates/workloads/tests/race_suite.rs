@@ -12,10 +12,9 @@
 //!   checker's `debug_assert` — merely finishing is the cross-validation.
 //!
 //! The static report itself must also be clean: no kernel carries a
-//! `vlint.allow.race_*` line. Candidates the symbolic pairing cannot rule out
-//! (data-dependent scatters and gathers) are certified by the observed
-//! walk, whose step budget the `#[ignore]`d Full-scale test holds every
-//! kernel within.
+//! `vlint.allow.race_*` line. The observed walk decides every verdict,
+//! data-dependent scatters and gathers included; the `#[ignore]`d
+//! Full-scale test holds every kernel within its step budget.
 
 use vlt_exec::{FuncSim, RaceConfig};
 use vlt_verify::{check_races, predicted_race_sites};

@@ -3,17 +3,15 @@
 # The addresses here are *data*, not address arithmetic: `keys` holds
 # byte offsets into `vals` (the gather is steered by table content), and
 # `perm` holds each thread's slot order inside its own 32-byte slice of
-# `out`. A plain per-thread symbolic walk cannot bound either access —
-# the content-aware footprint analysis can, because both tables are
-# read-only and their value images are known:
+# `out`. No address arithmetic bounds either access, but the tables are
+# read-only:
 #
 #   * `keys[i] ∈ {0, 8, ..., 120}`, so the gather stays inside `vals`;
 #   * `perm[i] ∈ {0, 8, 16, 24}`, so each scatter lane lands inside the
-#     thread's own slice `out[4*tid .. 4*tid+4]`. The static write hulls
-#     are coarser (the image summary spans all three tables), so the
-#     race analysis's observed walk certifies the scatter instead
-#     (`vlint --races examples/asm/table_gather.s` is clean with zero
-#     allow annotations).
+#     thread's own slice `out[4*tid .. 4*tid+4]`. The race analysis's
+#     observed walk sees exactly that (`vlt lint --races
+#     examples/asm/table_gather.s` is clean with zero allow
+#     annotations).
 #
 # Swap `slli x4, x10, 5` for `slli x4, x10, 3` and the slices overlap:
 # `--races` reports the write-write conflict.

@@ -114,6 +114,37 @@ fn lint_json_carries_race_and_dlp_findings() {
     );
 }
 
+/// A race walk that faults gives no verdict, and the finding names the
+/// fault: here only thread 1 runs `setvl` of 0.
+#[test]
+fn lint_races_names_the_fault_that_stopped_the_walk() {
+    let path = scratch("race-fault").join("fault.s");
+    std::fs::write(&path, "tid x1\nli x2, 1\nsub x2, x2, x1\nsetvl x0, x2\nhalt\n").unwrap();
+    let (code, stdout, stderr) = vlt(&["lint", "--races=2", path.to_str().unwrap()]);
+    assert_eq!(code, Some(0), "race-unknown is a warning:\n{stdout}{stderr}");
+    let finding = stdout.lines().find(|l| l.contains("race-unknown")).unwrap_or_else(|| {
+        panic!("no race-unknown finding:\n{stdout}");
+    });
+    assert!(finding.contains("thread 1: setvl of 0"), "{finding}");
+}
+
+/// `repro` writes `results/` under the working directory, not into the
+/// checkout the binary was built in.
+#[test]
+fn repro_writes_results_under_the_working_directory() {
+    let dir = scratch("repro-cwd");
+    let _ = std::fs::remove_dir_all(dir.join("results"));
+    let out = Command::new(env!("CARGO_BIN_EXE_vlt"))
+        .args(["repro", "table1"])
+        .current_dir(&dir)
+        .output()
+        .expect("vlt runs");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let written = std::fs::read(dir.join("results/table1.json")).expect("record written");
+    let committed = std::fs::read(concat!(env!("CARGO_MANIFEST_DIR"), "/results/table1.json"));
+    assert_eq!(written, committed.unwrap(), "table1 differs from the committed record");
+}
+
 /// `as --list` prints the listing `dis` recovers from `as -o`, after a
 /// one-line header.
 #[test]
