@@ -90,11 +90,12 @@ impl fmt::Display for RaceRecord {
     }
 }
 
-/// One recorded access range `[start, end)`.
+/// One recorded access range `[start, last]`, inclusive so that a range
+/// can end at the top of the address space.
 #[derive(Debug, Clone, Copy)]
 struct Rec {
     start: u64,
-    end: u64,
+    last: u64,
     sidx: u32,
     write: bool,
 }
@@ -188,16 +189,28 @@ impl RaceChecker {
             }
             DynKind::Mem { addr, size } => {
                 let write = prog.get(d.sidx as usize).class == OpClass::Store;
-                self.push(t, Rec { start: addr, end: addr + u64::from(size), sidx: d.sidx, write });
+                self.access(t, addr, u64::from(size), d.sidx, write);
             }
             DynKind::VMem { addrs } => {
                 let write = prog.get(d.sidx as usize).class == OpClass::VStore;
                 // Elements are 8 bytes; unit-stride runs coalesce below.
                 for &a in arena.slice(addrs) {
-                    self.push(t, Rec { start: a, end: a + 8, sidx: d.sidx, write });
+                    self.access(t, a, 8, d.sidx, write);
                 }
             }
             _ => {}
+        }
+    }
+
+    /// Record `len` bytes from `start`; an access that wraps past the top
+    /// of the address space is recorded as its two pieces.
+    fn access(&mut self, t: usize, start: u64, len: u64, sidx: u32, write: bool) {
+        let last = start.wrapping_add(len - 1);
+        if last < start {
+            self.push(t, Rec { start, last: u64::MAX, sidx, write });
+            self.push(t, Rec { start: 0, last, sidx, write });
+        } else {
+            self.push(t, Rec { start, last, sidx, write });
         }
     }
 
@@ -209,11 +222,11 @@ impl RaceChecker {
         // of, the previous range from the same static instruction.
         if let Some(last) = v.last_mut() {
             if last.sidx == r.sidx && last.write == r.write {
-                if last.end == r.start {
-                    last.end = r.end;
+                if last.last.checked_add(1) == Some(r.start) {
+                    last.last = r.last;
                     return;
                 }
-                if last.start == r.start && last.end == r.end {
+                if last.start == r.start && last.last == r.last {
                     return;
                 }
             }
@@ -245,11 +258,11 @@ impl RaceChecker {
         for (t, v) in per.into_iter().enumerate() {
             all.extend(v.into_iter().map(|r| (r, t)));
         }
-        all.sort_by_key(|&(r, t)| (r.start, r.end, t));
+        all.sort_by_key(|&(r, t)| (r.start, r.last, t));
         for i in 0..all.len() {
             let (ri, ti) = all[i];
             for &(rj, tj) in &all[i + 1..] {
-                if rj.start >= ri.end {
+                if rj.start > ri.last {
                     break;
                 }
                 if ti == tj || (!ri.write && !rj.write) {
@@ -389,6 +402,28 @@ mod tests {
         let rc = sim.race_checker().unwrap();
         // Thread 0 wrote in its epoch 0; thread 1 wrote in its epoch 1.
         assert!(rc.is_clean(), "{:?}", rc.conflicts());
+    }
+
+    #[test]
+    fn wrapping_load_is_clean() {
+        // Bytes 2^64-4..2^64 and 0..4, read by both threads.
+        let sim = run_raced("li x1, -4\nld x2, 0(x1)\nhalt\n", 2);
+        let rc = sim.race_checker().unwrap();
+        assert!(rc.is_clean(), "{:?}", rc.conflicts());
+    }
+
+    #[test]
+    fn wrapping_store_conflicts_past_the_top() {
+        // Thread 0 stores 8 bytes at -4, thread 1 at 0: they share bytes
+        // 0..4, the piece of thread 0's store past the top.
+        let sim =
+            run_raced("tid x1\nli x2, -4\nbeqz x1, go\nli x2, 0\ngo:\nsd x1, 0(x2)\nhalt\n", 2);
+        let rc = sim.race_checker().unwrap();
+        assert_eq!(rc.conflicts().len(), 1);
+        let c = rc.conflicts()[0];
+        assert!(c.a.write && c.b.write);
+        assert_eq!((c.a.addr, c.b.addr), (0, 0));
+        assert_eq!(c.epoch, 0);
     }
 
     #[test]

@@ -277,3 +277,79 @@ fn double_bind_rejected() {
     core.bind(0, 0, 0);
     core.bind(0, 1, 1);
 }
+
+/// `li x2, 30; li x3, 4`, then `body`, then six dependent multiplies on
+/// `x7` (so the cycle `x7` becomes ready shows in the total), then `halt`:
+/// straight-line code on one 4-way context, cycles to the last commit.
+fn cycles_of(body: &str) -> u64 {
+    let tail = "mul x7, x7, x7\n".repeat(6);
+    run_core(&format!("li x2, 30\nli x3, 4\n{body}\n{tail}halt\n"), CoreConfig::four_way(), 1).0
+}
+
+#[test]
+fn consumer_of_two_producers_issues_at_the_later_completion() {
+    // The divide (12 cycles) completes after the multiply (3 cycles); a
+    // consumer of both waits for the divide alone.
+    let both = cycles_of("div x5, x2, x3\nmul x6, x2, x3\nadd x7, x5, x6");
+    let div_only = cycles_of("div x5, x2, x3\nmul x6, x2, x3\nadd x7, x5, x3");
+    let mul_only = cycles_of("div x5, x2, x3\nmul x6, x2, x3\nadd x7, x6, x3");
+    assert_eq!((both, div_only, mul_only), (146, 146, 137));
+}
+
+#[test]
+fn repeated_source_is_one_dependence() {
+    // `x1` read twice from one in-flight producer: one dependence, one
+    // wake-up, the same timing as reading it once.
+    let twice = cycles_of("div x1, x2, x3\nadd x7, x1, x1");
+    let once = cycles_of("div x1, x2, x3\nadd x7, x1, x3");
+    assert_eq!((twice, once), (146, 146));
+}
+
+#[test]
+fn smt_contexts_issue_oldest_first() {
+    // Thread 1 (context 1) runs a serial chain; thread 0 floods the 2-way
+    // core's two slots with independent adds. Picking ready entries by
+    // context instead of by age would starve the chain.
+    let src = r#"
+        li   x2, 3
+        li   x3, 4
+        li   x20, 0
+        li   x21, 40
+        tid  x1
+        bnez x1, chain
+    flood:
+        add  x5, x2, x3
+        add  x6, x2, x3
+        add  x7, x2, x3
+        add  x8, x2, x3
+        addi x20, x20, 1
+        blt  x20, x21, flood
+        halt
+    chain:
+        add  x5, x5, x3
+        add  x5, x5, x3
+        add  x5, x5, x3
+        add  x5, x5, x3
+        addi x20, x20, 1
+        blt  x20, x21, chain
+        halt
+    "#;
+    let (cycles, committed) = run_core(src, CoreConfig::two_way().with_smt(2), 2);
+    assert_eq!((cycles, committed), (411, 494));
+}
+
+#[test]
+fn consumer_dispatched_after_its_producer_issued_waits_for_its_completion() {
+    // Eight independent adds push the consumer two fetch groups past the
+    // divide's, so it dispatches after the divide has issued and reads its
+    // known completion cycle instead of recording a dependence. Sixteen
+    // instructions: one I-cache line, so the divide's latency shows.
+    let adds = "add x10, x2, x3\n".repeat(8);
+    let tail = "mul x7, x7, x7\n".repeat(3);
+    let run = |body: String| {
+        run_core(&format!("li x2, 30\nli x3, 4\n{body}{tail}halt\n"), CoreConfig::four_way(), 1)
+    };
+    let late = run(format!("div x5, x2, x3\n{adds}add x7, x5, x3\n"));
+    let early = run(format!("div x5, x2, x3\nadd x7, x5, x3\n{adds}"));
+    assert_eq!((late, early), ((137, 16), (137, 16)));
+}

@@ -22,8 +22,8 @@
 //! state, and the epoch-`k` access sets are schedule-independent. A
 //! conflict-free *complete* walk therefore proves that no interleaving
 //! races, and the first conflict the walk finds is there under every
-//! schedule. A fault, a walk past its step budget, or more threads than
-//! `FuncSim` runs gives no verdict.
+//! schedule. A fault, a walk past its step budget, more threads than
+//! `FuncSim` runs, or a text word that does not decode gives no verdict.
 
 use std::collections::BTreeMap;
 
@@ -269,6 +269,9 @@ pub(crate) fn observe(prog: &Program, threads: usize, budget: u64) -> Walk {
     if threads > FuncSim::MAX_THREADS {
         let max = FuncSim::MAX_THREADS;
         return Walk::Unknown(format!("{threads} threads exceed the {max} the walk can run"));
+    }
+    if let Some(cause) = crate::undecodable(prog) {
+        return Walk::Unknown(cause);
     }
     let mut certify = Certify { sets: (0..threads).map(|_| Default::default()).collect() };
     match walk(prog, threads, budget, &mut certify) {

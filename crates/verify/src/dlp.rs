@@ -47,7 +47,7 @@ use std::collections::BTreeMap;
 use vlt_exec::{
     interp, AddrArena, ArchState, DecodedProgram, DynInst, DynKind, Memory, StaticInst,
 };
-use vlt_isa::{disasm, Op, OpClass, Program, RegRef, VMemPattern, MAX_VL};
+use vlt_isa::{decode, disasm, Op, OpClass, Program, RegRef, VMemPattern, MAX_VL};
 
 use crate::diag::{Code, Diagnostic};
 
@@ -738,6 +738,20 @@ fn analyze_threads(prog: &DecodedProgram, opts: &DlpOptions) -> (Vec<WalkOut>, b
 /// walking each thread with the knownness shadow described in the module
 /// docs.
 pub fn analyze(prog: &Program, opts: &DlpOptions) -> DlpProfile {
+    if let Some(why) = crate::undecodable(prog) {
+        // The walk runs the program, which cannot load such a text.
+        return DlpProfile {
+            exact: false,
+            notes: vec![why],
+            threads: opts.threads.max(1),
+            total: Profile::default(),
+            regions: Vec::new(),
+            epoch_profiles: Vec::new(),
+            epochs: 0,
+            vmem_sites: Vec::new(),
+            setvl_sites: Vec::new(),
+        };
+    }
     let dec = DecodedProgram::new(prog);
     let (outs, exact) = analyze_threads(&dec, opts);
 
@@ -1057,12 +1071,16 @@ pub fn advise(p: &DlpProfile) -> Advice {
 /// went inexact, and advisory notes for partition opportunities and
 /// hazards.
 pub fn dlp_diagnostics(prog: &Program, p: &DlpProfile) -> Vec<Diagnostic> {
-    let insts = prog.decoded();
     let at = |code: Code, sidx: usize, msg: String| Diagnostic {
         code,
         severity: code.severity(),
         sidx: Some(sidx),
-        disasm: insts.get(sidx).map(disasm).unwrap_or_default(),
+        disasm: prog
+            .text
+            .get(sidx)
+            .and_then(|&w| decode(w).ok())
+            .map(|i| disasm(&i))
+            .unwrap_or_default(),
         msg,
     };
     let mut out = Vec::new();

@@ -50,6 +50,15 @@ pub use diag::{Code, Diagnostic, Options, Report, Severity};
 pub use interval::Iv;
 pub use races::{check_races, check_races_with, predicted_race_sites};
 
+/// The first text word that does not decode, named for a no-verdict
+/// message: the analyses that run the program cannot load such a text
+/// (`verify` reports it as [`Code::BadEncoding`]).
+pub(crate) fn undecodable(prog: &Program) -> Option<String> {
+    prog.text.iter().enumerate().find_map(|(i, &w)| {
+        decode(w).err().map(|e| format!("text word #{i} ({w:#010x}) does not decode: {e}"))
+    })
+}
+
 /// Verify an assembled program with default options plus any
 /// program-embedded `vlint.allow.*` symbols.
 pub fn verify(prog: &Program) -> Report {
@@ -155,6 +164,32 @@ mod tests {
         p.text.insert(0, 0xFF00_0000); // no opcode 0xFF
         let r = verify(&p);
         assert!(r.flags(Code::BadEncoding));
+    }
+
+    #[test]
+    fn undecodable_text_gets_a_labelled_no_verdict() {
+        let mut p =
+            assemble(".data\nx: .dword 0\n.text\ntid x1\nla x2, x\nsd x1, 0(x2)\nhalt\n").unwrap();
+        let mem_sites: BTreeSet<usize> =
+            (0..p.text.len()).filter(|&i| decode(p.text[i]).unwrap().op.class().is_mem()).collect();
+        assert_eq!(mem_sites.len(), 1);
+        p.text.push(0xFF00_0000);
+        let word = format!("#{} (0xff000000)", p.text.len() - 1);
+        assert!(verify(&p).flags(Code::BadEncoding));
+
+        let r = check_races(&p, 2);
+        assert_eq!(r.diags.len(), 1, "{r}");
+        assert_eq!((r.diags[0].code, r.diags[0].sidx), (Code::RaceUnknown, None));
+        assert!(r.diags[0].msg.contains(&word), "{r}");
+        assert_eq!(predicted_race_sites(&p, 2), mem_sites);
+
+        let prof = dlp::analyze(&p, &dlp::DlpOptions { threads: 2, ..Default::default() });
+        assert!(!prof.exact);
+        assert!(prof.notes.iter().any(|n| n.contains(&word)), "{:?}", prof.notes);
+        let diags = dlp::dlp_diagnostics(&p, &prof);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!((diags[0].code, diags[0].sidx), (Code::DlpInexact, None));
+        assert!(diags[0].msg.contains(&word), "{diags:?}");
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   `race-ww` (both accesses write) or `race-rw` diagnostic per distinct
 //!   pair of sites, anchored at the lower-numbered thread's access and
 //!   naming the other site, both threads and epoch `k`;
-//! * a fault, a walk past [`OBSERVE_BUDGET`] steps, or more threads than
-//!   `FuncSim` runs gives no verdict: one unanchored `race-unknown` that
-//!   names the cause.
+//! * a fault, a walk past [`OBSERVE_BUDGET`] steps, more threads than
+//!   `FuncSim` runs, or a text word that does not decode gives no
+//!   verdict: one unanchored `race-unknown` that names the cause.
 //!
 //! Past a race or without a verdict the walk proves nothing about other
 //! schedules, so every memory-access site is a predicted race site.
