@@ -52,7 +52,7 @@ pub struct BankedL2 {
     /// observer layer each cycle). Off by default: recording never affects
     /// timing, only whether the buffer fills.
     recording: bool,
-    /// Recorded accesses since the last [`BankedL2::drain_events`] call.
+    /// Recorded accesses since the last [`BankedL2::clear_events`] call.
     events: Vec<BankEvent>,
     /// What-if idealization: bank arbitration is free (accesses never wait
     /// for a busy bank and never occupy one). Hit/miss latency and the

@@ -44,13 +44,32 @@ const PCT_BOUNDS: [u64; 7] = [5, 10, 25, 50, 75, 90, 100];
 /// Passive: declares no `next_deadline`, so the event-driven driver skips
 /// exactly as it would for [`vlt_core::NullObserver`] and the simulation
 /// result is byte-identical (see `tests/equivalence.rs`).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MetricsObserver {
     reg: MetricsRegistry,
     cur_region: u32,
+    /// `vu.issue.vl.region<cur_region>`, formatted once per region change
+    /// rather than once per vector issue.
+    vl_hist: String,
     last_stalls: StallBreakdown,
     /// Per-thread park cycle, `None` while running.
     park_since: Vec<Option<u64>>,
+}
+
+impl Default for MetricsObserver {
+    fn default() -> Self {
+        MetricsObserver {
+            reg: MetricsRegistry::new(),
+            cur_region: 0,
+            vl_hist: vl_hist_name(0),
+            last_stalls: StallBreakdown::default(),
+            park_since: Vec::new(),
+        }
+    }
+}
+
+fn vl_hist_name(region: u32) -> String {
+    format!("vu.issue.vl.region{region}")
 }
 
 impl MetricsObserver {
@@ -109,6 +128,7 @@ impl SimObserver for MetricsObserver {
         // Close the outgoing region's stall window before switching.
         self.credit_region_stalls(view.stalls());
         self.cur_region = region;
+        self.vl_hist = vl_hist_name(region);
     }
 
     fn on_park(&mut self, now: u64, thread: usize, parked: bool) {
@@ -124,9 +144,7 @@ impl SimObserver for MetricsObserver {
 
     fn on_vec_issue(&mut self, _now: u64, ev: &VecIssue) {
         self.reg.add("vu.issues", 1);
-        self.reg
-            .histogram(&format!("vu.issue.vl.region{}", self.cur_region), &VL_BOUNDS)
-            .record(ev.vl as u64);
+        self.reg.histogram(&self.vl_hist, &VL_BOUNDS).record(ev.vl as u64);
     }
 
     fn wants_vec_events(&self) -> bool {

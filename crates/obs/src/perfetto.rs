@@ -23,10 +23,19 @@
 //! [`PerfettoObserver::into_json`] after the run finishes and is
 //! checkable with [`validate_chrome_trace`] — the same function the
 //! golden-file tests and `vlt prof` use.
+//!
+//! Cost: recording an event allocates nothing but the name of a
+//! repartition instant. Export moves each recorded event into its JSON
+//! object, so the tree (about 1.7 KB and 15 allocations per `X` slice:
+//! two map leaves, `String` keys and values) is the only per-event
+//! allocation left. Validation walks each event's members once and
+//! formats a message only for the violation it reports.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use vlt_core::{CycleView, RepartitionEvent, SimObserver, SimResult, VecIssue};
+use vlt_isa::OpClass;
 use vlt_mem::BankEvent;
 use vlt_stats::json::Json;
 
@@ -35,47 +44,176 @@ const VU_PID: u64 = 2;
 const L2_PID: u64 = 3;
 const LANES_PID: u64 = 4;
 
-/// One Chrome-trace event, flattened to the fields this exporter uses.
-#[derive(Debug, Clone)]
+/// One recorded Chrome-trace event. It owns no heap data except the name
+/// of a repartition instant, which carries numbers.
+#[derive(Debug)]
 struct Ev {
-    ph: char,
-    name: String,
+    ph: u8,
+    name: Cow<'static, str>,
     cat: &'static str,
     ts: u64,
-    dur: Option<u64>,
+    /// `dur` of an `X` slice, `id` of an async `b`/`e` span, else 0.
+    span: u64,
     pid: u64,
     tid: u64,
-    /// Async-span id (`b`/`e` phases only).
-    id: Option<u64>,
-    args: Vec<(&'static str, f64)>,
+    args: Args,
+}
+
+/// The numeric `args` object of an event: a fixed kind of up to two values.
+#[derive(Debug, Clone, Copy)]
+enum Args {
+    None,
+    /// Cycles an applied repartition waited for the vector unit to drain.
+    Drain(u64),
+    /// A vector-unit slice's vector length and issuing thread.
+    VlThread(u64, u64),
+    /// A lane slice's vector length and whether the lane is active.
+    VlActive(u64, bool),
+    /// Whether an L2 access writes.
+    Write(bool),
 }
 
 impl Ev {
-    fn to_json(&self) -> Json {
-        let mut m = BTreeMap::new();
-        m.insert("ph".into(), Json::Str(self.ph.to_string()));
-        m.insert("name".into(), Json::Str(self.name.clone()));
-        m.insert("cat".into(), Json::Str(self.cat.into()));
-        m.insert("ts".into(), Json::Num(self.ts as f64));
-        m.insert("pid".into(), Json::Num(self.pid as f64));
-        m.insert("tid".into(), Json::Num(self.tid as f64));
-        if let Some(d) = self.dur {
-            m.insert("dur".into(), Json::Num(d as f64));
-        }
-        if let Some(id) = self.id {
-            m.insert("id".into(), Json::Num(id as f64));
-        }
-        if self.ph == 'i' {
+    /// A barrier-epoch async span edge (`b` or `e`).
+    fn epoch(ph: u8, ts: u64, id: u64) -> Ev {
+        let (pid, tid, args) = (THREADS_PID, 0, Args::None);
+        Ev { ph, name: "epoch".into(), cat: "barrier-epoch", ts, span: id, pid, tid, args }
+    }
+
+    /// A barrier-wait duration edge (`B` or `E`) on a thread's track.
+    fn wait(ph: u8, ts: u64, thread: u64) -> Ev {
+        let (pid, tid, args) = (THREADS_PID, thread, Args::None);
+        Ev { ph, name: "barrier-wait".into(), cat: "barrier", ts, span: 0, pid, tid, args }
+    }
+
+    /// A repartition instant.
+    fn instant(name: String, ts: u64, args: Args) -> Ev {
+        let (pid, tid, name) = (THREADS_PID, 0, name.into());
+        Ev { ph: b'i', name, cat: "repartition", ts, span: 0, pid, tid, args }
+    }
+
+    /// A complete (`X`) slice of `dur` cycles.
+    fn slice(
+        name: &'static str,
+        cat: &'static str,
+        ts: u64,
+        dur: u64,
+        track: (u64, u64),
+        args: Args,
+    ) -> Ev {
+        let (pid, tid) = track;
+        Ev { ph: b'X', name: name.into(), cat, ts, span: dur, pid, tid, args }
+    }
+
+    /// The event's JSON object. Consumes the event, so an owned name
+    /// moves into the tree.
+    fn into_json(self) -> Json {
+        let (cat, name, ph) = (
+            text(self.cat),
+            Json::Str(self.name.into_owned()),
+            Json::Str(char::from(self.ph).into()),
+        );
+        let (pid, tid, ts) = (num(self.pid), num(self.tid), num(self.ts));
+        match (self.ph, self.args.into_json()) {
+            (b'X', Some(args)) => obj([
+                ("args", args),
+                ("cat", cat),
+                ("dur", num(self.span)),
+                ("name", name),
+                ("ph", ph),
+                ("pid", pid),
+                ("tid", tid),
+                ("ts", ts),
+            ]),
+            (b'b' | b'e', _) => obj([
+                ("cat", cat),
+                ("id", num(self.span)),
+                ("name", name),
+                ("ph", ph),
+                ("pid", pid),
+                ("tid", tid),
+                ("ts", ts),
+            ]),
             // Instants need a scope; "g" renders machine-wide.
-            m.insert("s".into(), Json::Str("g".into()));
+            (b'i', Some(args)) => obj([
+                ("args", args),
+                ("cat", cat),
+                ("name", name),
+                ("ph", ph),
+                ("pid", pid),
+                ("s", text("g")),
+                ("tid", tid),
+                ("ts", ts),
+            ]),
+            (b'i', None) => obj([
+                ("cat", cat),
+                ("name", name),
+                ("ph", ph),
+                ("pid", pid),
+                ("s", text("g")),
+                ("tid", tid),
+                ("ts", ts),
+            ]),
+            // `B`/`E`: no span, no args.
+            _ => obj([
+                ("cat", cat),
+                ("name", name),
+                ("ph", ph),
+                ("pid", pid),
+                ("tid", tid),
+                ("ts", ts),
+            ]),
         }
-        if !self.args.is_empty() {
-            m.insert(
-                "args".into(),
-                Json::Obj(self.args.iter().map(|(k, v)| ((*k).into(), Json::Num(*v))).collect()),
-            );
-        }
-        Json::Obj(m)
+    }
+}
+
+impl Args {
+    fn into_json(self) -> Option<Json> {
+        Some(match self {
+            Args::None => return None,
+            Args::Drain(cycles) => obj([("drain", num(cycles))]),
+            Args::VlThread(vl, vthread) => obj([("vl", num(vl)), ("vthread", num(vthread))]),
+            Args::VlActive(vl, active) => obj([("active", num(active.into())), ("vl", num(vl))]),
+            Args::Write(write) => obj([("write", num(write.into()))]),
+        })
+    }
+}
+
+/// A JSON object from members given in key order (`BTreeMap::from` sorts
+/// them again, which costs one comparison per member when they are).
+fn obj<const N: usize>(members: [(&str, Json); N]) -> Json {
+    Json::Obj(BTreeMap::from(members.map(|(k, v)| (k.to_owned(), v))))
+}
+
+fn num(v: u64) -> Json {
+    Json::Num(v as f64)
+}
+
+fn text(s: &str) -> Json {
+    Json::Str(s.to_owned())
+}
+
+/// The name of a vector or lane slice: `format!("{:?}", class)`, from a
+/// static table instead of a fresh allocation per slice.
+fn class_name(class: OpClass) -> &'static str {
+    match class {
+        OpClass::IntAlu => "IntAlu",
+        OpClass::IntMul => "IntMul",
+        OpClass::IntDiv => "IntDiv",
+        OpClass::FpAdd => "FpAdd",
+        OpClass::FpMul => "FpMul",
+        OpClass::FpDiv => "FpDiv",
+        OpClass::Load => "Load",
+        OpClass::Store => "Store",
+        OpClass::Branch => "Branch",
+        OpClass::Jump => "Jump",
+        OpClass::VAdd => "VAdd",
+        OpClass::VMul => "VMul",
+        OpClass::VDiv => "VDiv",
+        OpClass::VMask => "VMask",
+        OpClass::VLoad => "VLoad",
+        OpClass::VStore => "VStore",
+        OpClass::Sys => "Sys",
     }
 }
 
@@ -83,10 +221,16 @@ impl Ev {
 ///
 /// Passive like every observer in this crate: no `next_deadline`, so the
 /// event-driven driver is unhindered and results stay byte-identical to
-/// an unobserved run. High-rate slice events (`X`) are capped at
-/// `max_events`; structural events (park `B`/`E`, epoch `b`/`e`,
-/// instants, metadata) are never dropped, so the trace stays balanced
-/// even when truncated — [`PerfettoObserver::dropped`] reports the loss.
+/// an unobserved run. A recorded event is a fixed-size record with a
+/// static name and a fixed kind of numeric args; only the repartition
+/// instants, whose names carry numbers, own a string.
+///
+/// The cap `max_events` counts every recorded event, structural ones
+/// included, but only high-rate slices (`X`) are dropped once it is
+/// reached: structural events (park `B`/`E`, epoch `b`/`e`, instants) are
+/// kept past it and metadata is emitted on export, so the trace stays
+/// balanced even when truncated — [`PerfettoObserver::dropped`] reports
+/// the loss.
 #[derive(Debug)]
 pub struct PerfettoObserver {
     events: Vec<Ev>,
@@ -118,12 +262,13 @@ impl Default for PerfettoObserver {
 }
 
 impl PerfettoObserver {
-    /// A tracer with the default 2M-slice cap.
+    /// A tracer with the default 2M-event cap.
     pub fn new() -> Self {
         Self::with_capacity(2_000_000)
     }
 
-    /// A tracer keeping at most `max_events` high-rate slices.
+    /// A tracer that drops high-rate slices once `max_events` events are
+    /// recorded.
     pub fn with_capacity(max_events: usize) -> Self {
         let mut t = PerfettoObserver {
             events: Vec::new(),
@@ -139,17 +284,7 @@ impl PerfettoObserver {
             finished: false,
         };
         // Epoch 0 opens at time zero.
-        t.push_structural(Ev {
-            ph: 'b',
-            name: "epoch".into(),
-            cat: "barrier-epoch",
-            ts: 0,
-            dur: None,
-            pid: THREADS_PID,
-            tid: 0,
-            id: Some(0),
-            args: vec![],
-        });
+        t.push_structural(Ev::epoch(b'b', 0, 0));
         t
     }
 
@@ -182,64 +317,55 @@ impl PerfettoObserver {
 
     /// Consume the tracer, producing the Chrome-trace JSON document.
     /// Call after the run (the `on_finish` hook closes open spans).
+    ///
+    /// Metadata events (`M`) name every process and track first; the
+    /// recorded events follow in timestamp order, each moved into its
+    /// object, built from members already in key order. `traceEvents` is
+    /// allocated once.
     pub fn into_json(mut self) -> Json {
-        let mut meta = Vec::new();
-        let process = |name: &str, pid: u64| {
-            Ev {
-                ph: 'M',
-                name: "process_name".into(),
-                cat: "__metadata",
-                ts: 0,
-                dur: None,
-                pid,
-                tid: 0,
-                id: None,
-                args: vec![],
-            }
-            .named_arg(name)
+        let meta = |kind: &str, pid: u64, tid: u64, name: String| {
+            obj([
+                ("args", obj([("name", Json::Str(name))])),
+                ("cat", text("__metadata")),
+                ("name", text(kind)),
+                ("ph", text("M")),
+                ("pid", num(pid)),
+                ("tid", num(tid)),
+                ("ts", num(0)),
+            ])
         };
-        meta.push(process("threads", THREADS_PID));
-        meta.push(process("vector unit", VU_PID));
-        meta.push(process("L2 banks", L2_PID));
-        if self.lanes_seen > 0 {
-            meta.push(process("lanes", LANES_PID));
+        let tracks = 4
+            + self.threads_seen
+            + self.clusters_seen * (self.partitions_seen + self.lanes_seen)
+            + self.banks_seen;
+        let mut out = Vec::with_capacity(tracks as usize + self.events.len());
+        let processes = [("threads", THREADS_PID), ("vector unit", VU_PID), ("L2 banks", L2_PID)];
+        for (name, pid) in processes {
+            out.push(meta("process_name", pid, 0, name.into()));
         }
-        let thread = |name: String, pid: u64, tid: u64| {
-            Ev {
-                ph: 'M',
-                name: "thread_name".into(),
-                cat: "__metadata",
-                ts: 0,
-                dur: None,
-                pid,
-                tid,
-                id: None,
-                args: vec![],
-            }
-            .named_arg(&name)
-        };
+        if self.lanes_seen > 0 {
+            out.push(meta("process_name", LANES_PID, 0, "lanes".into()));
+        }
+        let mut thread =
+            |name: String, pid: u64, tid: u64| out.push(meta("thread_name", pid, tid, name));
         for t in 0..self.threads_seen {
-            meta.push(thread(format!("thread {t}"), THREADS_PID, t));
+            thread(format!("thread {t}"), THREADS_PID, t);
         }
         if self.clusters_seen <= 1 {
             for p in 0..self.partitions_seen {
-                meta.push(thread(format!("partition {p}"), VU_PID, p));
+                thread(format!("partition {p}"), VU_PID, p);
             }
         } else {
             // Per-cluster trace slices: each cluster's partitions group
             // under its own named tracks.
             for c in 0..self.clusters_seen {
                 for p in 0..self.partitions_seen {
-                    meta.push(thread(
-                        format!("cluster {c} partition {p}"),
-                        VU_PID,
-                        c * CLUSTER_TID + p,
-                    ));
+                    thread(format!("cluster {c} partition {p}"), VU_PID, c * CLUSTER_TID + p);
                 }
             }
         }
         for b in 0..self.banks_seen {
-            meta.push(thread(format!("bank {b}"), L2_PID, b));
+            thread(format!("bank {b}"), L2_PID, b);
         }
         for c in 0..self.clusters_seen {
             for l in 0..self.lanes_seen {
@@ -248,81 +374,28 @@ impl PerfettoObserver {
                 } else {
                     format!("cluster {c} lane {l}")
                 };
-                meta.push(thread(name, LANES_PID, c * CLUSTER_TID + l));
+                thread(name, LANES_PID, c * CLUSTER_TID + l);
             }
         }
         // Chronological order (stable: same-cycle events keep the driver's
         // emission order, which nests B before E correctly).
         self.events.sort_by_key(|e| e.ts);
-        let mut out: Vec<Json> = meta.iter().map(EvWithName::to_json).collect();
-        out.extend(self.events.iter().map(Ev::to_json));
-        let mut doc = BTreeMap::new();
-        doc.insert("traceEvents".into(), Json::Arr(out));
-        doc.insert("displayTimeUnit".into(), Json::Str("ns".into()));
-        let mut other = BTreeMap::new();
-        other.insert("clock".into(), Json::Str("simulated-cycles".into()));
-        other.insert("droppedEvents".into(), Json::Num(self.dropped as f64));
-        doc.insert("otherData".into(), Json::Obj(other));
-        Json::Obj(doc)
-    }
-}
-
-impl Ev {
-    /// Attach a `{"name": ...}` args object (metadata events name their
-    /// process/track this way, not through the event's own `name`).
-    fn named_arg(mut self, name: &str) -> EvWithName {
-        self.cat = "__metadata";
-        EvWithName { ev: self, name: name.to_string() }
-    }
-}
-
-/// A metadata event whose `args.name` is a string (the numeric-args
-/// vector on [`Ev`] can't hold it).
-#[derive(Debug, Clone)]
-struct EvWithName {
-    ev: Ev,
-    name: String,
-}
-
-impl EvWithName {
-    fn to_json(&self) -> Json {
-        let mut j = self.ev.to_json();
-        if let Json::Obj(m) = &mut j {
-            let mut args = BTreeMap::new();
-            args.insert("name".into(), Json::Str(self.name.clone()));
-            m.insert("args".into(), Json::Obj(args));
-        }
-        j
+        out.extend(self.events.into_iter().map(Ev::into_json));
+        let other =
+            obj([("clock", text("simulated-cycles")), ("droppedEvents", num(self.dropped))]);
+        obj([
+            ("displayTimeUnit", text("ns")),
+            ("otherData", other),
+            ("traceEvents", Json::Arr(out)),
+        ])
     }
 }
 
 impl SimObserver for PerfettoObserver {
     fn on_barrier(&mut self, now: u64, _releases: u64, _view: &CycleView<'_>) {
-        let id = self.epoch;
-        self.push_structural(Ev {
-            ph: 'e',
-            name: "epoch".into(),
-            cat: "barrier-epoch",
-            ts: now,
-            dur: None,
-            pid: THREADS_PID,
-            tid: 0,
-            id: Some(id),
-            args: vec![],
-        });
+        self.push_structural(Ev::epoch(b'e', now, self.epoch));
         self.epoch += 1;
-        let id = self.epoch;
-        self.push_structural(Ev {
-            ph: 'b',
-            name: "epoch".into(),
-            cat: "barrier-epoch",
-            ts: now,
-            dur: None,
-            pid: THREADS_PID,
-            tid: 0,
-            id: Some(id),
-            args: vec![],
-        });
+        self.push_structural(Ev::epoch(b'b', now, self.epoch));
     }
 
     fn on_repartition(&mut self, now: u64, ev: &RepartitionEvent) {
@@ -337,31 +410,12 @@ impl SimObserver for PerfettoObserver {
         } else {
             format!("vltcfg {} -> {}{}", ev.requested, ev.applied, clamp)
         };
-        self.push_structural(Ev {
-            ph: 'i',
-            name,
-            cat: "repartition",
-            ts: now,
-            dur: None,
-            pid: THREADS_PID,
-            tid: 0,
-            id: None,
-            args: vec![],
-        });
+        self.push_structural(Ev::instant(name, now, Args::None));
     }
 
     fn on_repartition_applied(&mut self, now: u64, drain_latency: u64) {
-        self.push_structural(Ev {
-            ph: 'i',
-            name: format!("repartition applied (drained {drain_latency} cy)"),
-            cat: "repartition",
-            ts: now,
-            dur: None,
-            pid: THREADS_PID,
-            tid: 0,
-            id: None,
-            args: vec![("drain", drain_latency as f64)],
-        });
+        let name = format!("repartition applied (drained {drain_latency} cy)");
+        self.push_structural(Ev::instant(name, now, Args::Drain(drain_latency)));
     }
 
     fn on_park(&mut self, now: u64, thread: usize, parked: bool) {
@@ -375,55 +429,29 @@ impl SimObserver for PerfettoObserver {
             return;
         }
         self.park_open[thread] = parked;
-        self.push_structural(Ev {
-            ph: if parked { 'B' } else { 'E' },
-            name: "barrier-wait".into(),
-            cat: "barrier",
-            ts: now,
-            dur: None,
-            pid: THREADS_PID,
-            tid: thread as u64,
-            id: None,
-            args: vec![],
-        });
+        self.push_structural(Ev::wait(if parked { b'B' } else { b'E' }, now, thread as u64));
     }
 
     fn on_vec_issue(&mut self, _now: u64, ev: &VecIssue) {
         self.partitions_seen = self.partitions_seen.max(ev.partition as u64 + 1);
         self.clusters_seen = self.clusters_seen.max(ev.cluster as u64 + 1);
-        self.push_capped(Ev {
-            ph: 'X',
-            name: format!("{:?}", ev.class),
-            cat: "vu",
-            ts: ev.start,
-            dur: Some(ev.done.saturating_sub(ev.start).max(1)),
-            pid: VU_PID,
-            tid: ev.cluster as u64 * CLUSTER_TID + ev.partition as u64,
-            id: None,
-            args: vec![("vl", ev.vl as f64), ("vthread", ev.vthread as f64)],
-        });
+        let (name, vl) = (class_name(ev.class), ev.vl as u64);
+        let dur = ev.done.saturating_sub(ev.start).max(1);
+        let cluster = ev.cluster as u64 * CLUSTER_TID;
+        let track = (VU_PID, cluster + ev.partition as u64);
+        let args = Args::VlThread(vl, ev.vthread as u64);
+        self.push_capped(Ev::slice(name, "vu", ev.start, dur, track, args));
         // Per-lane tracks (pid 4): one slice per lane of the issuing
         // partition. `partition * lanes + j` is the *physical* lane — the
         // tid survives repartitioning, so one track shows one lane's whole
         // history.
-        let dur = ev.done.saturating_sub(ev.start).max(1);
         for j in 0..ev.lanes {
             let active = j < ev.vl;
-            self.lanes_seen =
-                self.lanes_seen.max(ev.partition as u64 * ev.lanes as u64 + j as u64 + 1);
-            self.push_capped(Ev {
-                ph: 'X',
-                name: if active { format!("{:?}", ev.class) } else { "masked".into() },
-                cat: "lane",
-                ts: ev.start,
-                dur: Some(dur),
-                pid: LANES_PID,
-                tid: ev.cluster as u64 * CLUSTER_TID
-                    + ev.partition as u64 * ev.lanes as u64
-                    + j as u64,
-                id: None,
-                args: vec![("vl", ev.vl as f64), ("active", active as u64 as f64)],
-            });
+            let lane = ev.partition as u64 * ev.lanes as u64 + j as u64;
+            self.lanes_seen = self.lanes_seen.max(lane + 1);
+            let name = if active { name } else { "masked" };
+            let (track, args) = ((LANES_PID, cluster + lane), Args::VlActive(vl, active));
+            self.push_capped(Ev::slice(name, "lane", ev.start, dur, track, args));
         }
     }
 
@@ -440,17 +468,9 @@ impl SimObserver for PerfettoObserver {
         } else {
             "hit"
         };
-        self.push_capped(Ev {
-            ph: 'X',
-            name: name.into(),
-            cat: "l2",
-            ts: ev.start,
-            dur: Some(ev.done.saturating_sub(ev.start).max(1)),
-            pid: L2_PID,
-            tid: ev.bank as u64,
-            id: None,
-            args: vec![("write", ev.write as u64 as f64)],
-        });
+        let dur = ev.done.saturating_sub(ev.start).max(1);
+        let track = (L2_PID, ev.bank as u64);
+        self.push_capped(Ev::slice(name, "l2", ev.start, dur, track, Args::Write(ev.write)));
     }
 
     fn wants_mem_events(&self) -> bool {
@@ -466,31 +486,47 @@ impl SimObserver for PerfettoObserver {
         for t in 0..self.park_open.len() {
             if self.park_open[t] {
                 self.park_open[t] = false;
-                self.push_structural(Ev {
-                    ph: 'E',
-                    name: "barrier-wait".into(),
-                    cat: "barrier",
-                    ts: end,
-                    dur: None,
-                    pid: THREADS_PID,
-                    tid: t as u64,
-                    id: None,
-                    args: vec![],
-                });
+                self.push_structural(Ev::wait(b'E', end, t as u64));
             }
         }
-        let id = self.epoch;
-        self.push_structural(Ev {
-            ph: 'e',
-            name: "epoch".into(),
-            cat: "barrier-epoch",
-            ts: end,
-            dur: None,
-            pid: THREADS_PID,
-            tid: 0,
-            id: Some(id),
-            args: vec![],
-        });
+        self.push_structural(Ev::epoch(b'e', end, self.epoch));
+    }
+}
+
+/// The members of one trace event that [`validate_chrome_trace`] reads,
+/// each `None` when absent or of the wrong type, taken in one walk of
+/// the event's map.
+#[derive(Default)]
+struct Members<'a> {
+    ph: Option<&'a str>,
+    name: Option<&'a str>,
+    cat: Option<&'a str>,
+    ts: Option<f64>,
+    pid: Option<f64>,
+    tid: Option<f64>,
+    dur: Option<f64>,
+    id: Option<f64>,
+}
+
+impl<'a> Members<'a> {
+    fn of(ev: &'a Json) -> Self {
+        let mut m = Members::default();
+        if let Json::Obj(members) = ev {
+            for (k, v) in members {
+                match k.as_str() {
+                    "ph" => m.ph = v.as_str(),
+                    "name" => m.name = v.as_str(),
+                    "cat" => m.cat = v.as_str(),
+                    "ts" => m.ts = v.as_f64(),
+                    "pid" => m.pid = v.as_f64(),
+                    "tid" => m.tid = v.as_f64(),
+                    "dur" => m.dur = v.as_f64(),
+                    "id" => m.id = v.as_f64(),
+                    _ => {}
+                }
+            }
+        }
+        m
     }
 }
 
@@ -499,21 +535,24 @@ impl SimObserver for PerfettoObserver {
 /// non-decreasing (metadata aside), every `B` has a matching `E` per
 /// `(pid, tid)` track, and every async `b` span closes with an `e` of
 /// the same `(cat, id)`. Returns the first violation.
+///
+/// Each event's members are read in one walk of its map; a message is
+/// formatted only for the violation returned.
 pub fn validate_chrome_trace(doc: &Json) -> Result<(), String> {
     let events =
         doc.get("traceEvents").and_then(Json::as_arr).ok_or("\"traceEvents\" is not an array")?;
     let mut last_ts = 0f64;
     let mut stacks: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-    let mut open_async: BTreeMap<(String, u64), u64> = BTreeMap::new();
+    let mut open_async: BTreeMap<(&str, u64), u64> = BTreeMap::new();
     for (i, ev) in events.iter().enumerate() {
-        let ph = ev.get("ph").and_then(Json::as_str).ok_or(format!("event {i}: missing \"ph\""))?;
-        let ts = ev.get("ts").and_then(Json::as_f64).ok_or(format!("event {i}: missing \"ts\""))?;
-        let pid =
-            ev.get("pid").and_then(Json::as_f64).ok_or(format!("event {i}: missing \"pid\""))?;
-        let tid =
-            ev.get("tid").and_then(Json::as_f64).ok_or(format!("event {i}: missing \"tid\""))?;
-        if ev.get("name").and_then(Json::as_str).is_none() {
-            return Err(format!("event {i}: missing \"name\""));
+        let m = Members::of(ev);
+        let missing = |field: &str| Err(format!("event {i}: missing \"{field}\""));
+        let Some(ph) = m.ph else { return missing("ph") };
+        let Some(ts) = m.ts else { return missing("ts") };
+        let Some(pid) = m.pid else { return missing("pid") };
+        let Some(tid) = m.tid else { return missing("tid") };
+        if m.name.is_none() {
+            return missing("name");
         }
         if ph == "M" {
             continue; // metadata is untimed
@@ -533,28 +572,25 @@ pub fn validate_chrome_trace(doc: &Json) -> Result<(), String> {
                 *depth -= 1;
             }
             "X" => {
-                if ev.get("dur").and_then(Json::as_f64).is_none() {
+                if m.dur.is_none() {
                     return Err(format!("event {i}: X slice without \"dur\""));
                 }
             }
             "b" | "e" => {
-                let cat = ev
-                    .get("cat")
-                    .and_then(Json::as_str)
-                    .ok_or(format!("event {i}: async span without \"cat\""))?;
-                let id = ev
-                    .get("id")
-                    .and_then(Json::as_f64)
-                    .ok_or(format!("event {i}: async span without \"id\""))?;
-                let key = (cat.to_string(), id as u64);
+                let Some(cat) = m.cat else {
+                    return Err(format!("event {i}: async span without \"cat\""));
+                };
+                let Some(id) = m.id else {
+                    return Err(format!("event {i}: async span without \"id\""));
+                };
+                let key = (cat, id as u64);
+                let open = open_async.entry(key).or_insert(0);
                 if ph == "b" {
-                    *open_async.entry(key).or_insert(0) += 1;
+                    *open += 1;
+                } else if *open == 0 {
+                    return Err(format!("event {i}: async e without open b for {key:?}"));
                 } else {
-                    let n = open_async.entry(key.clone()).or_insert(0);
-                    if *n == 0 {
-                        return Err(format!("event {i}: async e without open b for {key:?}"));
-                    }
-                    *n -= 1;
+                    *open -= 1;
                 }
             }
             "i" => {}
@@ -568,4 +604,20 @@ pub fn validate_chrome_trace(doc: &Json) -> Result<(), String> {
         return Err(format!("unclosed async span {key:?}"));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+    use vlt_isa::Op;
+
+    #[test]
+    fn static_class_names_match_their_debug_names() {
+        let classes: HashSet<OpClass> = Op::ALL.iter().map(|op| op.class()).collect();
+        assert_eq!(classes.len(), 17, "some op carries each of the 17 classes");
+        for class in classes {
+            assert_eq!(class_name(class), format!("{class:?}"));
+        }
+    }
 }

@@ -160,9 +160,14 @@ impl MetricsRegistry {
     }
 
     /// The histogram `name`, created with `bounds` on first use.
-    /// An existing histogram keeps its original bounds.
+    /// An existing histogram keeps its original bounds. The name is looked
+    /// up first and copied only when the histogram is created, so
+    /// recording into an existing histogram allocates nothing.
     pub fn histogram(&mut self, name: &str, bounds: &[u64]) -> &mut Histogram {
-        self.histograms.entry(name.to_string()).or_insert_with(|| Histogram::new(bounds))
+        if !self.histograms.contains_key(name) {
+            self.histograms.insert(name.to_string(), Histogram::new(bounds));
+        }
+        self.histograms.get_mut(name).expect("created above when absent")
     }
 
     /// The histogram `name`, if it exists.
@@ -224,22 +229,20 @@ pub fn validate_metrics_json(doc: &Json) -> Result<(), String> {
         _ => return Err("\"histograms\" is not an object".into()),
     };
     for (k, h) in hists {
-        let bounds =
-            h.get("bounds").and_then(Json::as_arr).ok_or(format!("histogram {k:?}: no bounds"))?;
-        let counts =
-            h.get("counts").and_then(Json::as_arr).ok_or(format!("histogram {k:?}: no counts"))?;
+        let no = |field: &str| format!("histogram {k:?}: no {field}");
+        let bounds = h.get("bounds").and_then(Json::as_arr).ok_or_else(|| no("bounds"))?;
+        let counts = h.get("counts").and_then(Json::as_arr).ok_or_else(|| no("counts"))?;
         if counts.len() != bounds.len() + 1 {
             return Err(format!("histogram {k:?}: counts/bounds length mismatch"));
         }
-        let total =
-            h.get("count").and_then(Json::as_f64).ok_or(format!("histogram {k:?}: no count"))?;
+        let total = h.get("count").and_then(Json::as_f64).ok_or_else(|| no("count"))?;
         let sum: f64 = counts.iter().filter_map(Json::as_f64).sum();
         if sum != total {
             return Err(format!("histogram {k:?}: bucket counts sum to {sum}, count says {total}"));
         }
         for field in ["sum", "min", "max"] {
             if h.get(field).and_then(Json::as_f64).is_none() {
-                return Err(format!("histogram {k:?}: no {field}"));
+                return Err(no(field));
             }
         }
     }
@@ -286,6 +289,19 @@ mod tests {
             "count": 1.0, "sum": 1.0, "min": 1.0, "max": 1.0}}}"#;
         let err = validate_metrics_json(&Json::parse(bad).unwrap()).unwrap_err();
         assert!(err.contains("length mismatch"), "{err}");
+        for (hist, want) in [
+            (r#"{"counts": [1]}"#, r#"histogram "h": no bounds"#),
+            (r#"{"bounds": []}"#, r#"histogram "h": no counts"#),
+            (r#"{"bounds": [], "counts": [1]}"#, r#"histogram "h": no count"#),
+            (r#"{"bounds": [], "counts": [1], "count": 1, "max": 1}"#, r#"histogram "h": no sum"#),
+        ] {
+            let mut doc = MetricsRegistry::new().to_json();
+            if let Json::Obj(m) = &mut doc {
+                let hists = Json::parse(&format!(r#"{{"h": {hist}}}"#)).unwrap();
+                m.insert("histograms".into(), hists);
+            }
+            assert_eq!(validate_metrics_json(&doc), Err(want.to_string()), "{hist}");
+        }
     }
 
     #[test]
