@@ -1,12 +1,13 @@
-//! The block engine: lazy superblock compilation and threaded-code
-//! execution of hot paths, bit-exact against the interpreter.
+//! The block engine: lazy superblocks of decoded instructions, chained
+//! through direct successor links and executed by the interpreter's own
+//! per-instruction function, [`crate::interp::exec`].
 //!
 //! # Block discovery
 //!
 //! Blocks are discovered lazily at *executed entry points*: whenever the
-//! engine is asked to run from a PC with no cached block, it compiles a
-//! straight-line run of micro-ops starting there. A block extends until
-//! the first of:
+//! engine is asked to run from a PC with no cached block, it records the
+//! straight-line run of static instructions starting there. A block
+//! extends until the first of:
 //!
 //! * a control transfer (conditional branch, `j`/`jal`/`jr`/`jalr`) —
 //!   included as the block's terminator;
@@ -14,15 +15,15 @@
 //!   the block ends just before it and the [`crate::FuncSim`] driver
 //!   executes it through the interpreter (rendezvous and repartition need
 //!   driver-level state);
-//! * the [`MAX_UOPS`] cap, which bounds run-ahead (and so the number of
-//!   queued-but-unconsumed element-address spans in the
+//! * the [`MAX_BLOCK_INSTS`] cap, which bounds run-ahead (and so the
+//!   number of queued-but-unconsumed element-address spans in the
 //!   [`AddrArena`] ring);
 //! * the end of the text segment.
 //!
 //! Because entry points are execution-driven rather than leader-driven,
 //! blocks may overlap (a branch into the middle of an existing block
-//! simply compiles a new suffix block) — the superblock trade: a little
-//! duplicated compilation for straight-line execution with no mid-block
+//! simply records a new suffix block) — the superblock trade: a little
+//! duplicated discovery for straight-line execution with no mid-block
 //! entry checks.
 //!
 //! # Direct links
@@ -32,30 +33,33 @@
 //! follows block → block links with no PC lookup at all; only dynamic
 //! jumps (`jr`/`jalr`) re-resolve through the dense PC→index table.
 //!
-//! # Exactness
+//! # Where the speed comes from
 //!
-//! µop execution (see [`crate::uop`]) updates the architectural state and
-//! emits [`DynInst`] records exactly as [`crate::interp::step`] would,
-//! including arena allocation order — so the trace handed to the timing
-//! models is byte-identical, and the interpreter remains a drop-in
-//! cross-validation oracle.
+//! A block runs its instructions back to back: no PC lookup, and none of
+//! [`crate::FuncSim::step_thread`]'s per-step checks (halt, barrier
+//! parking, checkers, the hand-off queue). The instructions themselves
+//! execute exactly as single-stepping executes them, through the same
+//! function, so the trace handed to the timing models is byte-identical
+//! (arena allocation order included) and the interpreter engine stays a
+//! drop-in oracle for the chaining, links and run-ahead.
 
-use vlt_isa::OpClass;
+use vlt_isa::{Op, OpClass};
 
 use crate::arena::AddrArena;
 use crate::error::ExecError;
+use crate::interp;
 use crate::memory::Memory;
 use crate::program::DecodedProgram;
 use crate::state::ArchState;
 use crate::trace::{DynInst, DynKind};
-use crate::uop::{self, Uop};
 
-/// Upper bound on µops per block. Bounds the engine's run-ahead when the
-/// timing driver consumes instructions one at a time: at most one block of
-/// architectural state change is buffered ahead of the replay point, and
-/// at most `MAX_UOPS` element-address spans sit unconsumed in the arena
-/// ring (well inside its slack — see [`crate::arena`]).
-pub const MAX_UOPS: usize = 128;
+/// Upper bound on instructions per block. Bounds the engine's run-ahead
+/// when the timing driver consumes instructions one at a time: at most one
+/// block of architectural state change is buffered ahead of the replay
+/// point, and at most `MAX_BLOCK_INSTS` element-address spans sit
+/// unconsumed in the arena ring (well inside its slack — see
+/// [`crate::arena`]).
+pub const MAX_BLOCK_INSTS: usize = 128;
 
 /// `link`/`by_sidx` sentinel: not yet resolved/compiled.
 const UNCOMPILED: u32 = u32::MAX;
@@ -77,15 +81,16 @@ enum Term {
     Dyn,
 }
 
-/// One compiled block: a straight-line µop sequence plus successor links.
+/// One compiled block: a straight-line run of static instructions plus
+/// successor links.
 #[derive(Debug)]
 struct CBlock {
     /// Static index of the first instruction.
     start_sidx: u32,
     /// PC of the first instruction.
     start_pc: u64,
-    /// The threaded-code body; the last µop may be a control transfer.
-    uops: Box<[Uop]>,
+    /// Number of instructions; the last may be a control transfer.
+    len: u32,
     /// Terminator classification.
     term: Term,
     /// Block index of the fall-through successor ([`UNCOMPILED`] until
@@ -150,8 +155,10 @@ impl BlockCache {
     /// must take one interpreter step instead.
     ///
     /// A `sink` error (the driver's instruction budget) aborts after the
-    /// current µop, with the architectural state advanced through it —
-    /// the same truncation point the interpreter driver produces.
+    /// current instruction, with the architectural state advanced through
+    /// it — the same truncation point the interpreter driver produces. A
+    /// fault leaves `st.pc` on the faulting instruction, as single-stepping
+    /// does.
     pub fn run<F: FnMut(DynInst) -> Result<(), ExecError>>(
         &mut self,
         st: &mut ArchState,
@@ -168,18 +175,18 @@ impl BlockCache {
             let mut taken = false;
             let blk = &self.blocks[bi as usize];
             debug_assert_eq!(blk.start_pc, st.pc, "block entered at the wrong pc");
-            let (start_sidx, start_pc) = (blk.start_sidx, blk.start_pc);
-            for (k, &u) in blk.uops.iter().enumerate() {
-                let pc = start_pc + 4 * k as u64;
-                let d = uop::exec(u, start_sidx + k as u32, pc, st, mem, prog, arena)?;
+            let start = blk.start_sidx as usize;
+            let body = &prog.insts[start..start + blk.len as usize];
+            for (k, si) in body.iter().enumerate() {
+                let d = interp::exec(st, mem, si, (start + k) as u32, arena)?;
                 if let DynKind::Branch { taken: t, .. } = d.kind {
                     taken = t;
                 }
                 sink(d)?;
             }
             // Follow the successor link, resolving it on first use. After
-            // the µop loop `st.pc` is already the successor PC, so a
-            // fresh resolution is always consistent with the cached link.
+            // the block `st.pc` is already the successor PC, so a fresh
+            // resolution is always consistent with the cached link.
             let term = self.blocks[bi as usize].term;
             bi = match term {
                 Term::Dyn => self.resolve_pc(prog, st.pc),
@@ -214,28 +221,28 @@ impl BlockCache {
 }
 
 /// Compile a block entered at `start`, or `None` when the entry
-/// instruction is stateful (always interpreted).
+/// instruction is stateful (always single-stepped by the driver).
 fn compile_block(prog: &DecodedProgram, start: usize) -> Option<CBlock> {
-    let mut uops = Vec::new();
+    let mut end = start;
     let mut term = Term::Fall;
-    let mut i = start;
-    while i < prog.len() && uops.len() < MAX_UOPS {
-        let si = prog.get(i);
-        let Some(u) = uop::compile(si) else { break };
-        uops.push(u);
-        if matches!(si.class, OpClass::Branch | OpClass::Jump) {
-            term = if matches!(u, Uop::JmpR { .. }) { Term::Dyn } else { Term::Static };
+    while end < prog.len() && end - start < MAX_BLOCK_INSTS {
+        let si = prog.get(end);
+        if matches!(si.inst.op, Op::Barrier | Op::Halt | Op::VltCfg) {
             break;
         }
-        i += 1;
+        end += 1;
+        if matches!(si.class, OpClass::Branch | OpClass::Jump) {
+            term = if matches!(si.inst.op, Op::Jr | Op::Jalr) { Term::Dyn } else { Term::Static };
+            break;
+        }
     }
-    if uops.is_empty() {
+    if end == start {
         return None;
     }
     Some(CBlock {
         start_sidx: start as u32,
         start_pc: prog.get(start).pc,
-        uops: uops.into_boxed_slice(),
+        len: (end - start) as u32,
         term,
         link_fall: UNCOMPILED,
         link_taken: UNCOMPILED,
@@ -246,6 +253,7 @@ fn compile_block(prog: &DecodedProgram, start: usize) -> Option<CBlock> {
 mod tests {
     use super::*;
     use crate::memory::Memory;
+    use crate::program::StaticInst;
     use vlt_isa::asm::assemble;
 
     fn setup(src: &str) -> (std::sync::Arc<DecodedProgram>, ArchState, Memory, AddrArena) {
@@ -256,18 +264,45 @@ mod tests {
         (d, st, mem, AddrArena::new(1))
     }
 
+    /// Over every opcode, masked where maskable: a block never holds
+    /// `barrier`, `halt` or `vltcfg` (an entry at one compiles nothing),
+    /// it ends after every branch and jump, `jr`/`jalr` end it with the
+    /// dynamic terminator, and every other op stays inside it.
     #[test]
     fn blocks_end_at_control_transfers_and_barriers() {
         let (d, _, _, _) =
             setup("li x1, 1\nadd x2, x1, x1\nbeq x1, x2, done\nnop\nbarrier\ndone:\nhalt\n");
         let b = compile_block(&d, 0).unwrap();
-        assert_eq!(b.uops.len(), 3); // li, add, beq (terminator included)
+        assert_eq!(b.len, 3); // li, add, beq (terminator included)
         assert_eq!(b.term, Term::Static);
         let b = compile_block(&d, 3).unwrap();
-        assert_eq!(b.uops.len(), 1); // nop; barrier excluded
+        assert_eq!(b.len, 1); // nop; barrier excluded
         assert_eq!(b.term, Term::Fall);
         assert!(compile_block(&d, 4).is_none()); // barrier entry
         assert!(compile_block(&d, 5).is_none()); // halt entry
+
+        let nop = vlt_isa::Inst::sys(Op::Nop);
+        for &op in Op::ALL {
+            for masked in [false, true].into_iter().filter(|&m| !m || op.maskable()) {
+                let inst = vlt_isa::Inst { op, rd: 1, rs1: 2, rs2: 3, imm: 1, masked };
+                let insts = [nop, inst, nop].into_iter().enumerate().map(|(i, inst)| {
+                    let (defs, uses) = inst.defs_uses();
+                    let pc = vlt_isa::TEXT_BASE + 4 * i as u64;
+                    StaticInst { inst, class: inst.op.class(), defs, uses, pc }
+                });
+                let d = DecodedProgram { insts: insts.collect(), program: Default::default() };
+                let b = compile_block(&d, 0).unwrap();
+                let (len, term) = match op {
+                    Op::Barrier | Op::Halt | Op::VltCfg => (1, Term::Fall),
+                    Op::Jr | Op::Jalr => (2, Term::Dyn),
+                    _ if matches!(op.class(), OpClass::Branch | OpClass::Jump) => (2, Term::Static),
+                    _ => (3, Term::Fall),
+                };
+                assert_eq!((b.len, b.term), (len, term), "{op:?} masked={masked}");
+                let stateful = matches!(op, Op::Barrier | Op::Halt | Op::VltCfg);
+                assert_eq!(compile_block(&d, 1).is_none(), stateful, "{op:?} entry");
+            }
+        }
     }
 
     #[test]

@@ -26,8 +26,9 @@
 
 use std::fmt;
 
-use vlt_isa::{Op, OpClass, RegRef, DATA_BASE, STACK_BASE, STACK_SIZE};
+use vlt_isa::{OpClass, RegRef, DATA_BASE, STACK_BASE, STACK_SIZE};
 
+use crate::interp;
 use crate::program::StaticInst;
 use crate::state::ArchState;
 
@@ -180,9 +181,9 @@ impl Checker {
     }
 
     /// Observe one instruction about to execute on thread `t`. Must be
-    /// called with the pre-execution architectural state (addresses are
-    /// recomputed from source registers the same way the interpreter
-    /// will).
+    /// called with the pre-execution architectural state: addresses come
+    /// from the source registers through the interpreter's own
+    /// [`interp::access_size`] and [`interp::vmem_addr`].
     pub fn observe(&mut self, t: usize, st: &ArchState, si: &StaticInst, sidx: usize) {
         // Undefined reads (the zero idiom is a def, not a use).
         if !si.inst.is_zero_idiom() {
@@ -210,31 +211,18 @@ impl Checker {
         let base = st.get_x(inst.rs1);
         match si.class {
             OpClass::Load | OpClass::Store => {
-                let size: u64 = match inst.op {
-                    Op::Ld | Op::Sd | Op::Fld | Op::Fsd => 8,
-                    Op::Lw | Op::Lwu | Op::Sw => 4,
-                    _ => 1,
-                };
+                let size = interp::access_size(inst.op).expect("a scalar access");
                 let addr = base.wrapping_add(inst.imm as i64 as u64);
                 let write = si.class == OpClass::Store;
-                self.check_addr(t, sidx, addr, size, write);
+                self.check_addr(t, sidx, addr, size as u64, write);
             }
             OpClass::VLoad | OpClass::VStore => {
                 let write = si.class == OpClass::VStore;
-                for e in 0..st.vl {
-                    if !st.lane_enabled(inst.masked, e) {
-                        continue;
-                    }
-                    let addr = match inst.op {
-                        Op::Vld | Op::Vst => base.wrapping_add(8 * e as u64),
-                        Op::Vlds | Op::Vsts => {
-                            base.wrapping_add(st.get_x(inst.rs2).wrapping_mul(e as u64))
-                        }
-                        // Gather/scatter: element index from the index vector.
-                        _ => base.wrapping_add(st.v[inst.rs2 as usize][e]),
-                    };
+                let (stride, index) = (st.get_x(inst.rs2), &st.v[inst.rs2 as usize]);
+                interp::for_enabled(st.vl, st.vm, inst.masked, |e| {
+                    let addr = interp::vmem_addr(inst.op, base, stride, index[e], e);
                     self.check_addr(t, sidx, addr, 8, write);
-                }
+                });
             }
             _ => {}
         }

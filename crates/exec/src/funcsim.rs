@@ -26,15 +26,16 @@ use crate::trace::{DynInst, DynKind};
 
 /// Which execution engine drives the functional simulation.
 ///
-/// Both engines produce byte-identical [`DynInst`] streams, final memory
-/// images, and run summaries; [`EngineMode::Interp`] is retained as the
-/// cross-validation oracle for the block engine, exactly as the timing
-/// side keeps `DriverMode::CycleByCycle` as the oracle for event-driven
-/// skipping.
+/// Both engines execute every instruction through the same function,
+/// [`crate::interp::exec`], and produce byte-identical [`DynInst`]
+/// streams, final memory images, and run summaries. [`EngineMode::Interp`]
+/// is retained as the cross-validation oracle for the block engine's
+/// chaining, links and run-ahead, exactly as the timing side keeps
+/// `DriverMode::CycleByCycle` as the oracle for event-driven skipping.
 ///
 /// The block engine executes ahead of the per-instruction hand-off by up
 /// to one compiled block per thread (bounded by
-/// [`crate::block::MAX_UOPS`]). For barrier-disciplined programs — the
+/// [`crate::block::MAX_BLOCK_INSTS`]). For barrier-disciplined programs — the
 /// memory model every workload is verified against (`vlt lint --races`) —
 /// this is architecturally invisible. The dynamic checkers observe
 /// pre-execution state per instruction, so enabling either one routes
@@ -43,7 +44,8 @@ use crate::trace::{DynInst, DynKind};
 pub enum EngineMode {
     /// Single-step the instruction interpreter (the oracle).
     Interp,
-    /// Threaded-code block engine with interpreter fallback (default).
+    /// Chained superblocks of the interpreter's per-instruction executor
+    /// (default).
     #[default]
     Block,
 }

@@ -1,11 +1,18 @@
-//! The instruction interpreter: architecturally exact execution of one
-//! instruction, producing the dynamic record the timing models replay.
+//! The instruction interpreter: the one definition of what each
+//! instruction does. [`step`] finds the instruction at `st.pc` and
+//! [`exec`] executes it, producing the dynamic record the timing models
+//! replay. The block engine ([`crate::block`]) runs [`exec`] on the
+//! instructions of a compiled block; the static verifier folds constants
+//! through [`int_alu`] and [`clamp_vl`]; it and the checked mode
+//! ([`crate::checker`]) check the accesses [`access_size`] and
+//! [`vmem_addr`] describe.
 //!
 //! Semantics notes:
 //!
 //! * Integer arithmetic wraps (two's complement, 64-bit).
 //! * `div`/`rem` by zero produce `-1` / the dividend (no trap).
 //! * Shift amounts use the low 6 bits.
+//! * `setvl` clamps its request, read unsigned, to the partition MVL.
 //! * Masked-off vector elements keep their previous destination value.
 //! * Vector compares write mask bits `0..vl`; higher bits are untouched.
 //! * `vextract`/`vinsert` indices wrap modulo [`MAX_VL`].
@@ -15,7 +22,7 @@ use vlt_isa::{Op, MAX_VL};
 use crate::arena::AddrArena;
 use crate::error::ExecError;
 use crate::memory::Memory;
-use crate::program::DecodedProgram;
+use crate::program::{DecodedProgram, StaticInst};
 use crate::state::ArchState;
 use crate::trace::{DynInst, DynKind};
 
@@ -31,12 +38,31 @@ pub fn step(
     prog: &DecodedProgram,
     arena: &mut AddrArena,
 ) -> Result<DynInst, ExecError> {
-    let sidx = prog.index_of(st.pc).ok_or(ExecError::BadPc { tid: st.tid, pc: st.pc })? as u32;
-    let si = prog.get(sidx as usize);
+    let sidx = prog.index_of(st.pc).ok_or(ExecError::BadPc { tid: st.tid, pc: st.pc })?;
+    exec(st, mem, prog.get(sidx), sidx as u32, arena)
+}
+
+/// Execute `si`, the instruction with static index `sidx`, which must be
+/// the one at `st.pc`. On success `st.pc` advances to the fall-through or
+/// the branch target; on a fault it still rests on `si`.
+///
+/// Kept out of line, so both engines run one copy: inlined into the block
+/// engine's loop, its element loops measured slower.
+#[inline(never)]
+pub fn exec(
+    st: &mut ArchState,
+    mem: &mut Memory,
+    si: &StaticInst,
+    sidx: u32,
+    arena: &mut AddrArena,
+) -> Result<DynInst, ExecError> {
+    debug_assert_eq!(st.pc, si.pc, "executing an instruction away from the thread's pc");
     let inst = si.inst;
+    let op = inst.op;
     let pc = st.pc;
     let (rd, rs1, rs2, imm) = (inst.rd, inst.rs1, inst.rs2, inst.imm as i64);
     let masked = inst.masked;
+    let (d, s1, s2) = (rd as usize, rs1 as usize, rs2 as usize);
 
     let mut kind = DynKind::Plain;
     let mut vl_field: u16 = 0;
@@ -53,56 +79,68 @@ pub fn step(
         }};
     }
 
-    // Vector helpers. All respect the current vl and (when `masked`) vm.
+    // A vector instruction over the current vl.
+    macro_rules! vector {
+        () => {{
+            vl_field = st.vl as u16;
+            kind = DynKind::Vector;
+        }};
+    }
+    // Elementwise helpers over the enabled elements.
     macro_rules! vv {
         ($f:expr) => {{
-            vl_field = st.vl as u16;
-            for e in 0..st.vl {
-                if st.lane_enabled(masked, e) {
-                    let a = st.v[rs1 as usize][e];
-                    let b = st.v[rs2 as usize][e];
-                    st.v[rd as usize][e] = $f(a, b);
-                }
-            }
-            kind = DynKind::Vector;
+            let v = &mut *st.v;
+            for_enabled(st.vl, st.vm, masked, |e| v[d][e] = $f(v[s1][e], v[s2][e]));
+            vector!();
         }};
     }
     macro_rules! vs {
         ($f:expr, $scalar:expr) => {{
-            vl_field = st.vl as u16;
             let s = $scalar;
-            for e in 0..st.vl {
-                if st.lane_enabled(masked, e) {
-                    let a = st.v[rs1 as usize][e];
-                    st.v[rd as usize][e] = $f(a, s);
-                }
-            }
-            kind = DynKind::Vector;
+            let v = &mut *st.v;
+            for_enabled(st.vl, st.vm, masked, |e| v[d][e] = $f(v[s1][e], s));
+            vector!();
         }};
     }
     macro_rules! vcmp {
         ($f:expr) => {{
-            vl_field = st.vl as u16;
-            for e in 0..st.vl {
-                let a = st.v[rs1 as usize][e];
-                let b = st.v[rs2 as usize][e];
-                if $f(a, b) {
+            for e in 0..st.vl.min(MAX_VL) {
+                if $f(st.v[s1][e], st.v[s2][e]) {
                     st.vm |= 1 << e;
                 } else {
                     st.vm &= !(1 << e);
                 }
             }
-            kind = DynKind::Vector;
+            vector!();
         }};
     }
 
-    // f64 views of raw element bits.
-    #[inline]
-    fn ff(f: impl Fn(f64, f64) -> f64) -> impl Fn(u64, u64) -> u64 {
-        move |a, b| f(f64::from_bits(a), f64::from_bits(b)).to_bits()
+    // A vector load or store; `$op` is a constant, so each arm's element
+    // loop computes its own addressing mode.
+    macro_rules! vmem {
+        ($op:path, $dir:ident) => {{
+            let (base, stride) = (st.get_x(rs1), st.get_x(rs2));
+            let mut addrs = arena.begin(st.tid, st.vl);
+            let v = &mut *st.v;
+            for_enabled(st.vl, st.vm, masked, |e| {
+                // The index reads before the element moves (`vldx vA, x, vA`
+                // gathers through its own old value).
+                let addr = vmem_addr($op, base, stride, v[s2][e], e);
+                vmem!(@$dir v, addr, e);
+                addrs.push(addr);
+            });
+            vl_field = st.vl as u16;
+            kind = DynKind::VMem { addrs: addrs.finish() };
+        }};
+        (@load $v:ident, $addr:ident, $e:ident) => {
+            $v[d][$e] = mem.read_u64($addr)
+        };
+        (@store $v:ident, $addr:ident, $e:ident) => {
+            mem.write_u64($addr, $v[d][$e])
+        };
     }
 
-    match inst.op {
+    match op {
         Op::Nop => {}
         Op::Halt => {
             st.halted = true;
@@ -117,7 +155,7 @@ pub fn step(
                 return Err(ExecError::BadVltCfg { tid: st.tid, threads: v });
             };
             st.mvl = vlt_isa::vltcfg::effective_mvl(MAX_VL, h);
-            st.vl = st.vl.min(st.mvl);
+            st.vl = clamp_vl(st.vl as u64, st.mvl);
             kind = DynKind::VltCfg { threads: h.threads, clusters: h.clusters };
         }
         Op::SetVl => {
@@ -125,82 +163,55 @@ pub fn step(
             if req == 0 {
                 return Err(ExecError::ZeroVl { tid: st.tid, pc });
             }
-            st.vl = (req as usize).min(st.mvl);
+            st.vl = clamp_vl(req, st.mvl);
             st.set_x(rd, st.vl as u64);
         }
         Op::GetVl => st.set_x(rd, st.vl as u64),
         Op::Region => st.region = inst.imm as u32,
 
-        Op::Add => st.set_x(rd, st.get_x(rs1).wrapping_add(st.get_x(rs2))),
-        Op::Sub => st.set_x(rd, st.get_x(rs1).wrapping_sub(st.get_x(rs2))),
-        Op::Mul => st.set_x(rd, st.get_x(rs1).wrapping_mul(st.get_x(rs2))),
-        Op::Div => {
-            let (a, b) = (st.get_x(rs1) as i64, st.get_x(rs2) as i64);
-            st.set_x(rd, if b == 0 { u64::MAX } else { a.wrapping_div(b) as u64 });
+        Op::Add
+        | Op::Sub
+        | Op::Mul
+        | Op::Div
+        | Op::Rem
+        | Op::And
+        | Op::Or
+        | Op::Xor
+        | Op::Sll
+        | Op::Srl
+        | Op::Sra
+        | Op::Slt
+        | Op::Sltu => {
+            let v = int_alu(op, st.get_x(rs1), st.get_x(rs2));
+            st.set_x(rd, v.expect("a register-form ALU op"));
         }
-        Op::Rem => {
-            let (a, b) = (st.get_x(rs1) as i64, st.get_x(rs2) as i64);
-            st.set_x(rd, if b == 0 { a as u64 } else { a.wrapping_rem(b) as u64 });
+        Op::Addi | Op::Andi | Op::Ori | Op::Xori | Op::Slli | Op::Srli | Op::Srai | Op::Slti => {
+            let v = int_alu(op, st.get_x(rs1), imm as u64);
+            st.set_x(rd, v.expect("an immediate-form ALU op"));
         }
-        Op::And => st.set_x(rd, st.get_x(rs1) & st.get_x(rs2)),
-        Op::Or => st.set_x(rd, st.get_x(rs1) | st.get_x(rs2)),
-        Op::Xor => st.set_x(rd, st.get_x(rs1) ^ st.get_x(rs2)),
-        Op::Sll => st.set_x(rd, st.get_x(rs1) << (st.get_x(rs2) & 63)),
-        Op::Srl => st.set_x(rd, st.get_x(rs1) >> (st.get_x(rs2) & 63)),
-        Op::Sra => st.set_x(rd, ((st.get_x(rs1) as i64) >> (st.get_x(rs2) & 63)) as u64),
-        Op::Slt => st.set_x(rd, ((st.get_x(rs1) as i64) < (st.get_x(rs2) as i64)) as u64),
-        Op::Sltu => st.set_x(rd, (st.get_x(rs1) < st.get_x(rs2)) as u64),
-
-        Op::Addi => st.set_x(rd, st.get_x(rs1).wrapping_add(imm as u64)),
-        Op::Andi => st.set_x(rd, st.get_x(rs1) & imm as u64),
-        Op::Ori => st.set_x(rd, st.get_x(rs1) | imm as u64),
-        Op::Xori => st.set_x(rd, st.get_x(rs1) ^ imm as u64),
-        Op::Slli => st.set_x(rd, st.get_x(rs1) << (imm as u64 & 63)),
-        Op::Srli => st.set_x(rd, st.get_x(rs1) >> (imm as u64 & 63)),
-        Op::Srai => st.set_x(rd, ((st.get_x(rs1) as i64) >> (imm as u64 & 63)) as u64),
-        Op::Slti => st.set_x(rd, ((st.get_x(rs1) as i64) < imm) as u64),
         Op::Lui => st.set_x(rd, (imm << 13) as u64),
 
-        Op::Ld | Op::Lw | Op::Lwu | Op::Lb | Op::Lbu => {
+        Op::Ld | Op::Lw | Op::Lwu | Op::Lb | Op::Lbu | Op::Fld => {
             let addr = st.get_x(rs1).wrapping_add(imm as u64);
-            let (v, size) = match inst.op {
-                Op::Ld => (mem.read_u64(addr), 8),
-                Op::Lw => (mem.read_u32(addr) as i32 as i64 as u64, 4),
-                Op::Lwu => (mem.read_u32(addr) as u64, 4),
-                Op::Lb => (mem.read_u8(addr) as i8 as i64 as u64, 1),
-                _ => (mem.read_u8(addr) as u64, 1),
-            };
-            st.set_x(rd, v);
-            kind = DynKind::Mem { addr, size };
+            match op {
+                Op::Ld => st.set_x(rd, mem.read_u64(addr)),
+                Op::Lw => st.set_x(rd, mem.read_u32(addr) as i32 as i64 as u64),
+                Op::Lwu => st.set_x(rd, mem.read_u32(addr) as u64),
+                Op::Lb => st.set_x(rd, mem.read_u8(addr) as i8 as i64 as u64),
+                Op::Lbu => st.set_x(rd, mem.read_u8(addr) as u64),
+                _ => st.f[d] = mem.read_f64(addr),
+            }
+            kind = DynKind::Mem { addr, size: access_size(op).expect("a scalar load") };
         }
-        Op::Fld => {
+        Op::Sd | Op::Sw | Op::Sb | Op::Fsd => {
             let addr = st.get_x(rs1).wrapping_add(imm as u64);
-            st.f[rd as usize] = mem.read_f64(addr);
-            kind = DynKind::Mem { addr, size: 8 };
-        }
-        Op::Sd | Op::Sw | Op::Sb => {
-            let addr = st.get_x(rs1).wrapping_add(imm as u64);
-            let v = st.get_x(rd);
-            let size = match inst.op {
-                Op::Sd => {
-                    mem.write_u64(addr, v);
-                    8
-                }
-                Op::Sw => {
-                    mem.write_u32(addr, v as u32);
-                    4
-                }
-                _ => {
-                    mem.write_u8(addr, v as u8);
-                    1
-                }
-            };
-            kind = DynKind::Mem { addr, size };
-        }
-        Op::Fsd => {
-            let addr = st.get_x(rs1).wrapping_add(imm as u64);
-            mem.write_f64(addr, st.f[rd as usize]);
-            kind = DynKind::Mem { addr, size: 8 };
+            match op {
+                Op::Sd => mem.write_u64(addr, st.get_x(rd)),
+                Op::Sw => mem.write_u32(addr, st.get_x(rd) as u32),
+                Op::Sb => mem.write_u8(addr, st.get_x(rd) as u8),
+                _ => mem.write_f64(addr, st.f[d]),
+            }
+            kind = DynKind::Mem { addr, size: access_size(op).expect("a scalar store") };
         }
 
         Op::Beq => branch!(st.get_x(rs1) == st.get_x(rs2)),
@@ -210,7 +221,7 @@ pub fn step(
         Op::Bltu => branch!(st.get_x(rs1) < st.get_x(rs2)),
         Op::Bgeu => branch!(st.get_x(rs1) >= st.get_x(rs2)),
         Op::J | Op::Jal => {
-            if inst.op == Op::Jal {
+            if op == Op::Jal {
                 st.set_x(31, pc + 4);
             }
             let target = (pc as i64 + 4 * imm) as u64;
@@ -218,32 +229,31 @@ pub fn step(
             kind = DynKind::Branch { taken: true, target };
         }
         Op::Jr | Op::Jalr => {
+            // The target reads before the link writes (`jalr rd, rd` works).
             let target = st.get_x(rs1);
-            if inst.op == Op::Jalr {
+            if op == Op::Jalr {
                 st.set_x(rd, pc + 4);
             }
             next = target;
             kind = DynKind::Branch { taken: true, target };
         }
 
-        Op::Fadd => st.f[rd as usize] = st.f[rs1 as usize] + st.f[rs2 as usize],
-        Op::Fsub => st.f[rd as usize] = st.f[rs1 as usize] - st.f[rs2 as usize],
-        Op::Fmul => st.f[rd as usize] = st.f[rs1 as usize] * st.f[rs2 as usize],
-        Op::Fdiv => st.f[rd as usize] = st.f[rs1 as usize] / st.f[rs2 as usize],
-        Op::Fmin => st.f[rd as usize] = st.f[rs1 as usize].min(st.f[rs2 as usize]),
-        Op::Fmax => st.f[rd as usize] = st.f[rs1 as usize].max(st.f[rs2 as usize]),
-        Op::Fma => {
-            st.f[rd as usize] = st.f[rs1 as usize].mul_add(st.f[rs2 as usize], st.f[rd as usize])
-        }
-        Op::Fsqrt => st.f[rd as usize] = st.f[rs1 as usize].sqrt(),
-        Op::Fneg => st.f[rd as usize] = -st.f[rs1 as usize],
-        Op::Fabs => st.f[rd as usize] = st.f[rs1 as usize].abs(),
-        Op::Fmov => st.f[rd as usize] = st.f[rs1 as usize],
-        Op::Feq => st.set_x(rd, (st.f[rs1 as usize] == st.f[rs2 as usize]) as u64),
-        Op::Flt => st.set_x(rd, (st.f[rs1 as usize] < st.f[rs2 as usize]) as u64),
-        Op::Fle => st.set_x(rd, (st.f[rs1 as usize] <= st.f[rs2 as usize]) as u64),
-        Op::FcvtFx => st.f[rd as usize] = st.get_x(rs1) as i64 as f64,
-        Op::FcvtXf => st.set_x(rd, st.f[rs1 as usize] as i64 as u64),
+        Op::Fadd => st.f[d] = st.f[s1] + st.f[s2],
+        Op::Fsub => st.f[d] = st.f[s1] - st.f[s2],
+        Op::Fmul => st.f[d] = st.f[s1] * st.f[s2],
+        Op::Fdiv => st.f[d] = st.f[s1] / st.f[s2],
+        Op::Fmin => st.f[d] = st.f[s1].min(st.f[s2]),
+        Op::Fmax => st.f[d] = st.f[s1].max(st.f[s2]),
+        Op::Fma => st.f[d] = st.f[s1].mul_add(st.f[s2], st.f[d]),
+        Op::Fsqrt => st.f[d] = st.f[s1].sqrt(),
+        Op::Fneg => st.f[d] = -st.f[s1],
+        Op::Fabs => st.f[d] = st.f[s1].abs(),
+        Op::Fmov => st.f[d] = st.f[s1],
+        Op::Feq => st.set_x(rd, (st.f[s1] == st.f[s2]) as u64),
+        Op::Flt => st.set_x(rd, (st.f[s1] < st.f[s2]) as u64),
+        Op::Fle => st.set_x(rd, (st.f[s1] <= st.f[s2]) as u64),
+        Op::FcvtFx => st.f[d] = st.get_x(rs1) as i64 as f64,
+        Op::FcvtXf => st.set_x(rd, st.f[s1] as i64 as u64),
 
         Op::VaddVV => vv!(|a: u64, b: u64| a.wrapping_add(b)),
         Op::VsubVV => vv!(|a: u64, b: u64| a.wrapping_sub(b)),
@@ -274,42 +284,33 @@ pub fn step(
         Op::VfminVV => vv!(ff(f64::min)),
         Op::VfmaxVV => vv!(ff(f64::max)),
         Op::VfmaVV => {
-            vl_field = st.vl as u16;
-            for e in 0..st.vl {
-                if st.lane_enabled(masked, e) {
-                    let acc = f64::from_bits(st.v[rd as usize][e]);
-                    let a = f64::from_bits(st.v[rs1 as usize][e]);
-                    let b = f64::from_bits(st.v[rs2 as usize][e]);
-                    st.v[rd as usize][e] = a.mul_add(b, acc).to_bits();
-                }
-            }
-            kind = DynKind::Vector;
+            let v = &mut *st.v;
+            for_enabled(st.vl, st.vm, masked, |e| {
+                let (x, y) = (f64::from_bits(v[s1][e]), f64::from_bits(v[s2][e]));
+                v[d][e] = x.mul_add(y, f64::from_bits(v[d][e])).to_bits();
+            });
+            vector!();
         }
         Op::Vfsqrt => {
-            vl_field = st.vl as u16;
-            for e in 0..st.vl {
-                if st.lane_enabled(masked, e) {
-                    st.v[rd as usize][e] = f64::from_bits(st.v[rs1 as usize][e]).sqrt().to_bits();
-                }
-            }
-            kind = DynKind::Vector;
+            let v = &mut *st.v;
+            for_enabled(st.vl, st.vm, masked, |e| {
+                v[d][e] = f64::from_bits(v[s1][e]).sqrt().to_bits();
+            });
+            vector!();
         }
 
-        Op::VfaddVS => vs!(ff(|a, s| a + s), st.f[rs2 as usize].to_bits()),
-        Op::VfsubVS => vs!(ff(|a, s| a - s), st.f[rs2 as usize].to_bits()),
-        Op::VfmulVS => vs!(ff(|a, s| a * s), st.f[rs2 as usize].to_bits()),
-        Op::VfdivVS => vs!(ff(|a, s| a / s), st.f[rs2 as usize].to_bits()),
+        Op::VfaddVS => vs!(ff(|a, s| a + s), st.f[s2].to_bits()),
+        Op::VfsubVS => vs!(ff(|a, s| a - s), st.f[s2].to_bits()),
+        Op::VfmulVS => vs!(ff(|a, s| a * s), st.f[s2].to_bits()),
+        Op::VfdivVS => vs!(ff(|a, s| a / s), st.f[s2].to_bits()),
         Op::VfmaVS => {
-            vl_field = st.vl as u16;
-            let s = st.f[rs2 as usize];
-            for e in 0..st.vl {
-                if st.lane_enabled(masked, e) {
-                    let acc = f64::from_bits(st.v[rd as usize][e]);
-                    let a = f64::from_bits(st.v[rs1 as usize][e]);
-                    st.v[rd as usize][e] = a.mul_add(s, acc).to_bits();
-                }
-            }
-            kind = DynKind::Vector;
+            let s = st.f[s2];
+            let v = &mut *st.v;
+            for_enabled(st.vl, st.vm, masked, |e| {
+                let x = f64::from_bits(v[s1][e]);
+                v[d][e] = x.mul_add(s, f64::from_bits(v[d][e])).to_bits();
+            });
+            vector!();
         }
 
         Op::Vseq => vcmp!(|a, b| a == b),
@@ -322,212 +323,221 @@ pub fn step(
 
         Op::Vmnot => {
             st.vm = !st.vm;
-            vl_field = st.vl as u16;
-            kind = DynKind::Vector;
+            vector!();
         }
         Op::Vmset => {
             st.vm = u64::MAX;
-            vl_field = st.vl as u16;
-            kind = DynKind::Vector;
+            vector!();
         }
         Op::Vpopc => {
-            let m = vl_mask(st.vl);
-            st.set_x(rd, (st.vm & m).count_ones() as u64);
-            vl_field = st.vl as u16;
-            kind = DynKind::Vector;
+            st.set_x(rd, (st.vm & vl_mask(st.vl)).count_ones() as u64);
+            vector!();
         }
         Op::Vmfirst => {
-            let m = vl_mask(st.vl);
-            let v = st.vm & m;
+            let v = st.vm & vl_mask(st.vl);
             st.set_x(rd, if v == 0 { u64::MAX } else { v.trailing_zeros() as u64 });
-            vl_field = st.vl as u16;
-            kind = DynKind::Vector;
+            vector!();
         }
         Op::Vmgetb => {
             st.set_x(rd, st.vm & vl_mask(st.vl));
-            vl_field = st.vl as u16;
-            kind = DynKind::Vector;
+            vector!();
         }
         Op::Vmsetb => {
             st.vm = st.get_x(rs1);
-            vl_field = st.vl as u16;
-            kind = DynKind::Vector;
+            vector!();
         }
 
         Op::Vmv => {
-            vl_field = st.vl as u16;
-            for e in 0..st.vl {
-                if st.lane_enabled(masked, e) {
-                    st.v[rd as usize][e] = st.v[rs1 as usize][e];
-                }
-            }
-            kind = DynKind::Vector;
+            let v = &mut *st.v;
+            for_enabled(st.vl, st.vm, masked, |e| v[d][e] = v[s1][e]);
+            vector!();
         }
         Op::Vmerge => {
-            vl_field = st.vl as u16;
-            for e in 0..st.vl {
-                st.v[rd as usize][e] = if (st.vm >> e) & 1 == 1 {
-                    st.v[rs1 as usize][e]
-                } else {
-                    st.v[rs2 as usize][e]
-                };
+            for e in 0..st.vl.min(MAX_VL) {
+                st.v[d][e] = if (st.vm >> e) & 1 == 1 { st.v[s1][e] } else { st.v[s2][e] };
             }
-            kind = DynKind::Vector;
+            vector!();
         }
         Op::Vid => {
-            vl_field = st.vl as u16;
-            for e in 0..st.vl {
-                st.v[rd as usize][e] = e as u64;
+            for e in 0..st.vl.min(MAX_VL) {
+                st.v[d][e] = e as u64;
             }
-            kind = DynKind::Vector;
+            vector!();
         }
-        Op::Vsplat => {
-            vl_field = st.vl as u16;
-            let s = st.get_x(rs1);
-            for e in 0..st.vl {
-                if st.lane_enabled(masked, e) {
-                    st.v[rd as usize][e] = s;
-                }
-            }
-            kind = DynKind::Vector;
-        }
-        Op::Vfsplat => {
-            vl_field = st.vl as u16;
-            let s = st.f[rs1 as usize].to_bits();
-            for e in 0..st.vl {
-                if st.lane_enabled(masked, e) {
-                    st.v[rd as usize][e] = s;
-                }
-            }
-            kind = DynKind::Vector;
+        Op::Vsplat | Op::Vfsplat => {
+            let s = if op == Op::Vsplat { st.get_x(rs1) } else { st.f[s1].to_bits() };
+            let v = &mut *st.v;
+            for_enabled(st.vl, st.vm, masked, |e| v[d][e] = s);
+            vector!();
         }
         Op::Vextract => {
-            let idx = st.get_x(rs2) as usize % MAX_VL;
-            st.set_x(rd, st.v[rs1 as usize][idx]);
+            st.set_x(rd, st.v[s1][st.get_x(rs2) as usize % MAX_VL]);
             vl_field = 1;
             kind = DynKind::Vector;
         }
         Op::Vfextract => {
-            let idx = st.get_x(rs2) as usize % MAX_VL;
-            st.f[rd as usize] = f64::from_bits(st.v[rs1 as usize][idx]);
+            st.f[d] = f64::from_bits(st.v[s1][st.get_x(rs2) as usize % MAX_VL]);
             vl_field = 1;
             kind = DynKind::Vector;
         }
         Op::Vinsert => {
-            let idx = st.get_x(rs1) as usize % MAX_VL;
-            st.v[rd as usize][idx] = st.get_x(rs2);
+            st.v[d][st.get_x(rs1) as usize % MAX_VL] = st.get_x(rs2);
             vl_field = 1;
             kind = DynKind::Vector;
         }
         Op::Vfinsert => {
-            let idx = st.get_x(rs1) as usize % MAX_VL;
-            st.v[rd as usize][idx] = st.f[rs2 as usize].to_bits();
+            st.v[d][st.get_x(rs1) as usize % MAX_VL] = st.f[s2].to_bits();
             vl_field = 1;
             kind = DynKind::Vector;
         }
         Op::VcvtFx => {
-            vl_field = st.vl as u16;
-            for e in 0..st.vl {
-                if st.lane_enabled(masked, e) {
-                    st.v[rd as usize][e] = ((st.v[rs1 as usize][e] as i64) as f64).to_bits();
-                }
-            }
-            kind = DynKind::Vector;
+            let v = &mut *st.v;
+            for_enabled(st.vl, st.vm, masked, |e| {
+                v[d][e] = ((v[s1][e] as i64) as f64).to_bits();
+            });
+            vector!();
         }
         Op::VcvtXf => {
-            vl_field = st.vl as u16;
-            for e in 0..st.vl {
-                if st.lane_enabled(masked, e) {
-                    st.v[rd as usize][e] = (f64::from_bits(st.v[rs1 as usize][e]) as i64) as u64;
-                }
-            }
-            kind = DynKind::Vector;
+            let v = &mut *st.v;
+            for_enabled(st.vl, st.vm, masked, |e| {
+                v[d][e] = (f64::from_bits(v[s1][e]) as i64) as u64;
+            });
+            vector!();
         }
 
         Op::Vredsum => {
             let mut acc = 0u64;
             for e in 0..st.vl {
-                acc = acc.wrapping_add(st.v[rs1 as usize][e]);
+                acc = acc.wrapping_add(st.v[s1][e]);
             }
             st.set_x(rd, acc);
-            vl_field = st.vl as u16;
-            kind = DynKind::Vector;
+            vector!();
         }
         Op::Vredmin | Op::Vredmax => {
-            let mut acc = st.v[rs1 as usize][0] as i64;
+            let mut acc = st.v[s1][0] as i64;
             for e in 1..st.vl {
-                let v = st.v[rs1 as usize][e] as i64;
-                acc = if inst.op == Op::Vredmin { acc.min(v) } else { acc.max(v) };
+                let v = st.v[s1][e] as i64;
+                acc = if op == Op::Vredmin { acc.min(v) } else { acc.max(v) };
             }
             st.set_x(rd, acc as u64);
-            vl_field = st.vl as u16;
-            kind = DynKind::Vector;
+            vector!();
         }
         Op::Vfredsum => {
             let mut acc = 0f64;
             for e in 0..st.vl {
-                acc += f64::from_bits(st.v[rs1 as usize][e]);
+                acc += f64::from_bits(st.v[s1][e]);
             }
-            st.f[rd as usize] = acc;
-            vl_field = st.vl as u16;
-            kind = DynKind::Vector;
+            st.f[d] = acc;
+            vector!();
         }
         Op::Vfredmin | Op::Vfredmax => {
-            let mut acc = f64::from_bits(st.v[rs1 as usize][0]);
+            let mut acc = f64::from_bits(st.v[s1][0]);
             for e in 1..st.vl {
-                let v = f64::from_bits(st.v[rs1 as usize][e]);
-                acc = if inst.op == Op::Vfredmin { acc.min(v) } else { acc.max(v) };
+                let v = f64::from_bits(st.v[s1][e]);
+                acc = if op == Op::Vfredmin { acc.min(v) } else { acc.max(v) };
             }
-            st.f[rd as usize] = acc;
-            vl_field = st.vl as u16;
-            kind = DynKind::Vector;
+            st.f[d] = acc;
+            vector!();
         }
 
-        Op::Vld | Op::Vlds | Op::Vldx => {
-            let base = st.get_x(rs1);
-            let mut addrs = arena.begin(st.tid, st.vl);
-            vl_field = st.vl as u16;
-            for e in 0..st.vl {
-                if !st.lane_enabled(masked, e) {
-                    continue;
-                }
-                let addr = match inst.op {
-                    Op::Vld => base.wrapping_add(8 * e as u64),
-                    Op::Vlds => base.wrapping_add(st.get_x(rs2).wrapping_mul(e as u64)),
-                    _ => base.wrapping_add(st.v[rs2 as usize][e]),
-                };
-                st.v[rd as usize][e] = mem.read_u64(addr);
-                addrs.push(addr);
-            }
-            kind = DynKind::VMem { addrs: addrs.finish() };
-        }
-        Op::Vst | Op::Vsts | Op::Vstx => {
-            let base = st.get_x(rs1);
-            let mut addrs = arena.begin(st.tid, st.vl);
-            vl_field = st.vl as u16;
-            for e in 0..st.vl {
-                if !st.lane_enabled(masked, e) {
-                    continue;
-                }
-                let addr = match inst.op {
-                    Op::Vst => base.wrapping_add(8 * e as u64),
-                    Op::Vsts => base.wrapping_add(st.get_x(rs2).wrapping_mul(e as u64)),
-                    _ => base.wrapping_add(st.v[rs2 as usize][e]),
-                };
-                mem.write_u64(addr, st.v[rd as usize][e]);
-                addrs.push(addr);
-            }
-            kind = DynKind::VMem { addrs: addrs.finish() };
-        }
+        Op::Vld => vmem!(Op::Vld, load),
+        Op::Vlds => vmem!(Op::Vlds, load),
+        Op::Vldx => vmem!(Op::Vldx, load),
+        Op::Vst => vmem!(Op::Vst, store),
+        Op::Vsts => vmem!(Op::Vsts, store),
+        Op::Vstx => vmem!(Op::Vstx, store),
     }
 
     st.pc = next;
     Ok(DynInst { sidx, pc, vl: vl_field, kind })
 }
 
+/// The result of a scalar integer ALU op, register or immediate form, on
+/// operands `a` and `b` (the immediate sign-extended), or `None` for every
+/// other op.
+#[inline]
+pub fn int_alu(op: Op, a: u64, b: u64) -> Option<u64> {
+    Some(match op {
+        Op::Add | Op::Addi => a.wrapping_add(b),
+        Op::Sub => a.wrapping_sub(b),
+        Op::Mul => a.wrapping_mul(b),
+        Op::Div if b == 0 => u64::MAX,
+        Op::Div => (a as i64).wrapping_div(b as i64) as u64,
+        Op::Rem if b == 0 => a,
+        Op::Rem => (a as i64).wrapping_rem(b as i64) as u64,
+        Op::And | Op::Andi => a & b,
+        Op::Or | Op::Ori => a | b,
+        Op::Xor | Op::Xori => a ^ b,
+        Op::Sll | Op::Slli => a << (b & 63),
+        Op::Srl | Op::Srli => a >> (b & 63),
+        Op::Sra | Op::Srai => ((a as i64) >> (b & 63)) as u64,
+        Op::Slt | Op::Slti => ((a as i64) < (b as i64)) as u64,
+        Op::Sltu => (a < b) as u64,
+        _ => return None,
+    })
+}
+
+/// The vector length a request of `req` elements gets under a partition
+/// MVL of `mvl`: the request, read unsigned, clamped to the MVL. `setvl`
+/// clamps its request this way, and `vltcfg` the current vl.
+#[inline]
+pub fn clamp_vl(req: u64, mvl: usize) -> usize {
+    req.min(mvl as u64) as usize
+}
+
+/// Bytes a scalar load or store moves, or `None` for every other op.
+#[inline]
+pub fn access_size(op: Op) -> Option<u8> {
+    match op {
+        Op::Ld | Op::Sd | Op::Fld | Op::Fsd => Some(8),
+        Op::Lw | Op::Lwu | Op::Sw => Some(4),
+        Op::Lb | Op::Lbu | Op::Sb => Some(1),
+        _ => None,
+    }
+}
+
+/// The address of element `e` of a vector load or store `op` from `base`:
+/// unit stride, `stride` bytes apart, or `index` (the element of the index
+/// vector) bytes off `base`.
+#[inline(always)]
+pub fn vmem_addr(op: Op, base: u64, stride: u64, index: u64, e: usize) -> u64 {
+    match op {
+        Op::Vld | Op::Vst => base.wrapping_add(8 * e as u64),
+        Op::Vlds | Op::Vsts => base.wrapping_add(stride.wrapping_mul(e as u64)),
+        _ => base.wrapping_add(index),
+    }
+}
+
+/// Run `f` on each element below `vl` that an instruction enables: every
+/// one when it is unmasked, else those whose bit in `vm` is set. `masked`
+/// is tested once per instruction, not per element, and `vl` is clamped to
+/// [`MAX_VL`] (an [`ArchState`] invariant, restated) so the element loops
+/// need no bounds checks.
+#[inline(always)]
+pub(crate) fn for_enabled(vl: usize, vm: u64, masked: bool, mut f: impl FnMut(usize)) {
+    let vl = vl.min(MAX_VL);
+    if masked {
+        for e in 0..vl {
+            if (vm >> e) & 1 == 1 {
+                f(e);
+            }
+        }
+    } else {
+        for e in 0..vl {
+            f(e);
+        }
+    }
+}
+
+/// f64 view of a binary function on raw element bits.
+#[inline]
+fn ff(f: impl Fn(f64, f64) -> f64) -> impl Fn(u64, u64) -> u64 {
+    move |a, b| f(f64::from_bits(a), f64::from_bits(b)).to_bits()
+}
+
 /// All-ones mask over the low `vl` bits.
 #[inline]
-pub(crate) fn vl_mask(vl: usize) -> u64 {
+fn vl_mask(vl: usize) -> u64 {
     if vl >= 64 {
         u64::MAX
     } else {

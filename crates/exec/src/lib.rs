@@ -41,7 +41,6 @@ pub mod program;
 pub mod race;
 pub mod state;
 pub mod trace;
-pub mod uop;
 
 pub use arena::{AddrArena, AddrRange};
 pub use block::BlockCache;

@@ -68,12 +68,6 @@ impl ArchState {
     pub fn get_x(&self, r: u8) -> u64 {
         self.x[r as usize]
     }
-
-    /// Is element `e` enabled under mask `m`? (Unmasked ops pass `None`.)
-    #[inline]
-    pub fn lane_enabled(&self, masked: bool, e: usize) -> bool {
-        !masked || (self.vm >> e) & 1 == 1
-    }
 }
 
 #[cfg(test)]
@@ -103,15 +97,5 @@ mod tests {
         assert_eq!(s.get_x(0), 0);
         s.set_x(5, 99);
         assert_eq!(s.get_x(5), 99);
-    }
-
-    #[test]
-    fn mask_enable() {
-        let mut s = ArchState::new(0, 0, 1);
-        s.vm = 0b101;
-        assert!(s.lane_enabled(true, 0));
-        assert!(!s.lane_enabled(true, 1));
-        assert!(s.lane_enabled(true, 2));
-        assert!(s.lane_enabled(false, 1)); // unmasked: always on
     }
 }

@@ -8,9 +8,11 @@
 //!   or *no* path ([`Init::No`]) from the entry. `x0` is hardwired zero and
 //!   `x30` (`sp`) is initialized by the runtime, so both start defined.
 //! * **Constant propagation** — integer register values in the flat lattice
-//!   `Bot < K(c) < Top`, exact over the ALU subset the kernels use for
-//!   address arithmetic (`li`/`la` expansions, shifts, add/mul). This feeds
-//!   the static memory checks and the `vl`/`vltcfg` checks.
+//!   `Bot < K(c) < Top`. Every integer ALU op, register and immediate form,
+//!   folds through the interpreter's own [`int_alu`], and `setvl`/`vltcfg`
+//!   clamp `vl` through its [`clamp_vl`], so a constant is exactly the
+//!   value the program computes. This feeds the static memory checks and
+//!   the `vl`/`vltcfg` checks.
 //! * **Vector-length state** — abstract `vl` (value + whether any `setvl`
 //!   executed), abstract MVL under the current `vltcfg` partition, and
 //!   whether `vm` was ever written.
@@ -35,7 +37,10 @@
 //! bounds or misaligned, or a hull that misses every valid region. The
 //! analysis never *proves* memory safety.
 
-use vlt_isa::{Inst, Op, Program, RegRef, DATA_BASE, MAX_VL, STACK_BASE, STACK_SIZE, TEXT_BASE};
+use vlt_exec::interp::{access_size, clamp_vl, int_alu, vmem_addr};
+use vlt_isa::{
+    Format, Inst, Op, Program, RegRef, DATA_BASE, MAX_VL, STACK_BASE, STACK_SIZE, TEXT_BASE,
+};
 
 use crate::cfg::Cfg;
 use crate::diag::{Code, Options};
@@ -61,9 +66,11 @@ impl Cv {
         }
     }
 
-    fn map2(self, other: Cv, f: impl Fn(i64, i64) -> i64) -> Cv {
+    /// `f` of two constants; `Top` where either is unknown or `f` has no
+    /// value.
+    fn map2(self, other: Cv, f: impl Fn(i64, i64) -> Option<i64>) -> Cv {
         match (self, other) {
-            (Cv::K(a), Cv::K(b)) => Cv::K(f(a, b)),
+            (Cv::K(a), Cv::K(b)) => f(a, b).map_or(Cv::Top, Cv::K),
             (Cv::Bot, _) | (_, Cv::Bot) => Cv::Bot,
             _ => Cv::Top,
         }
@@ -337,7 +344,8 @@ fn transfer(
                 );
             }
             if let (Some(r), Some(m)) = (req.known(), st.mvl.known()) {
-                if r > m && rd == 0 {
+                let (r, m) = (r as u64, m as usize);
+                if clamp_vl(r, m) as u64 != r && rd == 0 {
                     emit(
                         Code::SetvlDiscardsClamp,
                         format!(
@@ -347,10 +355,7 @@ fn transfer(
                     );
                 }
             }
-            st.vl = match (req.known(), st.mvl.known()) {
-                (Some(r), Some(m)) => Cv::K(r.min(m)),
-                _ => Cv::Top,
-            };
+            st.vl = req.map2(st.mvl, |r, m| Some(clamp_vl(r as u64, m as usize) as i64));
             st.vl_set = Init::Yes;
         }
         Op::VltCfg => {
@@ -388,10 +393,7 @@ fn transfer(
             } else {
                 st.mvl = Cv::Top;
             }
-            st.vl = match (st.vl.known(), st.mvl.known()) {
-                (Some(v), Some(m)) => Cv::K(v.min(m)),
-                _ => Cv::Top,
-            };
+            st.vl = st.vl.map2(st.mvl, |v, m| Some(clamp_vl(v as u64, m as usize) as i64));
         }
         _ => {}
     }
@@ -445,38 +447,17 @@ fn check_init(init: Init, reg: String, emit: &mut impl FnMut(Code, String)) {
 }
 
 /// The constant value an instruction writes to its integer destination, if
-/// the analysis can compute it. Unmodeled ops produce `Top`.
+/// the analysis can compute it: the integer ALU ops fold through the
+/// interpreter's own [`int_alu`]. Unmodeled ops produce `Top`.
 fn int_value(inst: &Inst, st: &AbsState) -> Cv {
-    let (rs1, rs2, imm) = (inst.rs1 as usize, inst.rs2 as usize, inst.imm as i64);
-    let a = st.x[rs1];
-    let b = st.x[rs2];
-    let k = Cv::K(imm);
+    let a = st.x[inst.rs1 as usize];
+    let imm = inst.op.format() == Format::I;
+    let b = if imm { Cv::K(inst.imm as i64) } else { st.x[inst.rs2 as usize] };
     match inst.op {
-        Op::Addi => a.map2(k, i64::wrapping_add),
-        Op::Andi => a.map2(k, |x, y| x & y),
-        Op::Ori => a.map2(k, |x, y| x | y),
-        Op::Xori => a.map2(k, |x, y| x ^ y),
-        Op::Slli => a.map2(k, |x, y| ((x as u64) << (y as u64 & 63)) as i64),
-        Op::Srli => a.map2(k, |x, y| ((x as u64) >> (y as u64 & 63)) as i64),
-        Op::Srai => a.map2(k, |x, y| x >> (y as u64 & 63)),
-        Op::Slti => a.map2(k, |x, y| (x < y) as i64),
-        Op::Lui => Cv::K(imm << 13),
-        Op::Add => a.map2(b, i64::wrapping_add),
-        Op::Sub => a.map2(b, i64::wrapping_sub),
-        Op::Mul => a.map2(b, i64::wrapping_mul),
-        Op::Div => a.map2(b, |x, y| if y == 0 { -1 } else { x.wrapping_div(y) }),
-        Op::Rem => a.map2(b, |x, y| if y == 0 { x } else { x.wrapping_rem(y) }),
-        Op::And => a.map2(b, |x, y| x & y),
-        Op::Or => a.map2(b, |x, y| x | y),
-        Op::Xor => a.map2(b, |x, y| x ^ y),
-        Op::Sll => a.map2(b, |x, y| ((x as u64) << (y as u64 & 63)) as i64),
-        Op::Srl => a.map2(b, |x, y| ((x as u64) >> (y as u64 & 63)) as i64),
-        Op::Sra => a.map2(b, |x, y| x >> (y as u64 & 63)),
-        Op::Slt => a.map2(b, |x, y| (x < y) as i64),
-        Op::Sltu => a.map2(b, |x, y| ((x as u64) < (y as u64)) as i64),
+        Op::Lui => Cv::K((inst.imm as i64) << 13),
         Op::GetVl => st.vl,
         // Loads, tid/nthr, reductions, extracts, converts: unknown.
-        _ => Cv::Top,
+        op => a.map2(b, |x, y| int_alu(op, x as u64, y as u64).map(|v| v as i64)),
     }
 }
 
@@ -537,12 +518,8 @@ fn check_memory(
         // address in the (sound, over-approximate) hull lies outside both
         // the data segment and the stack, so whatever the concrete value,
         // the access is out of bounds.
-        if matches!(class, OpClass::Load | OpClass::Store) {
-            let size = match inst.op {
-                Op::Ld | Op::Sd | Op::Fld | Op::Fsd => 8,
-                Op::Lw | Op::Lwu | Op::Sw => 4,
-                _ => 1,
-            };
+        if let Some(size) = access_size(inst.op) {
+            let size = size as i64;
             let write = class == OpClass::Store;
             let range = st.xr[inst.rs1 as usize].add_k(inst.imm as i64);
             if let (Some(lo), Some(hi)) = (range.lo, range.hi) {
@@ -554,17 +531,17 @@ fn check_memory(
 
     match class {
         OpClass::Load | OpClass::Store => {
-            let size = match inst.op {
-                Op::Ld | Op::Sd | Op::Fld | Op::Fsd => 8,
-                Op::Lw | Op::Lwu | Op::Sw => 4,
-                _ => 1,
-            };
+            let size = access_size(inst.op).expect("a scalar access") as i64;
             let addr = b.wrapping_add(inst.imm as i64);
             let write = class == OpClass::Store;
             check_addr(addr, size, write, prog, opts, emit);
         }
         OpClass::VLoad | OpClass::VStore => {
             let write = class == OpClass::VStore;
+            // Element `e`'s address, as the interpreter computes it.
+            let elem = |stride: i64, e: i64| {
+                vmem_addr(inst.op, b as u64, stride as u64, 0, e as usize) as i64
+            };
             match inst.op {
                 Op::Vld | Op::Vst => {
                     // Check the full unit-stride footprint only when vl is
@@ -573,7 +550,7 @@ fn check_memory(
                     let elems = st.vl.known().unwrap_or(1).max(1);
                     check_addr(b, 8, write, prog, opts, emit);
                     if elems > 1 {
-                        check_addr(b.wrapping_add(8 * (elems - 1)), 8, write, prog, opts, emit);
+                        check_addr(elem(0, elems - 1), 8, write, prog, opts, emit);
                     }
                 }
                 Op::Vlds | Op::Vsts => {
@@ -584,14 +561,7 @@ fn check_memory(
                         let sz = if aligned_stride { 8 } else { 1 };
                         check_addr(b, sz, write, prog, opts, emit);
                         if v > 1 {
-                            check_addr(
-                                b.wrapping_add(s.wrapping_mul(v - 1)),
-                                sz,
-                                write,
-                                prog,
-                                opts,
-                                emit,
-                            );
+                            check_addr(elem(s, v - 1), sz, write, prog, opts, emit);
                         }
                     }
                 }
@@ -865,5 +835,123 @@ mod tests {
     fn setvl_discard_clamp_warned() {
         let d = raw("li x1, 4\nvltcfg x1\nli x2, 64\nsetvl x0, x2\nhalt\n");
         assert!(has(&d, Code::SetvlDiscardsClamp));
+    }
+
+    /// A request with the top bit set is a huge unsigned request, clamped
+    /// to the MVL like any other, and the warning names it unsigned.
+    #[test]
+    fn setvl_discard_clamp_warned_for_top_bit_requests() {
+        let d = raw("li x1, -1\nsetvl x0, x1\nhalt\n");
+        let clamp: Vec<_> = d.iter().filter(|(c, _, _)| *c == Code::SetvlDiscardsClamp).collect();
+        assert_eq!(clamp.len(), 1, "{d:?}");
+        assert!(clamp[0].2.contains("request 18446744073709551615 exceeds"), "{d:?}");
+    }
+
+    /// Assembly that leaves the 64-bit `v` in `xr`, built only from ops
+    /// the constant lattice folds.
+    fn materialize(r: u8, v: u64) -> String {
+        let mut s = format!("li x{r}, {}\n", v >> 48);
+        for shift in [32, 16, 0] {
+            s += &format!(
+                "slli x{r}, x{r}, 16\nli x29, {}\nor x{r}, x{r}, x29\n",
+                (v >> shift) & 0xffff
+            );
+        }
+        s
+    }
+
+    /// The abstract state just before the program's final `halt`.
+    fn state_at_halt(p: &Program) -> AbsState {
+        let cfg = Cfg::build(p.decoded());
+        let (input, _) = fixpoint(&cfg, p, &Options::default());
+        let last = cfg.insts.len() - 1;
+        let b = cfg.blocks.iter().position(|b| (b.start..b.end).contains(&last)).unwrap();
+        let mut st = input[b].clone();
+        for i in cfg.blocks[b].start..last {
+            transfer(&cfg.insts[i], i, &mut st, p, &Options::default(), None);
+        }
+        st
+    }
+
+    /// The interpreter's final state for a one-thread run of `p`.
+    fn interpreted(p: &Program) -> vlt_exec::ArchState {
+        let mut sim = vlt_exec::FuncSim::new(p, 1);
+        sim.run_to_completion(10_000).unwrap();
+        sim.thread(0).clone()
+    }
+
+    /// absint's constants are the interpreter's results: every scalar
+    /// integer op, register and immediate forms and `lui`, on edge operands
+    /// (division by zero, `i64::MIN / -1`, shift amounts of 64 and above
+    /// and negative ones, signed against unsigned order); and `setvl`'s
+    /// clamp, with requests up to 2^64 - 1, under every flat partition.
+    #[test]
+    fn constants_are_what_the_interpreter_computes() {
+        use vlt_isa::{OpClass, OperandSig};
+        const EDGES: [u64; 12] = [
+            0,
+            1,
+            7,
+            63,
+            64,
+            65,
+            130,
+            -1i64 as u64,
+            -3i64 as u64,
+            1 << 63,
+            i64::MAX as u64,
+            0xfedc_ba98_7654_3210,
+        ];
+        const IMMS: [i64; 9] = [0, 1, -1, 7, 63, 64, 65, 8191, -8192];
+        let alu =
+            |op: Op| matches!(op.class(), OpClass::IntAlu | OpClass::IntMul | OpClass::IntDiv);
+        let mut cases = Vec::new();
+        for &op in Op::ALL.iter().filter(|&&op| alu(op)) {
+            let mn = op.mnemonic();
+            match op.sig() {
+                [OperandSig::Ri, OperandSig::Ri, OperandSig::Ri] => {
+                    for a in EDGES {
+                        for b in EDGES {
+                            cases.push(
+                                materialize(1, a)
+                                    + &materialize(2, b)
+                                    + &format!("{mn} x5, x1, x2\n"),
+                            );
+                        }
+                    }
+                }
+                [OperandSig::Ri, OperandSig::Ri, OperandSig::Imm] => {
+                    for a in EDGES {
+                        for imm in IMMS {
+                            cases.push(materialize(1, a) + &format!("{mn} x5, x1, {imm}\n"));
+                        }
+                    }
+                }
+                [OperandSig::Ri, OperandSig::Imm] => {
+                    for imm in [0, 1, -1, 0x1234, 262143, -262144] {
+                        cases.push(format!("{mn} x5, {imm}\n"));
+                    }
+                }
+                // tid, nthr, getvl and setvl read no integer operand pair.
+                _ => {}
+            }
+        }
+        for threads in [1u64, 2, 4, 8] {
+            let mvl = MAX_VL as u64 / threads;
+            for req in [1, mvl, mvl + 1, 1 << 63, u64::MAX] {
+                cases.push(
+                    format!("li x9, {threads}\nvltcfg x9\n")
+                        + &materialize(1, req)
+                        + "setvl x5, x1\n",
+                );
+            }
+        }
+        assert!(cases.len() > 2000, "{}", cases.len());
+        for src in cases {
+            let p = assemble(&(src.clone() + "halt\n")).unwrap();
+            let (st, conc) = (state_at_halt(&p), interpreted(&p));
+            assert_eq!(st.x[5], Cv::K(conc.x[5] as i64), "x5 after:\n{src}");
+            assert_eq!(st.vl, Cv::K(conc.vl as i64), "vl after:\n{src}");
+        }
     }
 }

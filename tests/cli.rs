@@ -272,6 +272,25 @@ fn wrapping_addresses_run_and_lint_without_panicking() {
     }
 }
 
+/// `setvl` clamps its request as an unsigned number: a request of -1 sets
+/// vl to the MVL. The linter used to clamp it signed, fold `vl = -1`, and
+/// report a load the program never makes.
+#[test]
+fn lint_clamps_a_top_bit_setvl_request_like_the_interpreter() {
+    let path = scratch("setvl").join("top_bit.s");
+    std::fs::write(
+        &path,
+        ".data\nxs:\n.zero 576\n.text\nli x1, -1\nsetvl x2, x1\nslli x3, x2, 3\nla x4, xs\n\
+         add x5, x4, x3\nld x6, 0(x5)\nhalt\n",
+    )
+    .unwrap();
+    let file = path.to_str().unwrap();
+    for args in [&["run", "-f", file][..], &["lint", "--strict", file]] {
+        let (code, stdout, stderr) = vlt(args);
+        assert_eq!(code, Some(0), "`vlt {}`:\n{stdout}{stderr}", args.join(" "));
+    }
+}
+
 /// A cluster spread the `vltcfg` encoding cannot express used to panic
 /// while generating the kernel.
 #[test]
