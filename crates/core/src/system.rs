@@ -431,6 +431,12 @@ impl VectorSink for VecRouter<'_> {
         let c = (token.0 >> 56) as usize;
         self.vus[c].poll(VecToken(token.0 & TOKEN_MASK))
     }
+
+    /// Issues summed over every cluster, active or not: a poll of any
+    /// token can only newly succeed once this sum moves.
+    fn issued(&self) -> u64 {
+        self.vus.iter().map(|v| v.issued).sum()
+    }
 }
 
 /// A configured machine ready to run one program.

@@ -29,7 +29,9 @@ use std::sync::Arc;
 use vlt_exec::{AddrArena, AddrRange, DecodedProgram};
 use vlt_isa::{Op, OpClass};
 use vlt_mem::{ClusterNet, MemSystem};
-use vlt_scalar::{fold_event, StallBreakdown, StallCause, VecDispatch, VecToken, VectorSink};
+use vlt_scalar::{
+    fold_event, DepSet, StallBreakdown, StallCause, VecDispatch, VecToken, VectorSink,
+};
 
 use crate::result::Utilization;
 
@@ -145,9 +147,9 @@ struct VuEntry {
     class: OpClass,
     vl: u16,
     addrs: AddrRange,
-    deps: Vec<u64>,
+    deps: DepSet,
     /// Subset of `deps` with scalar producers (attribution only).
-    scalar_deps: Vec<u64>,
+    scalar_deps: DepSet,
     ready_base: u64,
     dispatched_at: u64,
     /// Issued to a functional unit (its completion awaits or has had the
@@ -186,8 +188,23 @@ impl Fu {
 struct Partition {
     lanes: usize,
     window: Vec<VuEntry>,
+    /// Window entries not yet issued, so the per-cycle accounting knows
+    /// whether work waits without scanning the window.
+    unissued: usize,
     arith: [Fu; 3],
     vmem: [Fu; 2],
+}
+
+impl Partition {
+    fn new(lanes: usize) -> Self {
+        Partition {
+            lanes,
+            window: Vec::new(),
+            unissued: 0,
+            arith: [Fu::default(); 3],
+            vmem: [Fu::default(); 2],
+        }
+    }
 }
 
 /// One vector instruction issued to a functional unit this cycle — logged
@@ -270,14 +287,7 @@ pub struct VectorUnit {
 impl VectorUnit {
     /// Build the unit for the given configuration.
     pub fn new(cfg: VuConfig, prog: Arc<DecodedProgram>) -> Self {
-        let partitions = (0..cfg.threads)
-            .map(|_| Partition {
-                lanes: cfg.lanes_per_thread(),
-                window: Vec::new(),
-                arith: [Fu::default(); 3],
-                vmem: [Fu::default(); 2],
-            })
-            .collect();
+        let partitions = (0..cfg.threads).map(|_| Partition::new(cfg.lanes_per_thread())).collect();
         VectorUnit {
             cfg,
             partitions,
@@ -421,6 +431,11 @@ impl VectorUnit {
                 self.token_base += 1;
             }
         }
+        #[cfg(debug_assertions)]
+        for p in &self.partitions {
+            let unissued = p.window.iter().filter(|e| !e.issued).count();
+            assert_eq!(p.unissued, unissued, "a partition's unissued count left its window");
+        }
     }
 
     /// Issue from one partition; returns the unused budget.
@@ -436,6 +451,9 @@ impl VectorUnit {
         {
             let prog = &self.prog;
             let p = &mut self.partitions[pi];
+            if p.unissued == 0 {
+                return budget;
+            }
             let lanes = p.lanes;
             for i in 0..p.window.len() {
                 if budget == 0 {
@@ -529,6 +547,7 @@ impl VectorUnit {
                     WaitSrc::Vector
                 };
                 p.window[i].issued = true;
+                p.unissued -= 1;
                 self.resolutions.push((
                     vthread,
                     seq,
@@ -556,7 +575,7 @@ impl VectorUnit {
         for pi in 0..pcount {
             let parked = Self::partition_parked(pi, pcount, parked_threads, nthreads);
             let p = &self.partitions[pi];
-            let waiting = p.window.iter().any(|e| !e.issued);
+            let waiting = p.unissued > 0;
             let mut cause = None;
             for f in 0..3 {
                 match p.arith[f].busy_datapaths(now, p.lanes) {
@@ -617,17 +636,21 @@ impl VectorUnit {
     /// now forces `Some(from)` in [`VectorUnit::next_event`]), so the
     /// per-cycle and bulk-credit paths tag identically.
     fn partition_cause(p: &Partition, now: u64, draining: bool, parked: bool) -> StallCause {
+        if p.unissued == 0 {
+            return if draining {
+                StallCause::Drain
+            } else if parked {
+                StallCause::BarrierWait
+            } else {
+                StallCause::NoDlp
+            };
+        }
         let mut ready_now = false;
         let mut scalar_dep = false;
         let mut any_dep = false;
         let mut mem_wait = false;
         let mut net_wait = false;
-        let mut waiting = false;
-        for e in &p.window {
-            if e.issued {
-                continue;
-            }
-            waiting = true;
+        for e in p.window.iter().filter(|e| !e.issued) {
             if e.deps.is_empty() {
                 if e.ready_base <= now && e.dispatched_at < now {
                     ready_now = true;
@@ -646,29 +669,21 @@ impl VectorUnit {
                 }
             }
         }
-        if waiting {
-            // Stalled: fixed priority so attribution is deterministic.
-            if ready_now {
-                StallCause::IssueWidth
-            } else if scalar_dep {
-                StallCause::ScalarDep
-            } else if net_wait {
-                StallCause::NetworkContention
-            } else if mem_wait {
-                StallCause::BankConflict
-            } else if any_dep {
-                StallCause::ChainDepth
-            } else {
-                // Dep-free entries waiting out a vector producer's chain
-                // position (or their own dispatch cycle).
-                StallCause::ChainDepth
-            }
-        } else if draining {
-            StallCause::Drain
-        } else if parked {
-            StallCause::BarrierWait
+        // Stalled: fixed priority so attribution is deterministic.
+        if ready_now {
+            StallCause::IssueWidth
+        } else if scalar_dep {
+            StallCause::ScalarDep
+        } else if net_wait {
+            StallCause::NetworkContention
+        } else if mem_wait {
+            StallCause::BankConflict
+        } else if any_dep {
+            StallCause::ChainDepth
         } else {
-            StallCause::NoDlp
+            // Dep-free entries waiting out a vector producer's chain
+            // position (or their own dispatch cycle).
+            StallCause::ChainDepth
         }
     }
 
@@ -726,7 +741,7 @@ impl VectorUnit {
         for pi in 0..pcount {
             let parked = Self::partition_parked(pi, pcount, parked_threads, nthreads);
             let p = &self.partitions[pi];
-            let waiting = p.window.iter().any(|e| !e.issued);
+            let waiting = p.unissued > 0;
             let add = 3 * p.lanes as u64 * cycles;
             if waiting {
                 self.util.stalled += add;
@@ -754,14 +769,8 @@ impl VectorUnit {
         assert!(matches!(threads, 1 | 2 | 4), "VLT vector threads must be 1, 2, or 4");
         assert!(self.cfg.lanes.is_multiple_of(threads));
         self.cfg.threads = threads;
-        self.partitions = (0..threads)
-            .map(|_| Partition {
-                lanes: self.cfg.lanes_per_thread(),
-                window: Vec::new(),
-                arith: [Fu::default(); 3],
-                vmem: [Fu::default(); 2],
-            })
-            .collect();
+        self.partitions =
+            (0..threads).map(|_| Partition::new(self.cfg.lanes_per_thread())).collect();
     }
 
     /// The current number of lane partitions.
@@ -775,23 +784,18 @@ impl VectorUnit {
     /// its `scalar_deps` snapshot). The hint never affects timing.
     fn resolve_from(&mut self, vthread: usize, seq: u64, done_at: u64, src: Option<WaitSrc>) {
         let pi = vthread % self.partitions.len();
-        for e in self.partitions[pi].window.iter_mut() {
-            if !e.issued && e.vthread == vthread {
-                if let Some(pos) = e.deps.iter().position(|d| *d == seq) {
-                    e.deps.swap_remove(pos);
-                    let kind = src.unwrap_or(if e.scalar_deps.contains(&seq) {
-                        WaitSrc::Scalar
-                    } else {
-                        WaitSrc::Vector
-                    });
-                    if let Some(pos) = e.scalar_deps.iter().position(|d| *d == seq) {
-                        e.scalar_deps.swap_remove(pos);
-                    }
-                    if done_at >= e.ready_base {
-                        e.wait = kind;
-                    }
-                    e.ready_base = e.ready_base.max(done_at);
+        let p = &mut self.partitions[pi];
+        if p.unissued == 0 {
+            return;
+        }
+        for e in p.window.iter_mut() {
+            if !e.issued && e.vthread == vthread && e.deps.remove(seq) {
+                let scalar = e.scalar_deps.remove(seq);
+                let kind = src.unwrap_or(if scalar { WaitSrc::Scalar } else { WaitSrc::Vector });
+                if done_at >= e.ready_base {
+                    e.wait = kind;
                 }
+                e.ready_base = e.ready_base.max(done_at);
             }
         }
     }
@@ -811,6 +815,7 @@ impl VectorSink for VectorUnit {
         }
         let token = VecToken(self.token_base + self.reports.len() as u64);
         self.reports.push_back(Report::Pending);
+        p.unissued += 1;
         p.window.push(VuEntry {
             token,
             vthread: d.vthread,
@@ -840,6 +845,10 @@ impl VectorSink for VectorUnit {
         *r = Report::Taken;
         self.taken = true;
         Some(t)
+    }
+
+    fn issued(&self) -> u64 {
+        self.issued
     }
 }
 

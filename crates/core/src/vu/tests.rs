@@ -4,7 +4,7 @@ use vlt_exec::{AddrArena, AddrRange, DecodedProgram};
 use vlt_isa::asm::assemble;
 use vlt_isa::OpClass;
 use vlt_mem::{MemConfig, MemSystem};
-use vlt_scalar::{VecDispatch, VecToken, VectorSink};
+use vlt_scalar::{DepSet, VecDispatch, VecToken, VectorSink};
 
 use crate::vu::{VectorUnit, VuConfig};
 
@@ -55,8 +55,8 @@ fn disp(vthread: usize, seq: u64, class: OpClass, vl: u16) -> VecDispatch {
         class,
         addrs: AddrRange::EMPTY,
         seq,
-        deps: vec![],
-        scalar_deps: vec![],
+        deps: DepSet::EMPTY,
+        scalar_deps: DepSet::EMPTY,
         ready_base: 0,
     }
 }
@@ -158,7 +158,7 @@ fn dependences_block_issue_until_resolved() {
     let mut m = mem();
     let ar = arena();
     let mut d = disp(0, 1, OpClass::VAdd, 64);
-    d.deps = vec![0]; // producer seq 0, not yet resolved
+    d.deps.insert(0); // producer seq 0, not yet resolved
     let tok = vu.try_dispatch(d, 0).unwrap();
     for now in 0..50 {
         vu.tick(now, &mut m, None, &ar, 0, 1, false);

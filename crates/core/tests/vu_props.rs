@@ -10,7 +10,7 @@ use vlt_exec::{AddrArena, AddrRange, DecodedProgram};
 use vlt_isa::asm::assemble;
 use vlt_isa::OpClass;
 use vlt_mem::{MemConfig, MemSystem};
-use vlt_scalar::{VecDispatch, VecToken, VectorSink};
+use vlt_scalar::{DepSet, VecDispatch, VecToken, VectorSink};
 
 const CLASS_PROG: &str = "\
 vfadd.vv v1, v2, v3
@@ -104,8 +104,8 @@ proptest! {
                             AddrRange::EMPTY
                         },
                         seq,
-                        deps: vec![],
-                        scalar_deps: vec![],
+                        deps: DepSet::EMPTY,
+                        scalar_deps: DepSet::EMPTY,
                         ready_base: 0,
                     };
                     if let Some(tok) = vu.try_dispatch(d, now) {
@@ -153,8 +153,8 @@ fn window_capacity_is_partition_scoped() {
                 class: OpClass::VAdd,
                 addrs: AddrRange::EMPTY,
                 seq: (p * 8 + i) as u64,
-                deps: vec![],
-                scalar_deps: vec![],
+                deps: DepSet::EMPTY,
+                scalar_deps: DepSet::EMPTY,
                 ready_base: 0,
             };
             assert!(vu.try_dispatch(d, 0).is_some(), "partition {p} entry {i}");
@@ -166,8 +166,8 @@ fn window_capacity_is_partition_scoped() {
             class: OpClass::VAdd,
             addrs: AddrRange::EMPTY,
             seq: 1000 + p as u64,
-            deps: vec![],
-            scalar_deps: vec![],
+            deps: DepSet::EMPTY,
+            scalar_deps: DepSet::EMPTY,
             ready_base: 0,
         };
         assert!(vu.try_dispatch(d, 0).is_none(), "partition {p} must be full");

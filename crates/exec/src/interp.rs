@@ -16,6 +16,10 @@
 //! * Masked-off vector elements keep their previous destination value.
 //! * Vector compares write mask bits `0..vl`; higher bits are untouched.
 //! * `vextract`/`vinsert` indices wrap modulo [`MAX_VL`].
+//! * Every NaN that FP arithmetic produces is [`CANONICAL_NAN`], so which
+//!   NaN comes out is a property of the ISA, not of code generation. Moves
+//!   and sign ops (`fmov`, `fneg`, `fabs`, splats, inserts, extracts,
+//!   loads and stores) keep their operand's bits.
 
 use vlt_isa::{Op, MAX_VL};
 
@@ -238,14 +242,14 @@ pub fn exec(
             kind = DynKind::Branch { taken: true, target };
         }
 
-        Op::Fadd => st.f[d] = st.f[s1] + st.f[s2],
-        Op::Fsub => st.f[d] = st.f[s1] - st.f[s2],
-        Op::Fmul => st.f[d] = st.f[s1] * st.f[s2],
-        Op::Fdiv => st.f[d] = st.f[s1] / st.f[s2],
-        Op::Fmin => st.f[d] = st.f[s1].min(st.f[s2]),
-        Op::Fmax => st.f[d] = st.f[s1].max(st.f[s2]),
-        Op::Fma => st.f[d] = st.f[s1].mul_add(st.f[s2], st.f[d]),
-        Op::Fsqrt => st.f[d] = st.f[s1].sqrt(),
+        Op::Fadd => st.f[d] = canon(st.f[s1] + st.f[s2]),
+        Op::Fsub => st.f[d] = canon(st.f[s1] - st.f[s2]),
+        Op::Fmul => st.f[d] = canon(st.f[s1] * st.f[s2]),
+        Op::Fdiv => st.f[d] = canon(st.f[s1] / st.f[s2]),
+        Op::Fmin => st.f[d] = canon(st.f[s1].min(st.f[s2])),
+        Op::Fmax => st.f[d] = canon(st.f[s1].max(st.f[s2])),
+        Op::Fma => st.f[d] = canon(st.f[s1].mul_add(st.f[s2], st.f[d])),
+        Op::Fsqrt => st.f[d] = canon(st.f[s1].sqrt()),
         Op::Fneg => st.f[d] = -st.f[s1],
         Op::Fabs => st.f[d] = st.f[s1].abs(),
         Op::Fmov => st.f[d] = st.f[s1],
@@ -287,14 +291,14 @@ pub fn exec(
             let v = &mut *st.v;
             for_enabled(st.vl, st.vm, masked, |e| {
                 let (x, y) = (f64::from_bits(v[s1][e]), f64::from_bits(v[s2][e]));
-                v[d][e] = x.mul_add(y, f64::from_bits(v[d][e])).to_bits();
+                v[d][e] = canon(x.mul_add(y, f64::from_bits(v[d][e]))).to_bits();
             });
             vector!();
         }
         Op::Vfsqrt => {
             let v = &mut *st.v;
             for_enabled(st.vl, st.vm, masked, |e| {
-                v[d][e] = f64::from_bits(v[s1][e]).sqrt().to_bits();
+                v[d][e] = canon(f64::from_bits(v[s1][e]).sqrt()).to_bits();
             });
             vector!();
         }
@@ -308,7 +312,7 @@ pub fn exec(
             let v = &mut *st.v;
             for_enabled(st.vl, st.vm, masked, |e| {
                 let x = f64::from_bits(v[s1][e]);
-                v[d][e] = x.mul_add(s, f64::from_bits(v[d][e])).to_bits();
+                v[d][e] = canon(x.mul_add(s, f64::from_bits(v[d][e]))).to_bits();
             });
             vector!();
         }
@@ -427,7 +431,7 @@ pub fn exec(
             for e in 0..st.vl {
                 acc += f64::from_bits(st.v[s1][e]);
             }
-            st.f[d] = acc;
+            st.f[d] = canon(acc);
             vector!();
         }
         Op::Vfredmin | Op::Vfredmax => {
@@ -436,7 +440,7 @@ pub fn exec(
                 let v = f64::from_bits(st.v[s1][e]);
                 acc = if op == Op::Vfredmin { acc.min(v) } else { acc.max(v) };
             }
-            st.f[d] = acc;
+            st.f[d] = canon(acc);
             vector!();
         }
 
@@ -529,10 +533,23 @@ pub(crate) fn for_enabled(vl: usize, vm: u64, masked: bool, mut f: impl FnMut(us
     }
 }
 
-/// f64 view of a binary function on raw element bits.
+/// The one NaN FP arithmetic produces: the quiet NaN with a clear sign and
+/// an empty payload.
+pub const CANONICAL_NAN: u64 = 0x7ff8_0000_0000_0000;
+
+/// `x`, or [`CANONICAL_NAN`] for any NaN. Tested and chosen on the bits:
+/// with a float test the optimizer may take one NaN for another and keep
+/// `x` (release builds did).
+#[inline(always)]
+fn canon(x: f64) -> f64 {
+    let b = x.to_bits();
+    f64::from_bits(if b & !(1 << 63) > f64::INFINITY.to_bits() { CANONICAL_NAN } else { b })
+}
+
+/// f64 view of a binary FP arithmetic function on raw element bits.
 #[inline]
 fn ff(f: impl Fn(f64, f64) -> f64) -> impl Fn(u64, u64) -> u64 {
-    move |a, b| f(f64::from_bits(a), f64::from_bits(b)).to_bits()
+    move |a, b| canon(f(f64::from_bits(a), f64::from_bits(b))).to_bits()
 }
 
 /// All-ones mask over the low `vl` bits.

@@ -569,3 +569,24 @@ proptest! {
         prop_assert_eq!(s.x[8], (a ^ b) as u64);
     }
 }
+
+#[test]
+fn fp_arithmetic_makes_one_nan_and_moves_keep_bits() {
+    // A signalling NaN with the sign set and a payload, and sqrt(-1), whose
+    // NaN the host makes negative: arithmetic on either, scalar, vector or
+    // reduction, gives the canonical NaN; moves and sign ops keep the bits.
+    let s = run("\
+        .data\nn: .dword 0xfff0000000000123\n.text\n\
+        la x1, n\nfld f1, 0(x1)\nli x2, -1\nfcvt.f.x f2, x2\n\
+        fsqrt f3, f2\nfadd f4, f1, f1\nfneg f5, f1\nfmov f6, f1\n\
+        li x3, 4\nsetvl x0, x3\nvfsplat v1, f1\nvfredsum f7, v1\n\
+        vfadd.vv v2, v1, v1\nvfextract f8, v2, x0\nvfextract f9, v1, x0\n\
+        fsd f4, 0(x1)\nld x4, 0(x1)\nhalt\n");
+    let bits = |r| f(&s, r).to_bits();
+    assert_eq!([bits(3), bits(4), bits(7), bits(8)], [super::CANONICAL_NAN; 4]);
+    assert_eq!(
+        [bits(5), bits(6), bits(9)],
+        [0x7ff0_0000_0000_0123, 0xfff0_0000_0000_0123, 0xfff0_0000_0000_0123]
+    );
+    assert_eq!(x(&s, 4), super::CANONICAL_NAN);
+}

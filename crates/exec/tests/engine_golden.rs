@@ -296,12 +296,9 @@ fn bits(v: f64) -> u64 {
 struct EveryOp {
     src: String,
     /// One entry per result stored to `out`, in store order: what produced
-    /// it, its width in dwords, and whether it is FP arithmetic (see
-    /// [`render_every_op`]).
-    spills: Vec<(String, usize, bool)>,
+    /// it and its width in dwords.
+    spills: Vec<(String, usize)>,
     labels: usize,
-    /// Set while the result being stored is FP arithmetic.
-    fp_arith: bool,
 }
 
 /// The operands one instance of an op reads, in signature order of each
@@ -398,7 +395,7 @@ impl EveryOp {
         let st = if reg.starts_with('f') { "fsd" } else { "sd" };
         self.line(&format!("{st} {reg}, 0(x29)"));
         self.line("addi x29, x29, 8");
-        self.spills.push((what, 1, self.fp_arith));
+        self.spills.push((what, 1));
     }
 
     fn spill_dest(&mut self, dest: Dest, what: String) {
@@ -408,7 +405,7 @@ impl EveryOp {
             Dest::V => {
                 self.line("vst v20, x29");
                 self.line(&format!("addi x29, x29, {}", 8 * VL));
-                self.spills.push((what, VL, self.fp_arith));
+                self.spills.push((what, VL));
             }
             Dest::Mask => {
                 // All 64 bits: `vmgetb` reads only the bits below vl.
@@ -541,8 +538,8 @@ fn every_op_program() -> EveryOp {
     };
     let va = [7, MIN, PAT, PAT, PAT, u64::MAX, i64::MAX as u64, -8i64 as u64, 130, 0];
     let vb = [0, u64::MAX, 64, 65, -3i64 as u64, MIN, 1, 2, 7, 0];
-    // One NaN per FP vector, so no result depends on which of two NaNs
-    // an operation propagates.
+    // One NaN per FP vector, positive in one and negative in the other:
+    // FP arithmetic turns either into the canonical NaN.
     let vfa = [
         bits(-0.0),
         nan,
@@ -569,7 +566,7 @@ fn every_op_program() -> EveryOp {
     ];
     let vidx = [0, 8, 16, 72, 8, 0, 40, 32, 24, 48];
 
-    let mut g = EveryOp { src: String::new(), spills: Vec::new(), labels: 0, fp_arith: false };
+    let mut g = EveryOp { src: String::new(), spills: Vec::new(), labels: 0 };
     // Setup: pools, bases, the prefill pattern in all 64 lanes of v6 and
     // v20, and vl = 10.
     g.line("la x29, ints");
@@ -708,7 +705,7 @@ fn every_op_program() -> EveryOp {
                     let inst = format!("{mn} {src}, {off}(x29)");
                     g.line(&inst);
                     g.line("addi x29, x29, 24");
-                    g.spills.push((inst, 3, false));
+                    g.spills.push((inst, 3));
                 }
             }
             _ if class == OpClass::VStore => {
@@ -725,7 +722,7 @@ fn every_op_program() -> EveryOp {
                         let inst = format!("{mn} {}{vm}", ops.join(", "));
                         g.line(&inst);
                         g.line(&format!("addi x29, x29, {}", 8 * words));
-                        g.spills.push((inst, words, false));
+                        g.spills.push((inst, words));
                     }
                 }
             }
@@ -784,7 +781,7 @@ fn every_op_program() -> EveryOp {
     }
     g.line("halt");
 
-    let words: usize = g.spills.iter().map(|(_, n, _)| n).sum();
+    let words: usize = g.spills.iter().map(|(_, n)| n).sum();
     let join = |v: &[u64]| v.iter().map(|w| format!("{w:#x}")).collect::<Vec<_>>().join(", ");
     let fps: Vec<u64> = fpool.collect();
     let text = std::mem::take(&mut g.src);
@@ -809,35 +806,7 @@ fn every_op_program() -> EveryOp {
 /// element it wrote, read back at the same index.
 fn emit_result(g: &mut EveryOp, op: Op, dest: Option<Dest>, ops: &[String], inst: String) {
     let Some(dest) = dest else { return };
-    g.fp_arith = matches!(
-        op,
-        Op::Fadd
-            | Op::Fsub
-            | Op::Fmul
-            | Op::Fdiv
-            | Op::Fmin
-            | Op::Fmax
-            | Op::Fma
-            | Op::Fsqrt
-            | Op::VfaddVV
-            | Op::VfsubVV
-            | Op::VfmulVV
-            | Op::VfdivVV
-            | Op::VfmaVV
-            | Op::VfminVV
-            | Op::VfmaxVV
-            | Op::Vfsqrt
-            | Op::VfaddVS
-            | Op::VfsubVS
-            | Op::VfmulVS
-            | Op::VfdivVS
-            | Op::VfmaVS
-            | Op::Vfredsum
-            | Op::Vfredmin
-            | Op::Vfredmax
-    );
     g.spill_dest(dest, inst.clone());
-    g.fp_arith = false;
     if matches!(op, Op::Vinsert | Op::Vfinsert) {
         g.line(&format!("vextract x21, v20, {}", ops[1]));
         g.spill("x21", format!("{inst}; vextract at {}", ops[1]));
@@ -845,29 +814,18 @@ fn emit_result(g: &mut EveryOp, op: Op, dest: Option<Dest>, ops: &[String], inst
 }
 
 /// The golden text of a finished every-op run: every stored result, then
-/// the final registers, mask, vl and partition.
-///
-/// A NaN that FP arithmetic produces prints as `nan`: which NaN an
-/// operation returns when two meet, and the sign of a NaN made from
-/// non-NaN operands, are not specified by Rust and move with code
-/// generation (the integer lanes hold many NaN patterns).
+/// the final registers, mask, vl and partition. Every word prints as hex:
+/// the interpreter canonicalizes the NaNs FP arithmetic produces, so no
+/// result depends on the build.
 fn render_every_op(sim: &FuncSim, prog: &EveryOp, out: u64) -> String {
     let mut s = String::from(
         "# Every opcode's results (crates/exec/tests/engine_golden.rs, every_op_program),\n\
          # one stored result per line, then the final architectural state. Words are hex.\n",
     );
     let mut addr = out;
-    for (what, n, fp_arith) in &prog.spills {
-        let words: Vec<String> = (0..*n)
-            .map(|k| sim.mem.read_u64(addr + 8 * k as u64))
-            .map(|w| {
-                if *fp_arith && f64::from_bits(w).is_nan() {
-                    "nan".to_string()
-                } else {
-                    format!("{w:016x}")
-                }
-            })
-            .collect();
+    for (what, n) in &prog.spills {
+        let words: Vec<String> =
+            (0..*n).map(|k| format!("{:016x}", sim.mem.read_u64(addr + 8 * k as u64))).collect();
         s.push_str(&format!("{what} => {}\n", words.join(" ")));
         addr += 8 * *n as u64;
     }

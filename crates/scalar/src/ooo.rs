@@ -5,7 +5,9 @@
 //! 1. **Poll** — every vector instruction retires from the ROB at
 //!    dispatch, so the vector unit is polled for the instructions handed
 //!    to it, in dispatch order; a completion publishes the instruction's
-//!    register effects and resolves dependent consumers.
+//!    register effects and resolves dependent consumers. Only an issue
+//!    makes a poll succeed, so the pass runs only in a cycle after the
+//!    vector units' issue count ([`VectorSink::issued`]) moved.
 //! 2. **Commit** — in-order per context, total width shared across SMT
 //!    contexts.
 //! 3. **Issue** — oldest-ready-first across contexts, bounded by issue
@@ -15,11 +17,19 @@
 //!    last one resolves. A context keeps one (producer, consumer) edge
 //!    per outstanding dependence, and a resolving producer visits only
 //!    those edges, so a cycle costs O(ready + woken), not a window scan.
+//!    A scalar producer's resolution reaches the vector unit only when a
+//!    dispatched vector instruction named it.
 //! 4. **Fetch/dispatch** — one context per cycle (ICOUNT-style choice),
 //!    up to `width` instructions; branch predictor consulted against the
 //!    known outcome, charging a redirect penalty on mispredicts; vector
 //!    instructions are handed to the vector unit in program order with a
 //!    dependence snapshot.
+//!
+//! Each context numbers its dispatches densely: an entry's *ordinal* is
+//! its ROB slot plus the entries committed before it, so the register map,
+//! the edges and the ready list reach an entry in O(1). Seqs, unique per
+//! core, give the age order across contexts and name producers to the
+//! vector unit.
 //!
 //! Register renaming is modeled as unlimited physical registers: only true
 //! (RAW) dependences constrain issue, while the window bounds run-ahead
@@ -35,7 +45,9 @@ use vlt_mem::MemSystem;
 use crate::config::CoreConfig;
 use crate::predictor::Predictor;
 use crate::stall::{StallBreakdown, StallCause};
-use crate::traits::{fold_event, FetchResult, FetchSource, VecDispatch, VecToken, VectorSink};
+use crate::traits::{
+    fold_event, DepSet, FetchResult, FetchSource, VecDispatch, VecToken, VectorSink, MAX_SRCS,
+};
 
 /// Execution latency by class (cycles from issue to result availability).
 pub fn latency(class: OpClass) -> u64 {
@@ -111,12 +123,40 @@ struct Entry {
     /// Completion cycle, known from issue (from dispatch for entries that
     /// never issue: barriers, halts and vector instructions).
     done_at: Option<u64>,
+    /// A dispatched vector instruction named this unissued scalar entry as
+    /// a producer, so its resolution must reach the vector unit.
+    vec_consumer: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Producer {
     Ready(u64),
-    InFlight(u64),
+    /// Not yet resolved: the producer's seq (its name to the vector unit)
+    /// and its ordinal in the context (its ROB slot while it is there).
+    InFlight {
+        seq: u64,
+        ord: u64,
+    },
+}
+
+/// A dispatched, unissued entry with no unresolved producer.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Ready {
+    seq: u64,
+    ci: usize,
+    ord: u64,
+    ready_base: u64,
+}
+
+/// A vector instruction handed to the vector unit, awaiting its
+/// completion.
+#[derive(Debug, Clone, Copy)]
+struct PendingVec {
+    ci: usize,
+    seq: u64,
+    ord: u64,
+    sidx: u32,
+    token: VecToken,
 }
 
 #[derive(Debug)]
@@ -125,11 +165,14 @@ struct Ctx {
     thread: Option<usize>,
     /// VLT thread id for vector-unit scoping.
     vthread: usize,
-    /// In dispatch order, so seqs ascend and [`slot`] can binary-search.
+    /// In dispatch order: the entry with ordinal `ord` sits at
+    /// `ord - popped`.
     rob: VecDeque<Entry>,
-    /// (producer seq, consumer seq) for every unresolved dependence of an
-    /// unissued entry; the producer may already have left the ROB for the
-    /// vector unit.
+    /// Entries committed so far, which is the ordinal of the ROB's head.
+    popped: u64,
+    /// (producer ordinal, consumer ordinal) for every unresolved dependence
+    /// of an unissued entry; the producer may already have left the ROB for
+    /// the vector unit.
     edges: Vec<(u64, u64)>,
     /// Latest producer per architectural register.
     reg_map: Vec<Producer>,
@@ -144,16 +187,6 @@ struct Ctx {
 
 /// Most hardware contexts one core holds ([`CoreConfig::with_smt`]).
 const MAX_CONTEXTS: usize = 4;
-
-/// Most registers one instruction reads (a masked `vfma.vv`: `vd`, `vs1`,
-/// `vs2`, `vl`, `vm`).
-const MAX_SRCS: usize = 5;
-
-/// ROB position of the entry with sequence number `seq`.
-#[inline]
-fn slot(rob: &VecDeque<Entry>, seq: u64) -> Option<usize> {
-    rob.binary_search_by_key(&seq, |e| e.seq).ok()
-}
 
 /// Flatten a register reference into the `reg_map` index space.
 #[inline]
@@ -174,6 +207,7 @@ impl Ctx {
             thread: None,
             vthread: 0,
             rob: VecDeque::new(),
+            popped: 0,
             edges: Vec::new(),
             reg_map: vec![Producer::Ready(0); REG_SPACE],
             fetch_ready: 0,
@@ -187,6 +221,19 @@ impl Ctx {
     fn active(&self) -> bool {
         self.thread.is_some() && !(self.halted && self.rob.is_empty() && self.pending.is_none())
     }
+
+    /// ROB position of the entry with ordinal `ord`, which has not
+    /// committed.
+    #[inline]
+    fn pos(&self, ord: u64) -> usize {
+        (ord - self.popped) as usize
+    }
+
+    /// The entry with ordinal `ord`, or `None` once it has committed.
+    #[inline]
+    fn entry(&self, ord: u64) -> Option<&Entry> {
+        self.rob.get(usize::try_from(ord.checked_sub(self.popped)?).ok()?)
+    }
 }
 
 /// The out-of-order scalar unit.
@@ -197,15 +244,17 @@ pub struct OooCore {
     prog: Arc<DecodedProgram>,
     pred: Predictor,
     ctxs: Vec<Ctx>,
-    /// Vector instructions awaiting VU completion, in dispatch order:
-    /// (context, seq, sidx, token).
-    pending_vec: Vec<(usize, u64, u32, VecToken)>,
-    /// Completions one poll picked up, (context, seq, sidx, cycle); a
-    /// buffer reused across cycles.
-    completed: Vec<(usize, u64, u32, u64)>,
-    /// (seq, context, ready_base) of every dispatched, unissued entry with
-    /// no unresolved producer, in no particular order.
-    ready: Vec<(u64, usize, u64)>,
+    /// Vector instructions awaiting VU completion, in dispatch order.
+    pending_vec: Vec<PendingVec>,
+    /// Completions one poll picked up, with their cycles; a buffer reused
+    /// across cycles.
+    completed: Vec<(PendingVec, u64)>,
+    /// Every dispatched, unissued entry with no unresolved producer, in no
+    /// particular order.
+    ready: Vec<Ready>,
+    /// The vector units' [`VectorSink::issued`] count at the last poll
+    /// pass.
+    polled_issues: u64,
     seq_next: u64,
     div_free: u64,
     /// Statistics counters.
@@ -226,6 +275,7 @@ impl OooCore {
             pending_vec: Vec::new(),
             completed: Vec::new(),
             ready: Vec::new(),
+            polled_issues: 0,
             seq_next: 0,
             div_free: 0,
             stats: CoreStats::default(),
@@ -279,8 +329,8 @@ impl OooCore {
         let mut ev: Option<u64> = None;
         // Ready entries issue at `ready_base`; entries still waiting on a
         // producer wake through that producer's own event.
-        for &(_, _, ready_base) in &self.ready {
-            fold_event(&mut ev, ready_base.max(from));
+        for r in &self.ready {
+            fold_event(&mut ev, r.ready_base.max(from));
         }
         for c in &self.ctxs {
             let Some(thread) = c.thread else { continue };
@@ -419,26 +469,56 @@ impl OooCore {
         Ok(())
     }
 
-    /// The scheduling state matches the ROB: each entry's `waiting` equals
-    /// the edges naming it as consumer, every edge's consumer is unissued,
-    /// and the ready list holds each unissued entry with no unresolved
-    /// producer exactly once, with its `ready_base`.
+    /// The scheduling state matches the ROB: every in-flight producer in
+    /// the register map names, by seq and ordinal, its ROB entry or (once
+    /// committed) a vector instruction awaiting its poll; every edge joins
+    /// such a producer to an unissued consumer in the ROB; each entry's
+    /// `waiting` equals the edges naming it as consumer; and the ready list
+    /// holds each unissued entry with no unresolved producer exactly once,
+    /// with its `ready_base`.
     #[cfg(debug_assertions)]
     fn check_schedule(&self) {
         let mut listed = 0;
         for (ci, c) in self.ctxs.iter().enumerate() {
+            let holds = |seq: u64, ord: u64| match c.entry(ord) {
+                Some(e) => e.seq == seq,
+                None => {
+                    ord < c.popped
+                        && self.pending_vec.iter().any(|p| (p.ci, p.seq, p.ord) == (ci, seq, ord))
+                }
+            };
+            for &r in &c.reg_map {
+                if let Producer::InFlight { seq, ord } = r {
+                    assert!(
+                        holds(seq, ord),
+                        "reg_map: seq {seq} at ordinal {ord} names no producer"
+                    );
+                }
+            }
             let mut edges = vec![0usize; c.rob.len()];
             for &(p, q) in &c.edges {
-                let pos = slot(&c.rob, q)
-                    .unwrap_or_else(|| panic!("edge {p} -> {q}: consumer not in the ROB"));
-                assert!(c.rob[pos].done_at.is_none(), "edge {p} -> {q}: consumer issued");
-                edges[pos] += 1;
+                let e =
+                    c.entry(q).unwrap_or_else(|| panic!("edge {p} -> {q}: consumer out of range"));
+                assert!(e.done_at.is_none(), "edge {p} -> {q}: consumer issued");
+                assert!(p < q, "edge {p} -> {q}: producer not older");
+                assert!(
+                    c.entry(p).is_some()
+                        || self.pending_vec.iter().any(|v| (v.ci, v.ord) == (ci, p)),
+                    "edge {p} -> {q}: producer neither in the ROB nor pending in the VU"
+                );
+                edges[c.pos(q)] += 1;
             }
-            for (e, &n) in c.rob.iter().zip(&edges) {
+            for (k, (e, &n)) in c.rob.iter().zip(&edges).enumerate() {
                 assert_eq!(usize::from(e.waiting), n, "seq {}: waiting != edges", e.seq);
                 if e.done_at.is_none() && e.waiting == 0 {
-                    let hits: Vec<_> = self.ready.iter().filter(|r| r.0 == e.seq).collect();
-                    assert_eq!(hits, [&(e.seq, ci, e.ready_base)], "seq {}: ready list", e.seq);
+                    let hits: Vec<_> = self.ready.iter().filter(|r| r.seq == e.seq).collect();
+                    let want = Ready {
+                        seq: e.seq,
+                        ci,
+                        ord: c.popped + k as u64,
+                        ready_base: e.ready_base,
+                    };
+                    assert_eq!(hits, [&want], "seq {}: ready list", e.seq);
                     listed += 1;
                 }
             }
@@ -448,58 +528,69 @@ impl OooCore {
 
     /// Stage 1: pick up vector-unit completions in dispatch order (the
     /// VU's stall attribution depends on the order of its resolutions).
+    /// A pass runs only after an issue, the one event that makes a poll
+    /// succeed ([`VectorSink::issued`]).
     fn poll_vector(&mut self, vu: &mut dyn VectorSink) {
+        let issued = vu.issued();
+        if issued == self.polled_issues {
+            return;
+        }
+        self.polled_issues = issued;
         let completed = &mut self.completed;
-        self.pending_vec.retain(|&(ci, seq, sidx, token)| match vu.poll(token) {
+        self.pending_vec.retain(|&p| match vu.poll(p.token) {
             Some(t) => {
-                completed.push((ci, seq, sidx, t));
+                completed.push((p, t));
                 false
             }
             None => true,
         });
         let mut completed = std::mem::take(&mut self.completed);
-        for (ci, seq, sidx, t) in completed.drain(..) {
+        for (p, t) in completed.drain(..) {
             // Publish register effects now that the completion is known.
-            let c = &mut self.ctxs[ci];
-            for d in &self.prog.get(sidx as usize).defs {
+            let c = &mut self.ctxs[p.ci];
+            for d in &self.prog.get(p.sidx as usize).defs {
                 let r = &mut c.reg_map[reg_index(*d)];
-                if *r == Producer::InFlight(seq) {
+                if *r == (Producer::InFlight { seq: p.seq, ord: p.ord }) {
                     *r = Producer::Ready(t);
                 }
             }
-            let vthread = c.vthread;
-            self.resolve_producer(ci, seq, t, vthread, vu);
+            // A vector consumer may have named this producer after it
+            // issued in the vector unit: it waits for this resolution.
+            self.resolve_producer(p.ci, p.ord, p.seq, t, true, vu);
         }
         self.completed = completed;
     }
 
-    /// Broadcast a producer's completion to waiting consumers (this core's
-    /// window, through the context's edges, and the vector unit's window).
+    /// Broadcast a producer's completion to waiting consumers: this
+    /// context's, through its edges, and the vector unit's when `to_vu`.
     /// A consumer whose last producer this was joins the ready list.
     fn resolve_producer(
         &mut self,
         ci: usize,
+        ord: u64,
         seq: u64,
         done_at: u64,
-        vthread: usize,
+        to_vu: bool,
         vu: &mut dyn VectorSink,
     ) {
-        let Ctx { rob, edges, .. } = &mut self.ctxs[ci];
+        let Ctx { rob, popped, edges, vthread, .. } = &mut self.ctxs[ci];
         let ready = &mut self.ready;
         edges.retain(|&(p, q)| {
-            if p != seq {
+            if p != ord {
                 return true;
             }
-            let pos = slot(rob, q).expect("a consumer stays in the ROB until it issues");
-            let e = &mut rob[pos];
+            // A consumer stays in the ROB until it issues.
+            let e = &mut rob[(q - *popped) as usize];
             e.waiting -= 1;
             e.ready_base = e.ready_base.max(done_at);
             if e.waiting == 0 {
-                ready.push((q, ci, e.ready_base));
+                ready.push(Ready { seq: e.seq, ci, ord: q, ready_base: e.ready_base });
             }
             false
         });
-        vu.resolve(vthread, seq, done_at);
+        if to_vu {
+            vu.resolve(*vthread, seq, done_at);
+        }
     }
 
     /// Stage 2: in-order commit per context, shared width.
@@ -514,16 +605,18 @@ impl OooCore {
                 if done > now {
                     break;
                 }
-                let e = self.ctxs[ci].rob.pop_front().unwrap();
+                let c = &mut self.ctxs[ci];
+                let e = c.rob.pop_front().unwrap();
+                let ord = c.popped;
+                c.popped += 1;
                 // Retire register state: later fetches read Ready(done).
                 // Vector entries publish at VU completion (their `done`
                 // here is only the dispatch cycle).
                 if e.kind != EKind::Vector {
-                    let si = self.prog.get(e.sidx as usize);
-                    for d in &si.defs {
-                        let idx = reg_index(*d);
-                        if self.ctxs[ci].reg_map[idx] == Producer::InFlight(e.seq) {
-                            self.ctxs[ci].reg_map[idx] = Producer::Ready(done);
+                    for d in &self.prog.get(e.sidx as usize).defs {
+                        let r = &mut c.reg_map[reg_index(*d)];
+                        if *r == (Producer::InFlight { seq: e.seq, ord }) {
+                            *r = Producer::Ready(done);
                         }
                     }
                 }
@@ -547,17 +640,17 @@ impl OooCore {
 
         // Global age order: seqs are unique per core. Consumers an issue
         // wakes are appended past `n` and wait for the next cycle.
-        self.ready.sort_unstable_by_key(|&(seq, _, _)| seq);
+        self.ready.sort_unstable_by_key(|r| r.seq);
         let n = self.ready.len();
         let mut kept = 0;
         for i in 0..n {
-            let (seq, ci, ready_base) = self.ready[i];
-            let issue = if slots == 0 || ready_base > now {
+            let r = self.ready[i];
+            let issue = if slots == 0 || r.ready_base > now {
                 None
             } else {
-                let pos = slot(&self.ctxs[ci].rob, seq).expect("ready entries are in the ROB");
+                let pos = self.ctxs[r.ci].pos(r.ord);
                 let (class, kind) = {
-                    let e = &self.ctxs[ci].rob[pos];
+                    let e = &self.ctxs[r.ci].rob[pos];
                     (e.class, e.kind)
                 };
                 let done = match kind {
@@ -585,15 +678,16 @@ impl OooCore {
                 done.map(|done| (pos, done))
             };
             let Some((pos, done)) = issue else {
-                self.ready[kept] = self.ready[i];
+                self.ready[kept] = r;
                 kept += 1;
                 continue;
             };
             slots -= 1;
             self.stats.issued += 1;
-            self.ctxs[ci].rob[pos].done_at = Some(done);
-            let vthread = self.ctxs[ci].vthread;
-            self.resolve_producer(ci, seq, done, vthread, vu);
+            let e = &mut self.ctxs[r.ci].rob[pos];
+            e.done_at = Some(done);
+            let to_vu = e.vec_consumer;
+            self.resolve_producer(r.ci, r.ord, r.seq, done, to_vu, vu);
         }
         self.ready.drain(kept..n);
     }
@@ -699,19 +793,22 @@ impl OooCore {
         let si = self.prog.get(d.sidx as usize);
         let seq = self.seq_next;
 
-        // Dependence snapshot. An in-flight producer may already have issued
-        // (completion cycle known): fold it into `ready_base` instead of
-        // recording a dependence whose resolution broadcast already happened.
-        let mut deps = [0u64; MAX_SRCS];
-        let mut n_deps = 0;
-        let mut scalar_deps = Vec::new();
+        // Dependence snapshot: the producers' seqs (the vector unit's names
+        // for them) and ordinals (for this context's edges). An in-flight
+        // producer may already have issued (completion cycle known): fold it
+        // into `ready_base` instead of recording a dependence whose
+        // resolution broadcast already happened.
+        let c = &self.ctxs[ci];
+        let mut deps = DepSet::EMPTY;
+        let mut dep_ords = [0u64; MAX_SRCS];
+        let mut scalar_deps = DepSet::EMPTY;
+        let mut scalar_ords = [0u64; MAX_SRCS];
         let mut ready_base = 0u64;
         for u in &si.uses {
-            match self.ctxs[ci].reg_map[reg_index(*u)] {
-                Producer::Ready(c) => ready_base = ready_base.max(c),
-                Producer::InFlight(s) => {
-                    let rob = &self.ctxs[ci].rob;
-                    let producer = slot(rob, s).map(|pos| &rob[pos]);
+            match c.reg_map[reg_index(*u)] {
+                Producer::Ready(t) => ready_base = ready_base.max(t),
+                Producer::InFlight { seq: s, ord } => {
+                    let producer = c.entry(ord);
                     match producer {
                         // Vector producers have a placeholder done_at (the
                         // dispatch cycle); they wait for the VU instead.
@@ -721,15 +818,11 @@ impl OooCore {
                         _ => {
                             debug_assert!(
                                 producer.is_some()
-                                    || self
-                                        .pending_vec
-                                        .iter()
-                                        .any(|&(c, q, _, _)| c == ci && q == s),
+                                    || self.pending_vec.iter().any(|p| (p.ci, p.seq) == (ci, s)),
                                 "in-flight producer {s} is neither in the ROB nor pending in the VU"
                             );
-                            if !deps[..n_deps].contains(&s) {
-                                deps[n_deps] = s;
-                                n_deps += 1;
+                            if deps.insert(s) {
+                                dep_ords[deps.len() - 1] = ord;
                                 // Producers absent from the ROB retired into
                                 // the VU; ROB-resident vector entries are
                                 // vector producers too. Everything else is a
@@ -738,7 +831,8 @@ impl OooCore {
                                 let vector_producer =
                                     producer.is_none_or(|e| e.kind == EKind::Vector);
                                 if !vector_producer && si.class.is_vector() {
-                                    scalar_deps.push(s);
+                                    scalar_deps.insert(s);
+                                    scalar_ords[scalar_deps.len() - 1] = ord;
                                 }
                             }
                         }
@@ -746,7 +840,7 @@ impl OooCore {
                 }
             }
         }
-        let deps = &deps[..n_deps];
+        let ord = c.popped + c.rob.len() as u64;
 
         let kind = match (&d.kind, si.class) {
             (DynKind::Barrier, _) => EKind::Barrier,
@@ -775,7 +869,7 @@ impl OooCore {
                     class: si.class,
                     addrs,
                     seq,
-                    deps: deps.to_vec(),
+                    deps,
                     scalar_deps,
                     ready_base,
                 };
@@ -787,7 +881,14 @@ impl OooCore {
                         // exception, the VU tracks them); register effects
                         // — including scalar destinations of reductions —
                         // publish when the VU completes (poll_vector).
-                        self.pending_vec.push((ci, seq, d.sidx, token));
+                        self.pending_vec.push(PendingVec { ci, seq, ord, sidx: d.sidx, token });
+                        // The scalar producers it waits on now report their
+                        // issue to the VU.
+                        let c = &mut self.ctxs[ci];
+                        for &p in &scalar_ords[..scalar_deps.len()] {
+                            let pos = c.pos(p);
+                            c.rob[pos].vec_consumer = true;
+                        }
                         EKind::Vector
                     }
                     None => {
@@ -817,8 +918,9 @@ impl OooCore {
         };
 
         self.seq_next += 1;
+        let c = &mut self.ctxs[ci];
         for def in &si.defs {
-            self.ctxs[ci].reg_map[reg_index(*def)] = Producer::InFlight(seq);
+            c.reg_map[reg_index(*def)] = Producer::InFlight { seq, ord };
         }
         // Barriers, halts and vector instructions are complete from
         // dispatch: nothing waits for their producers here.
@@ -826,13 +928,12 @@ impl OooCore {
             EKind::Barrier | EKind::Done | EKind::Vector => Some(now),
             _ => None,
         };
-        let c = &mut self.ctxs[ci];
         let mut waiting = 0;
         if done_at.is_none() {
-            c.edges.extend(deps.iter().map(|&p| (p, seq)));
+            c.edges.extend(dep_ords[..deps.len()].iter().map(|&p| (p, ord)));
             waiting = deps.len();
             if waiting == 0 {
-                self.ready.push((seq, ci, ready_base));
+                self.ready.push(Ready { seq, ci, ord, ready_base });
             }
         }
         c.rob.push_back(Entry {
@@ -843,6 +944,7 @@ impl OooCore {
             waiting: waiting as u8,
             ready_base,
             done_at,
+            vec_consumer: false,
         });
         true
     }

@@ -9,7 +9,7 @@ use vlt_mem::{MemConfig, MemSystem};
 
 use crate::config::CoreConfig;
 use crate::ooo::OooCore;
-use crate::traits::{FetchResult, FetchSource, NullVectorSink};
+use crate::traits::{FetchResult, FetchSource, NullVectorSink, VecDispatch, VecToken, VectorSink};
 
 /// Adapter: the functional simulator as a fetch source.
 struct SimSource(FuncSim);
@@ -24,9 +24,23 @@ impl FetchSource for SimSource {
     }
 }
 
+/// A vector sink as the harness drives it: told the cycle before the core
+/// ticks, and ticked after it, like the system driver's vector units.
+trait TestSink: VectorSink {
+    fn cycle(&mut self, _now: u64) {}
+    fn tick(&mut self, _now: u64) {}
+}
+
+impl TestSink for NullVectorSink {}
+
 /// Run `src` on a single core with `threads` software threads bound to its
 /// SMT contexts; returns (cycles, committed).
 fn run_core(asm: &str, cfg: CoreConfig, threads: usize) -> (u64, u64) {
+    run_core_with(asm, cfg, threads, &mut NullVectorSink)
+}
+
+/// [`run_core`] with the core's vector traffic going to `vu`.
+fn run_core_with(asm: &str, cfg: CoreConfig, threads: usize, vu: &mut dyn TestSink) -> (u64, u64) {
     let prog = assemble(asm).unwrap();
     let sim = FuncSim::new(&prog, threads);
     let decoded = Arc::clone(&sim.prog);
@@ -36,10 +50,11 @@ fn run_core(asm: &str, cfg: CoreConfig, threads: usize) -> (u64, u64) {
     for t in 0..threads {
         core.bind(t, t, t);
     }
-    let mut vu = NullVectorSink;
     let mut now = 0u64;
     while !core.done() {
-        core.tick(now, &mut mem, &mut source, &mut vu).unwrap();
+        vu.cycle(now);
+        core.tick(now, &mut mem, &mut source, vu).unwrap();
+        vu.tick(now);
         now += 1;
         assert!(now < 2_000_000, "core did not finish");
     }
@@ -352,4 +367,254 @@ fn consumer_dispatched_after_its_producer_issued_waits_for_its_completion() {
     let late = run(format!("div x5, x2, x3\n{adds}add x7, x5, x3\n"));
     let early = run(format!("div x5, x2, x3\nadd x7, x5, x3\n{adds}"));
     assert_eq!((late, early), ((137, 16), (137, 16)));
+}
+
+// ---------------------------------------------------------------------------
+// The scalar unit's traffic to the vector unit. The cycle counts below are
+// those of a core that resolved every producer to the vector unit and
+// polled it every cycle: keeping that traffic to what can matter must not
+// move them.
+// ---------------------------------------------------------------------------
+
+/// Cycles from a fake vector issue to its completion.
+const FAKE_LATENCY: u64 = 6;
+
+/// One vector instruction in [`FakeVu`]'s window.
+struct FakeEntry {
+    vthread: usize,
+    seq: u64,
+    deps: Vec<u64>,
+    ready_base: u64,
+    dispatched_at: u64,
+    done: Option<u64>,
+    polled: bool,
+}
+
+/// A vector unit stand-in: one window, unbounded issue, a fixed latency,
+/// consumers in the window resolved at their producer's full completion.
+/// It records the traffic and checks the scalar unit's two promises as
+/// they happen: `resolve` names only a seq some dispatched vector
+/// instruction named (as its own seq or in its deps), and a pass of polls
+/// comes only after an issue since the previous pass.
+#[derive(Default)]
+struct FakeVu {
+    now: u64,
+    /// Issue a dep-free instruction during its dispatch, not at a tick.
+    eager: bool,
+    entries: Vec<FakeEntry>,
+    issues: u64,
+    last_issue: Option<u64>,
+    last_pass: Option<u64>,
+    /// (vthread, seq) a dispatched instruction's deps named.
+    named: Vec<(usize, u64)>,
+    /// (vthread, seq) of the dispatched instructions.
+    dispatched: Vec<(usize, u64)>,
+    /// (vthread, seq, done) of each resolve the scalar unit sent.
+    resolves: Vec<(usize, u64, u64)>,
+    /// (vthread, seq, issue cycle, done) of each issue.
+    issue_log: Vec<(usize, u64, u64, u64)>,
+}
+
+impl FakeVu {
+    fn issue(&mut self, i: usize, now: u64) {
+        let e = &mut self.entries[i];
+        if e.done.is_some() || !e.deps.is_empty() {
+            return;
+        }
+        let start = now.max(e.ready_base);
+        if !self.eager && (start > now || e.dispatched_at >= now) {
+            return;
+        }
+        let done = start + FAKE_LATENCY;
+        e.done = Some(done);
+        let (vthread, seq) = (e.vthread, e.seq);
+        self.issues += 1;
+        self.last_issue = Some(now);
+        self.issue_log.push((vthread, seq, start, done));
+        self.wake(vthread, seq, done);
+    }
+
+    fn wake(&mut self, vthread: usize, seq: u64, done: u64) {
+        for e in self.entries.iter_mut().filter(|e| e.done.is_none() && e.vthread == vthread) {
+            if let Some(pos) = e.deps.iter().position(|&d| d == seq) {
+                e.deps.swap_remove(pos);
+                e.ready_base = e.ready_base.max(done);
+            }
+        }
+    }
+
+    /// Scalar producers whose resolution reached this unit.
+    fn scalar_resolves(&self) -> usize {
+        let vector = |r: &&(usize, u64, u64)| self.dispatched.contains(&(r.0, r.1));
+        self.resolves.iter().filter(|r| !vector(r)).count()
+    }
+
+    /// The issue cycle and completion of `vthread`'s vector instruction
+    /// with seq `seq`.
+    fn issued_at(&self, vthread: usize, seq: u64) -> (u64, u64) {
+        let e = self.issue_log.iter().find(|e| (e.0, e.1) == (vthread, seq)).unwrap();
+        (e.2, e.3)
+    }
+}
+
+impl VectorSink for FakeVu {
+    fn try_dispatch(&mut self, d: VecDispatch, now: u64) -> Option<VecToken> {
+        self.named.extend(d.deps.iter().map(|&s| (d.vthread, s)));
+        self.dispatched.push((d.vthread, d.seq));
+        self.entries.push(FakeEntry {
+            vthread: d.vthread,
+            seq: d.seq,
+            deps: d.deps.to_vec(),
+            ready_base: d.ready_base,
+            dispatched_at: now,
+            done: None,
+            polled: false,
+        });
+        let token = self.entries.len() - 1;
+        if self.eager {
+            self.issue(token, now);
+        }
+        Some(VecToken(token as u64))
+    }
+
+    fn resolve(&mut self, vthread: usize, seq: u64, done_at: u64) {
+        let key = (vthread, seq);
+        assert!(
+            self.named.contains(&key) || self.dispatched.contains(&key),
+            "cycle {}: resolve of seq {seq}, which no dispatched vector instruction names",
+            self.now
+        );
+        self.resolves.push((vthread, seq, done_at));
+        self.wake(vthread, seq, done_at);
+    }
+
+    fn poll(&mut self, token: VecToken) -> Option<u64> {
+        if self.last_pass != Some(self.now) {
+            // Issues come after the cycle's polls, so an issue in the cycle
+            // of the previous pass is new to this one.
+            let fresh = self.last_issue.is_some_and(|i| self.last_pass.is_none_or(|p| i >= p));
+            assert!(fresh, "cycle {}: a poll pass with no issue since the last", self.now);
+            self.last_pass = Some(self.now);
+        }
+        let e = &mut self.entries[token.0 as usize];
+        let done = e.done.filter(|_| !e.polled)?;
+        e.polled = true;
+        Some(done)
+    }
+
+    fn issued(&self) -> u64 {
+        self.issues
+    }
+}
+
+impl TestSink for FakeVu {
+    fn cycle(&mut self, now: u64) {
+        self.now = now;
+    }
+
+    fn tick(&mut self, now: u64) {
+        for i in 0..self.entries.len() {
+            self.issue(i, now);
+        }
+    }
+}
+
+#[test]
+fn smt_contexts_with_interleaved_seqs_keep_their_dependences() {
+    // Both contexts dispatch in the same cycles, so their seqs interleave,
+    // while each numbers its own entries: scalar -> vector (vsplat),
+    // vector -> vector, vector -> scalar (the reduction's destination) and
+    // scalar -> scalar edges in both, for forty iterations.
+    let src = r#"
+        tid   x1
+        li    x2, 8
+        setvl x3, x2
+        li    x20, 0
+        li    x21, 40
+    loop:
+        addi  x4, x1, 5
+        mul   x4, x4, x4
+        vsplat v1, x4
+        vadd.vv v2, v1, v1
+        vredsum x5, v2
+        add   x6, x5, x4
+        mul   x7, x6, x6
+        vsplat v3, x7
+        addi  x20, x20, 1
+        blt   x20, x21, loop
+        halt
+    "#;
+    let mut vu = FakeVu::default();
+    let run = run_core_with(src, CoreConfig::four_way().with_smt(2), 2, &mut vu);
+    let mut order = vu.dispatched.clone();
+    order.sort_unstable_by_key(|d| d.1);
+    let switches = order.windows(2).filter(|w| w[0].0 != w[1].0).count();
+    let last = |t: usize| vu.issued_at(t, vu.dispatched.iter().rev().find(|d| d.0 == t).unwrap().1);
+    assert_eq!((run, vu.issue_log.len(), switches), ((474, 812), 320, 65));
+    assert_eq!((last(0), last(1)), ((472, 478), (349, 355)));
+    // 158 of the 812 instructions are scalar producers a vsplat names.
+    assert_eq!(vu.scalar_resolves(), 158);
+}
+
+#[test]
+fn a_vector_consumer_waits_for_an_unissued_scalar_producer() {
+    // The second divide waits on the first, so the vsplat naming x4
+    // dispatches long before x4's producer issues; the producer's issue
+    // must reach the vector unit. Of the scalar producers, only it and the
+    // setvl (the vsplat reads vl) are named, so only their resolutions
+    // reach the unit.
+    let src = r#"
+        li    x2, 30
+        li    x3, 4
+        li    x9, 8
+        setvl x8, x9
+        div   x5, x2, x3
+        div   x4, x5, x3
+        add   x10, x2, x3
+        vsplat v1, x4
+        vredsum x6, v1
+        add   x7, x6, x10
+        mul   x7, x7, x7
+        halt
+    "#;
+    let mut vu = FakeVu::default();
+    let run = run_core_with(src, CoreConfig::four_way(), 1, &mut vu);
+    let (setvl, div, splat, red) = (3, 5, 7, 8);
+    assert_eq!(vu.dispatched, [(0, splat), (0, red)]);
+    assert_eq!(vu.named, [(0, div), (0, setvl), (0, splat)]);
+    assert_eq!(vu.resolves, [(0, setvl, 115), (0, div, 138), (0, splat, 144), (0, red, 150)]);
+    assert_eq!((run, vu.issued_at(0, splat)), ((155, 12), (138, 144)));
+}
+
+#[test]
+fn a_vector_consumer_named_after_its_producer_issued_waits_for_its_completion() {
+    // An eager unit issues the vid during its dispatch, before the vadd
+    // behind it in the same fetch group names it: the unit never sees the
+    // vid issue with the vadd in its window, so only the scalar unit's
+    // resolution at the vid's poll releases the vadd, at the vid's full
+    // completion.
+    let src = r#"
+        li    x9, 8
+        setvl x8, x9
+        add   x1, x9, x9
+        add   x2, x9, x9
+        add   x3, x9, x9
+        add   x4, x9, x9
+        add   x5, x9, x9
+        add   x6, x9, x9
+        vid   v1
+        vadd.vv v2, v1, v1
+        vredsum x7, v2
+        add   x7, x7, x7
+        halt
+    "#;
+    let mut vu = FakeVu { eager: true, ..FakeVu::default() };
+    let run = run_core_with(src, CoreConfig::four_way(), 1, &mut vu);
+    let (vid, vadd) = (vu.dispatched[0].1, vu.dispatched[1].1);
+    assert_eq!(vu.named, [(0, vid), (0, vadd)]);
+    let (vid_issue, vid_done) = vu.issued_at(0, vid);
+    let (vadd_issue, _) = vu.issued_at(0, vadd);
+    assert_eq!(vu.resolves.iter().find(|r| r.1 == vid), Some(&(0, vid, vid_done)));
+    assert!(vadd_issue >= vid_done, "the vadd issued at {vadd_issue}, before {vid_done}");
+    assert_eq!((run, vid_issue, vid_done, vadd_issue), ((135, 13), 115, 121, 121));
 }

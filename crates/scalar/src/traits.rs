@@ -46,6 +46,57 @@ pub fn fold_event(ev: &mut Option<u64>, t: u64) {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VecToken(pub u64);
 
+/// Most registers one instruction reads (a masked `vfma.vv`: `vd`, `vs1`,
+/// `vs2`, `vl`, `vm`), so most producers one instruction can wait on.
+pub const MAX_SRCS: usize = 5;
+
+/// A set of at most [`MAX_SRCS`] producer seqs, held inline, so handing a
+/// vector instruction to the vector unit allocates nothing. Reads through
+/// its slice of members, in no particular order.
+#[derive(Clone, Copy)]
+pub struct DepSet {
+    len: u8,
+    seqs: [u64; MAX_SRCS],
+}
+
+impl DepSet {
+    /// The empty set.
+    pub const EMPTY: DepSet = DepSet { len: 0, seqs: [0; MAX_SRCS] };
+
+    /// Add `seq`; false if it was already a member. Panics on a member
+    /// past [`MAX_SRCS`].
+    pub fn insert(&mut self, seq: u64) -> bool {
+        if self.contains(&seq) {
+            return false;
+        }
+        self.seqs[usize::from(self.len)] = seq;
+        self.len += 1;
+        true
+    }
+
+    /// Remove `seq`; false if it was not a member.
+    pub fn remove(&mut self, seq: u64) -> bool {
+        let Some(pos) = self.iter().position(|&s| s == seq) else { return false };
+        self.len -= 1;
+        self.seqs[pos] = self.seqs[usize::from(self.len)];
+        true
+    }
+}
+
+impl std::fmt::Debug for DepSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
+impl std::ops::Deref for DepSet {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.seqs[..usize::from(self.len)]
+    }
+}
+
 /// A vector instruction handed from a scalar unit to the vector unit at
 /// dispatch. Dependences on in-flight producers (scalar *or* vector) are
 /// carried as `(seq)` handles scoped to `vthread`; the scalar unit reports
@@ -70,25 +121,34 @@ pub struct VecDispatch {
     /// instruction as a producer for later `resolve` calls).
     pub seq: u64,
     /// Sequence numbers of in-flight producers this instruction reads.
-    pub deps: Vec<u64>,
+    pub deps: DepSet,
     /// The subset of `deps` produced by *scalar* instructions (the rest are
     /// in-flight vector producers). Purely observational — used by the
     /// vector unit's stall-cause attribution to distinguish
     /// scalar-dependence waits from chaining waits; timing reads `deps`.
-    pub scalar_deps: Vec<u64>,
+    pub scalar_deps: DepSet,
     /// Earliest issue cycle from producers that had already completed at
     /// dispatch time.
     pub ready_base: u64,
 }
 
 /// The scalar unit's view of the vector unit.
+///
+/// The scalar unit keeps the traffic across it proportional to the work
+/// done: it calls [`VectorSink::resolve`] only for producers some
+/// dispatched vector instruction may still wait on, and runs a pass of
+/// [`VectorSink::poll`]s only when [`VectorSink::issued`] has moved since
+/// its last pass.
 pub trait VectorSink {
     /// Try to enqueue into the vector instruction queue; `None` if the
     /// per-thread VIQ partition is full this cycle (retry next cycle).
     fn try_dispatch(&mut self, d: VecDispatch, now: u64) -> Option<VecToken>;
 
     /// A producer (`vthread`-scoped `seq`) now has a known completion cycle;
-    /// the VU folds it into any waiting consumers.
+    /// the VU folds it into any waiting consumers. The scalar unit reports
+    /// a scalar producer only when a dispatched vector instruction named it
+    /// in [`VecDispatch::deps`] (a resolution nothing waits on changes
+    /// nothing), and every vector producer once its poll succeeds.
     fn resolve(&mut self, vthread: usize, seq: u64, done_at: u64);
 
     /// The instruction's completion cycle, reported as soon as it issues
@@ -97,6 +157,12 @@ pub trait VectorSink {
     /// for a token never handed out. The VU frees the window slot at the
     /// end of its next tick.
     fn poll(&mut self, token: VecToken) -> Option<u64>;
+
+    /// Vector instructions issued to functional units so far, a count that
+    /// never falls. A poll can only newly succeed after an issue, so a
+    /// caller that polled every token it holds at one count may skip its
+    /// polls until the count moves.
+    fn issued(&self) -> u64;
 }
 
 /// A vector sink for configurations without a vector unit (the CMP/CMT
@@ -116,6 +182,10 @@ impl VectorSink for NullVectorSink {
     fn poll(&mut self, _token: VecToken) -> Option<u64> {
         None
     }
+
+    fn issued(&self) -> u64 {
+        0
+    }
 }
 
 #[cfg(test)]
@@ -134,11 +204,26 @@ mod tests {
                 class: OpClass::VAdd,
                 addrs: AddrRange::EMPTY,
                 seq: 0,
-                deps: vec![],
-                scalar_deps: vec![],
+                deps: DepSet::EMPTY,
+                scalar_deps: DepSet::EMPTY,
                 ready_base: 0,
             },
             0,
         );
+    }
+
+    #[test]
+    fn dep_sets_hold_distinct_members_inline() {
+        let mut s = DepSet::EMPTY;
+        assert!(s.is_empty());
+        for seq in [7, 3, 9, 3, 11, 5] {
+            s.insert(seq);
+        }
+        assert_eq!(s.len(), MAX_SRCS);
+        assert!(!s.insert(9), "a member is not added twice");
+        assert!(s.remove(3) && !s.remove(3) && !s.remove(4));
+        let mut left = s.to_vec();
+        left.sort_unstable();
+        assert_eq!(left, [5, 7, 9, 11]);
     }
 }

@@ -66,6 +66,8 @@ options:
                   prints the counters that moved, largest swing first
   --out DIR       output directory for trace.json + metrics.json
                   (default: vlprof-out)
+  --max-cycles N  cycle budget of the profile run and of every what-if
+                  re-run (default: 2000000000)
   -h, --help      this text",
     flags: &[
         Flag(&["--config"], Takes::Value),
@@ -75,6 +77,7 @@ options:
         Flag(&["--whatif"], Takes::Value),
         Flag(&["--diff"], Takes::Two),
         Flag(&["--out"], Takes::Value),
+        Flag(&["--max-cycles"], Takes::Value),
     ],
     main: prof,
 };
@@ -101,17 +104,25 @@ fn whatif_causes(arg: &str) -> Result<Vec<StallCause>> {
 }
 
 /// The resolved profile target: a program plus an optional post-run
-/// verifier (suite workloads verify; raw `.s` files run as-is).
+/// verifier (suite workloads verify; raw `.s` files run as-is), and the
+/// cycle budget of every simulation of it.
 struct Target {
     label: String,
     program: vlt_isa::Program,
     built: Option<vlt_workloads::Built>,
+    max_cycles: u64,
 }
 
-fn resolve_target(name: &str, cfg: &SystemConfig, threads: usize, scale: Scale) -> Result<Target> {
+fn resolve_target(
+    name: &str,
+    cfg: &SystemConfig,
+    threads: usize,
+    scale: Scale,
+    max_cycles: u64,
+) -> Result<Target> {
     if name.ends_with(".s") {
         let program = cli::load(name)?;
-        return Ok(Target { label: name.to_string(), program, built: None });
+        return Ok(Target { label: name.to_string(), program, built: None, max_cycles });
     }
     let w = workload(name).ok_or_else(|| {
         Error::Usage(format!("{name:?} is neither a workload name nor a .s file"))
@@ -120,7 +131,8 @@ fn resolve_target(name: &str, cfg: &SystemConfig, threads: usize, scale: Scale) 
     // ultra-wide profile actually exercises every cluster.
     cli::check_spread(threads, cfg.clusters)?;
     let built = w.build_spread(threads, cfg.clusters, scale);
-    Ok(Target { label: w.name().to_string(), program: built.program.clone(), built: Some(built) })
+    let (label, program) = (w.name().to_string(), built.program.clone());
+    Ok(Target { label, program, built: Some(built), max_cycles })
 }
 
 /// One simulation of the target on `cfg`, verified, with conservation
@@ -134,8 +146,8 @@ fn simulate(
     let failed = Error::Failed;
     let mut sys = System::new(cfg.clone(), &target.program, threads);
     let result = match obs {
-        Some(multi) => sys.run_observed(MAX_CYCLES, multi),
-        None => sys.run(MAX_CYCLES),
+        Some(multi) => sys.run_observed(target.max_cycles, multi),
+        None => sys.run(target.max_cycles),
     }
     .map_err(|e| failed(format!("simulation failed: {e}")))?;
     if let Some(built) = &target.built {
@@ -157,7 +169,9 @@ fn prof(args: &Args) -> Result<ExitCode> {
     let cfg = args.config.clone().unwrap_or_else(SystemConfig::v4_cmt);
     let cfg = cli::machine(cfg, args.clusters.unwrap_or(1), threads)?;
     let causes = args.value("--whatif").map(whatif_causes).transpose()?;
-    let target = resolve_target(name, &cfg, threads, args.scale.unwrap_or(Scale::Small))?;
+    let max_cycles = args.parsed("--max-cycles")?.unwrap_or(MAX_CYCLES);
+    let scale = args.scale.unwrap_or(Scale::Small);
+    let target = resolve_target(name, &cfg, threads, scale, max_cycles)?;
     let out = Path::new(args.value("--out").unwrap_or("vlprof-out"));
 
     eprintln!("vlt prof: {} on {} x{threads} ...", target.label, cfg.name);

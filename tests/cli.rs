@@ -210,6 +210,26 @@ fn run_rejects_malformed_counts_and_lanes_on_other_configs() {
     usage_error(&["run", SAXPY, "--config", "v4-cmt", "--lanes", "4"]);
 }
 
+/// `vlt prof --max-cycles` parses like `vlt run`'s, and a program that
+/// never halts times out at the budget instead of running for the default
+/// two billion cycles.
+#[test]
+fn prof_stops_a_hang_at_its_cycle_budget() {
+    let dir = scratch("prof-budget");
+    let path = dir.join("spin.s");
+    std::fs::write(&path, "loop: j loop\n").unwrap();
+    let (file, out) = (path.to_str().unwrap(), dir.join("out"));
+    usage_error(&["prof", file, "--max-cycles", "ten"]);
+    let args = ["prof", file, "--max-cycles", "1000", "--out", out.to_str().unwrap()];
+    let (code, _, stderr) = vlt(&args);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("vlt prof: simulation failed: timed out after 1000 cycles"),
+        "{stderr}"
+    );
+    assert!(!out.exists(), "a timed-out profile writes no documents");
+}
+
 /// `--lanes N` keeps meaning the base processor with N lanes.
 #[test]
 fn lanes_select_the_base_processor() {
