@@ -34,8 +34,8 @@ pub mod vu;
 pub use config::{IdealizeConfig, SystemConfig, VclConfig};
 pub use result::{SimError, SimResult, Utilization};
 pub use system::{
-    CycleView, DriverMode, NullObserver, ProgressObserver, RepartitionEvent, Sample,
-    SamplingObserver, SimObserver, System,
+    CycleView, DriverMode, NullObserver, RepartitionEvent, Sample, SamplingObserver, SimObserver,
+    System,
 };
 pub use vlt_exec::EngineMode;
 pub use vlt_mem::{NetConfig, NetStats};

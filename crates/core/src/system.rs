@@ -4,8 +4,8 @@
 //!
 //! There is exactly **one** driver loop, [`System::run_observed`]. Every
 //! public entry point (`run`, `run_sampled`) is a thin wrapper that plugs a
-//! different [`SimObserver`] into it, so sampling, progress heartbeats, and
-//! any future instrumentation cannot drift from the plain run path.
+//! different [`SimObserver`] into it, so sampling, profiling and any
+//! future instrumentation cannot drift from the plain run path.
 //!
 //! The driver calls each unit class directly: the OoO scalar units, the
 //! in-order lane cores and the per-cluster vector units tick every stepped
@@ -326,59 +326,6 @@ impl SimObserver for SamplingObserver {
         // Never skip past a sample boundary: samples land on exactly the
         // same cycles (with the same values) as under the naive driver.
         Some(self.next)
-    }
-}
-
-/// Heartbeat for long runs under a cycle budget: prints progress to stderr
-/// every `every` cycles, and warns when a `vltcfg` had to be clamped.
-#[derive(Debug)]
-pub struct ProgressObserver {
-    every: u64,
-    budget: u64,
-    next: u64,
-}
-
-impl ProgressObserver {
-    /// Report every `every` cycles against a `budget`-cycle allowance.
-    pub fn new(every: u64, budget: u64) -> Self {
-        assert!(every > 0);
-        // Skip the cycle-0 heartbeat: nothing has happened yet.
-        ProgressObserver { every, budget, next: every }
-    }
-}
-
-impl SimObserver for ProgressObserver {
-    fn on_cycle(&mut self, now: u64, view: &CycleView<'_>) {
-        if now >= self.next {
-            eprintln!(
-                "[vlt] cycle {now}/{} ({:.1}% of budget), {} committed",
-                self.budget,
-                100.0 * now as f64 / self.budget.max(1) as f64,
-                view.committed(),
-            );
-            self.next += self.every;
-        }
-    }
-
-    fn next_deadline(&self, _now: u64) -> Option<u64> {
-        Some(self.next) // keep heartbeats on their exact cycles
-    }
-
-    fn on_repartition(&mut self, now: u64, ev: &RepartitionEvent) {
-        if ev.clamped {
-            eprintln!(
-                "[vlt] cycle {now}: vltcfg {} threads x {} clusters invalid for this machine, \
-                 clamped to {} x {}",
-                ev.requested, ev.requested_clusters, ev.applied, ev.applied_clusters,
-            );
-        }
-    }
-
-    fn on_finish(&mut self, result: &SimResult) {
-        eprintln!(
-            "[vlt] done: {} cycles, {} committed, {} clamped repartition(s)",
-            result.cycles, result.committed, result.clamped_repartitions,
-        );
     }
 }
 

@@ -11,9 +11,9 @@
 //!   this thread (the self-XOR/SUB zero idiom excepted, matching the
 //!   static verifier),
 //! * **out-of-bounds / misaligned access** — an effective address outside
-//!   the data image (plus a read-slack window) and the stack region, or
-//!   not aligned to the element size; vector accesses are checked per
-//!   enabled lane.
+//!   the regions [`vlt_isa::access_regions`] allows (the data image, plus a
+//!   read-slack window for loads, and the stacks), or not aligned to the
+//!   element size; vector accesses are checked per enabled lane.
 //!
 //! When a predictor from the static verifier is installed
 //! ([`CheckConfig::undef_predictor`]), every dynamic undefined read is
@@ -26,7 +26,7 @@
 
 use std::fmt;
 
-use vlt_isa::{OpClass, RegRef, DATA_BASE, STACK_BASE, STACK_SIZE};
+use vlt_isa::{access_regions, OpClass, RegRef};
 
 use crate::interp;
 use crate::program::StaticInst;
@@ -73,20 +73,11 @@ pub struct FaultRecord {
 pub type UndefPredictor = Box<dyn Fn(usize) -> bool + Send + Sync>;
 
 /// Configuration for the checked mode.
+#[derive(Default)]
 pub struct CheckConfig {
-    /// Bytes past the end of the data image that loads may touch without a
-    /// fault (unrolled scalar walks deliberately over-read; 64 matches the
-    /// static verifier's default).
-    pub read_slack: u64,
     /// Optional static-verifier prediction to `debug_assert` undefined
     /// reads against.
     pub undef_predictor: Option<UndefPredictor>,
-}
-
-impl Default for CheckConfig {
-    fn default() -> Self {
-        CheckConfig { read_slack: 64, undef_predictor: None }
-    }
 }
 
 /// Per-thread definedness bitmaps.
@@ -232,11 +223,7 @@ impl Checker {
         if !addr.is_multiple_of(size) {
             self.record(sidx, t, DynFault::Misaligned(addr));
         }
-        let data_end = DATA_BASE + self.data_len;
-        let read_end = data_end + if write { 0 } else { self.cfg.read_slack };
-        let in_data = (DATA_BASE..read_end).contains(&addr);
-        let in_stack = (STACK_BASE..STACK_BASE + 64 * STACK_SIZE).contains(&addr);
-        if !in_data && !in_stack {
+        if !access_regions(self.data_len, write).iter().any(|r| r.contains(&addr)) {
             let fault = if write { DynFault::OobWrite(addr) } else { DynFault::OobRead(addr) };
             self.record(sidx, t, fault);
         }
@@ -322,10 +309,7 @@ mod tests {
     fn predictor_accepts_predicted_reads() {
         let p = assemble("add x1, x2, x3\nsd x1, -8(sp)\nhalt\n").unwrap();
         let mut sim = FuncSim::new(&p, 1);
-        sim.enable_checker(CheckConfig {
-            undef_predictor: Some(Box::new(|sidx| sidx == 0)),
-            ..CheckConfig::default()
-        });
+        sim.enable_checker(CheckConfig { undef_predictor: Some(Box::new(|sidx| sidx == 0)) });
         sim.run_to_completion(100).unwrap();
         assert_eq!(sim.checker().unwrap().faults().len(), 2); // x2 and x3
     }
@@ -336,10 +320,7 @@ mod tests {
     fn predictor_rejects_unpredicted_reads() {
         let p = assemble("add x1, x2, x3\nhalt\n").unwrap();
         let mut sim = FuncSim::new(&p, 1);
-        sim.enable_checker(CheckConfig {
-            undef_predictor: Some(Box::new(|_| false)),
-            ..CheckConfig::default()
-        });
+        sim.enable_checker(CheckConfig { undef_predictor: Some(Box::new(|_| false)) });
         let _ = sim.run_to_completion(100);
     }
 }

@@ -45,7 +45,9 @@ pub use encode::{decode, encode};
 pub use error::IsaError;
 pub use inst::Inst;
 pub use opcode::{Format, Op, OpClass, OperandSig, VMemPattern};
-pub use program::{Program, DATA_BASE, STACK_BASE, STACK_SIZE, TEXT_BASE};
+pub use program::{
+    access_regions, Program, DATA_BASE, READ_SLACK, STACK_BASE, STACK_END, STACK_SIZE, TEXT_BASE,
+};
 pub use reg::{FReg, IReg, RegRef, VReg};
 
 /// Maximum hardware vector length: elements per vector register when a single

@@ -1,6 +1,7 @@
 //! Assembled programs and the simulated address-space layout.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::encode::decode;
 use crate::inst::Inst;
@@ -16,6 +17,20 @@ pub const DATA_BASE: u64 = 0x0010_0000;
 pub const STACK_BASE: u64 = 0x4000_0000;
 /// Bytes of stack per thread.
 pub const STACK_SIZE: u64 = 0x10_0000;
+/// One past the last stack byte: the top of the 64th thread's stack.
+pub const STACK_END: u64 = STACK_BASE + 64 * STACK_SIZE;
+/// Bytes past the end of the data image that a load may touch: unrolled
+/// scalar walks deliberately over-read (the values are unused).
+pub const READ_SLACK: u64 = 64;
+
+/// The address ranges a load (`write == false`) or a store may start in,
+/// for a program with a `data_len`-byte data image: the data segment, which
+/// a load may overrun by [`READ_SLACK`] bytes, and the thread stacks. The
+/// static verifier and the dynamic checker both hold accesses to these.
+pub fn access_regions(data_len: u64, write: bool) -> [Range<u64>; 2] {
+    let data_end = DATA_BASE + data_len + if write { 0 } else { READ_SLACK };
+    [DATA_BASE..data_end, STACK_BASE..STACK_END]
+}
 
 /// An assembled program: encoded text, initial data image, and symbols.
 #[derive(Debug, Clone, Default)]

@@ -93,11 +93,6 @@ impl Cache {
         self.tags.fill(INVALID);
     }
 
-    /// Line size in bytes.
-    pub fn line_size(&self) -> usize {
-        1 << self.line_bits
-    }
-
     /// Hit fraction so far (0 when no accesses).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;

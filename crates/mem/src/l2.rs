@@ -168,11 +168,6 @@ impl BankedL2 {
         ev
     }
 
-    /// Number of banks.
-    pub fn num_banks(&self) -> usize {
-        self.banks
-    }
-
     /// L2 tag hit rate so far.
     pub fn hit_rate(&self) -> f64 {
         self.tags.hit_rate()

@@ -81,11 +81,6 @@ impl ClusterNet {
         self.ideal = on;
     }
 
-    /// Number of cluster links.
-    pub fn num_clusters(&self) -> usize {
-        self.link_free.len()
-    }
-
     /// One-way hop latency in force.
     pub fn hop_latency(&self) -> u64 {
         self.hop

@@ -63,14 +63,11 @@ pub struct LaneCoreConfig {
     pub load_queue: usize,
     /// Taken-branch redirect penalty (shallow pipeline).
     pub branch_penalty: u64,
-    /// Arithmetic datapaths usable per cycle (3 exist; fetch width limits
-    /// utilization to 2).
-    pub arith_units: usize,
 }
 
 impl Default for LaneCoreConfig {
     fn default() -> Self {
-        LaneCoreConfig { width: 2, load_queue: 4, branch_penalty: 4, arith_units: 3 }
+        LaneCoreConfig { width: 2, load_queue: 4, branch_penalty: 4 }
     }
 }
 

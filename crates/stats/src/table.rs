@@ -46,12 +46,6 @@ impl Table {
         self
     }
 
-    /// Convenience: append a row of displayable items.
-    pub fn rowd(&mut self, cells: &[&dyn fmt::Display]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows so far.
     pub fn len(&self) -> usize {
         self.rows.len()

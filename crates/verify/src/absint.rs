@@ -37,13 +37,16 @@
 //! bounds or misaligned, or a hull that misses every valid region. The
 //! analysis never *proves* memory safety.
 
+use std::ops::Range;
+
 use vlt_exec::interp::{access_size, clamp_vl, int_alu, vmem_addr};
 use vlt_isa::{
-    Format, Inst, Op, Program, RegRef, DATA_BASE, MAX_VL, STACK_BASE, STACK_SIZE, TEXT_BASE,
+    access_regions, Format, Inst, Op, Program, RegRef, DATA_BASE, MAX_VL, STACK_BASE, STACK_END,
+    STACK_SIZE, TEXT_BASE,
 };
 
 use crate::cfg::Cfg;
-use crate::diag::{Code, Options};
+use crate::diag::Code;
 use crate::interval::Iv;
 
 /// Flat constant lattice: `Bot` (unreached) < `K(c)` < `Top` (unknown).
@@ -148,7 +151,7 @@ impl AbsState {
         x[30] = Cv::Top;
         let mut xr = [Iv::exact(0); 32];
         // The runtime points x30 at the top of the thread's stack slot.
-        xr[30] = Iv::new((STACK_BASE + STACK_SIZE) as i64, (STACK_BASE + 64 * STACK_SIZE) as i64);
+        xr[30] = Iv::new((STACK_BASE + STACK_SIZE) as i64, STACK_END as i64);
         let mut xi = [Init::No; 32];
         xi[0] = Init::Yes;
         xi[30] = Init::Yes;
@@ -203,8 +206,8 @@ impl AbsState {
 pub type RawDiag = (Code, usize, String);
 
 /// Run the forward analysis; returns raw findings in discovery order.
-pub fn run(cfg: &Cfg, prog: &Program, opts: &Options) -> Vec<RawDiag> {
-    let (input, _) = fixpoint(cfg, prog, opts);
+pub fn run(cfg: &Cfg, prog: &Program) -> Vec<RawDiag> {
+    let (input, _) = fixpoint(cfg, prog);
 
     // Emission pass: replay each reachable block from its fixed input.
     let mut out: Vec<RawDiag> = Vec::new();
@@ -214,7 +217,7 @@ pub fn run(cfg: &Cfg, prog: &Program, opts: &Options) -> Vec<RawDiag> {
         }
         let mut st = input[b].clone();
         for i in cfg.blocks[b].start..cfg.blocks[b].end {
-            transfer(&cfg.insts[i], i, &mut st, prog, opts, Some(&mut out));
+            transfer(&cfg.insts[i], i, &mut st, prog, Some(&mut out));
         }
     }
     out
@@ -222,7 +225,7 @@ pub fn run(cfg: &Cfg, prog: &Program, opts: &Options) -> Vec<RawDiag> {
 
 /// Sweep the blocks in reverse post-order until no block input changes;
 /// returns every block's fixed input state and the number of sweeps.
-fn fixpoint(cfg: &Cfg, prog: &Program, opts: &Options) -> (Vec<AbsState>, usize) {
+fn fixpoint(cfg: &Cfg, prog: &Program) -> (Vec<AbsState>, usize) {
     let nb = cfg.blocks.len();
     let mut input: Vec<AbsState> = (0..nb).map(|_| AbsState::bottom()).collect();
     input[cfg.entry] = AbsState::entry();
@@ -256,7 +259,7 @@ fn fixpoint(cfg: &Cfg, prog: &Program, opts: &Options) -> (Vec<AbsState>, usize)
             }
             let mut st = input[b].clone();
             for i in cfg.blocks[b].start..cfg.blocks[b].end {
-                transfer(&cfg.insts[i], i, &mut st, prog, opts, None);
+                transfer(&cfg.insts[i], i, &mut st, prog, None);
             }
             for &s in &cfg.blocks[b].succs {
                 if input[s].join_from(&st, head[s] && changes[s] >= 2) {
@@ -277,7 +280,6 @@ fn transfer(
     sidx: usize,
     st: &mut AbsState,
     prog: &Program,
-    opts: &Options,
     mut sink: Option<&mut Vec<RawDiag>>,
 ) {
     let (rd, rs1) = (inst.rd, inst.rs1);
@@ -331,7 +333,7 @@ fn transfer(
     }
 
     // --- memory checks ----------------------------------------------------
-    check_memory(inst, st, prog, opts, &mut emit);
+    check_memory(inst, st, prog, &mut emit);
 
     // --- vl / vltcfg semantics -------------------------------------------
     match inst.op {
@@ -499,13 +501,7 @@ fn int_interval(inst: &Inst, st: &AbsState, val: Cv) -> Iv {
 
 /// Static memory checks: exact for a constant address, and a certain miss
 /// of the whole interval otherwise.
-fn check_memory(
-    inst: &Inst,
-    st: &AbsState,
-    prog: &Program,
-    opts: &Options,
-    emit: &mut impl FnMut(Code, String),
-) {
+fn check_memory(inst: &Inst, st: &AbsState, prog: &Program, emit: &mut impl FnMut(Code, String)) {
     use vlt_isa::OpClass;
     let class = inst.op.class();
     if !class.is_mem() {
@@ -523,7 +519,7 @@ fn check_memory(
             let write = class == OpClass::Store;
             let range = st.xr[inst.rs1 as usize].add_k(inst.imm as i64);
             if let (Some(lo), Some(hi)) = (range.lo, range.hi) {
-                check_addr_range(lo, hi, size, write, prog, opts, emit);
+                check_addr_range(lo, hi, size, write, prog, emit);
             }
         }
         return;
@@ -534,7 +530,7 @@ fn check_memory(
             let size = access_size(inst.op).expect("a scalar access") as i64;
             let addr = b.wrapping_add(inst.imm as i64);
             let write = class == OpClass::Store;
-            check_addr(addr, size, write, prog, opts, emit);
+            check_addr(addr, size, write, prog, emit);
         }
         OpClass::VLoad | OpClass::VStore => {
             let write = class == OpClass::VStore;
@@ -548,9 +544,9 @@ fn check_memory(
                     // statically known; otherwise just the first element
                     // (assuming the MVL bound would flag valid short strips).
                     let elems = st.vl.known().unwrap_or(1).max(1);
-                    check_addr(b, 8, write, prog, opts, emit);
+                    check_addr(b, 8, write, prog, emit);
                     if elems > 1 {
-                        check_addr(elem(0, elems - 1), 8, write, prog, opts, emit);
+                        check_addr(elem(0, elems - 1), 8, write, prog, emit);
                     }
                 }
                 Op::Vlds | Op::Vsts => {
@@ -559,9 +555,9 @@ fn check_memory(
                         // alignment only when the stride preserves it.
                         let aligned_stride = s % 8 == 0;
                         let sz = if aligned_stride { 8 } else { 1 };
-                        check_addr(b, sz, write, prog, opts, emit);
+                        check_addr(b, sz, write, prog, emit);
                         if v > 1 {
-                            check_addr(elem(s, v - 1), sz, write, prog, opts, emit);
+                            check_addr(elem(s, v - 1), sz, write, prog, emit);
                         }
                     }
                 }
@@ -584,7 +580,6 @@ fn check_addr_range(
     size: i64,
     write: bool,
     prog: &Program,
-    opts: &Options,
     emit: &mut impl FnMut(Code, String),
 ) {
     let (code, what) =
@@ -593,14 +588,10 @@ fn check_addr_range(
         emit(code, format!("{what} a negative address (all of [{lo:#x}, {hi:#x}])"));
         return;
     }
-    let data_end = DATA_BASE + prog.data.len() as u64;
-    let read_end = (data_end + if write { 0 } else { opts.read_slack }) as i64;
-    let stack_end = (STACK_BASE + 64 * STACK_SIZE) as i64;
-    let touches = |start: i64, end: i64| -> bool {
-        // Does any access starting in [lo, hi] overlap [start, end)?
-        hi.saturating_add(size) > start && lo < end
-    };
-    if !touches(DATA_BASE as i64, read_end) && !touches(STACK_BASE as i64, stack_end) {
+    // Does any access starting in [lo, hi] overlap the region?
+    let touches = |r: &Range<u64>| hi.saturating_add(size) > r.start as i64 && lo < r.end as i64;
+    if !access_regions(prog.data.len() as u64, write).iter().any(touches) {
+        let data_end = DATA_BASE + prog.data.len() as u64;
         emit(
             code,
             format!(
@@ -616,7 +607,6 @@ fn check_addr(
     size: i64,
     write: bool,
     prog: &Program,
-    opts: &Options,
     emit: &mut impl FnMut(Code, String),
 ) {
     let (code, what) =
@@ -632,15 +622,13 @@ fn check_addr(
             format!("address {a:#x} is not aligned to the {size}-byte element size"),
         );
     }
-    let data_end = DATA_BASE + prog.data.len() as u64;
-    let read_end = data_end + if write { 0 } else { opts.read_slack };
-    let in_data = (DATA_BASE..read_end).contains(&a);
-    let stack_end = STACK_BASE + 64 * STACK_SIZE;
-    let in_stack = (STACK_BASE..stack_end).contains(&a);
-    if !in_data && !in_stack {
-        let text_end = TEXT_BASE + 4 * prog.text.len() as u64;
-        let region =
-            if (TEXT_BASE..text_end).contains(&a) { " (inside the text segment)" } else { "" };
+    if !access_regions(prog.data.len() as u64, write).iter().any(|r| r.contains(&a)) {
+        let data_end = DATA_BASE + prog.data.len() as u64;
+        let region = if (TEXT_BASE..prog.text_end()).contains(&a) {
+            " (inside the text segment)"
+        } else {
+            ""
+        };
         emit(
             code,
             format!(
@@ -659,7 +647,7 @@ mod tests {
     fn raw(src: &str) -> Vec<RawDiag> {
         let p = assemble(src).unwrap();
         let cfg = Cfg::build(p.decoded());
-        run(&cfg, &p, &Options::default())
+        run(&cfg, &p)
     }
 
     fn has(diags: &[RawDiag], code: Code) -> bool {
@@ -742,6 +730,49 @@ mod tests {
              li x1, 16\nsetvl x0, x1\nla x2, ys\nvld v1, x2\nhalt\n");
         assert!(has(&d, Code::OobRead), "{d:?}");
     }
+    /// One list of accesses at the edges of the layout, through absint and
+    /// the dynamic checker: both give the listed verdict. Each access is
+    /// made at its address (checked exactly) and at its address plus `tid`
+    /// (a 64-byte hull, checked for a certain miss; one thread runs it at
+    /// tid 0).
+    #[test]
+    fn layout_boundaries_match_the_checker() {
+        use vlt_exec::{CheckConfig, DynFault, FuncSim};
+        use vlt_isa::READ_SLACK;
+        let data_end = DATA_BASE + 16;
+        // (access, address, out of bounds)
+        let cases = [
+            ("lbu", data_end + READ_SLACK - 1, false),
+            ("lbu", data_end + READ_SLACK, true),
+            ("sb", data_end - 1, false),
+            ("sb", data_end, true),
+            ("lbu", STACK_END - 1, false),
+            ("sb", STACK_END - 1, false),
+            ("lbu", STACK_END, true),
+            ("sb", STACK_END, true),
+        ];
+        for (op, addr, oob) in cases {
+            for offset in ["", "tid x3\nadd x1, x1, x3\n"] {
+                let src = format!(
+                    ".data\nxs: .zero 16\n.text\nli x1, {addr}\n{offset}li x2, 1\n\
+                     {op} x2, 0(x1)\nhalt\n"
+                );
+                let p = assemble(&src).unwrap();
+                let access = p.text.len() - 2;
+                let flagged = run(&Cfg::build(p.decoded()), &p)
+                    .iter()
+                    .any(|&(c, i, _)| i == access && matches!(c, Code::OobRead | Code::OobWrite));
+                let mut sim = FuncSim::new(&p, 1);
+                sim.enable_checker(CheckConfig::default());
+                sim.run_to_completion(100).unwrap();
+                let faulted = sim.checker().unwrap().faults().iter().any(|f| {
+                    f.sidx == access
+                        && matches!(f.fault, DynFault::OobRead(_) | DynFault::OobWrite(_))
+                });
+                assert_eq!((flagged, faulted), (oob, oob), "{op} at {addr:#x}:\n{src}");
+            }
+        }
+    }
 
     /// The interval domain proves whole-range misses that the constant
     /// lattice cannot: a `tid`-scaled address is not constant, but its
@@ -806,7 +837,7 @@ mod tests {
         )
         .unwrap();
         let cfg = Cfg::build(p.decoded());
-        let (_, sweeps) = fixpoint(&cfg, &p, &Options::default());
+        let (_, sweeps) = fixpoint(&cfg, &p);
         assert!(sweeps <= 8, "{sweeps} sweeps");
     }
 
@@ -863,12 +894,12 @@ mod tests {
     /// The abstract state just before the program's final `halt`.
     fn state_at_halt(p: &Program) -> AbsState {
         let cfg = Cfg::build(p.decoded());
-        let (input, _) = fixpoint(&cfg, p, &Options::default());
+        let (input, _) = fixpoint(&cfg, p);
         let last = cfg.insts.len() - 1;
         let b = cfg.blocks.iter().position(|b| (b.start..b.end).contains(&last)).unwrap();
         let mut st = input[b].clone();
         for i in cfg.blocks[b].start..last {
-            transfer(&cfg.insts[i], i, &mut st, p, &Options::default(), None);
+            transfer(&cfg.insts[i], i, &mut st, p, None);
         }
         st
     }

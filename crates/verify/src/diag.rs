@@ -141,21 +141,11 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Verifier options: allowed (suppressed) lints and layout slack.
-#[derive(Debug, Clone)]
+/// Verifier options: the allowed (suppressed) lints.
+#[derive(Debug, Clone, Default)]
 pub struct Options {
     /// Lint codes to suppress for this program.
     pub allow: BTreeSet<Code>,
-    /// Bytes past the end of the data image that loads may still touch
-    /// without an `oob-read`. Unrolled scalar walks deliberately over-read
-    /// (the values are unused), so the layout grants a small slack window.
-    pub read_slack: u64,
-}
-
-impl Default for Options {
-    fn default() -> Self {
-        Options { allow: BTreeSet::new(), read_slack: 64 }
-    }
 }
 
 impl Options {
@@ -208,19 +198,9 @@ impl Report {
         self.errors() == 0
     }
 
-    /// True if some finding with `code` anchors at instruction `sidx`.
-    pub fn flags_at(&self, code: Code, sidx: usize) -> bool {
-        self.diags.iter().any(|d| d.code == code && d.sidx == Some(sidx))
-    }
-
     /// True if some finding with `code` exists anywhere.
     pub fn flags(&self, code: Code) -> bool {
         self.diags.iter().any(|d| d.code == code)
-    }
-
-    /// Iterate over error-severity findings.
-    pub fn iter_errors(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diags.iter().filter(|d| d.severity == Severity::Error)
     }
 }
 

@@ -10,9 +10,10 @@
 //! # How the analysis stays exact
 //!
 //! The walker drives the real interpreter ([`vlt_exec::interp::step`]) one
-//! thread at a time, loops included, so every count it produces is *by
-//! construction* the count [`vlt_exec::RunSummary`] would report — there
-//! is no separate abstract semantics to drift out of sync.
+//! thread at a time, loops included, and counts each step through
+//! [`RunSummary::record`], the functional simulator's own counter. Every
+//! count it produces is therefore *by construction* the one `FuncSim`
+//! reports: there is no separate semantics or tally to drift out of sync.
 //!
 //! In shared mode ([`DlpOptions::threads`] > 1) a two-pass scheme makes
 //! the per-thread walks sound without modeling interleavings: pass 1
@@ -45,7 +46,7 @@
 use std::collections::BTreeMap;
 
 use vlt_exec::{
-    interp, AddrArena, ArchState, DecodedProgram, DynInst, DynKind, Memory, StaticInst,
+    interp, AddrArena, ArchState, DecodedProgram, DynInst, DynKind, Memory, RunSummary, StaticInst,
 };
 use vlt_isa::{decode, disasm, Op, OpClass, Program, RegRef, VMemPattern, MAX_VL};
 
@@ -134,96 +135,6 @@ impl RangeSet {
 // Profiles
 // ---------------------------------------------------------------------------
 
-/// Operation counts in exactly the shape of [`vlt_exec::RunSummary`]: the
-/// statistic methods reproduce its formulas so static and dynamic numbers
-/// are comparable digit for digit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Profile {
-    /// Dynamic instructions (including barriers/halts, like `RunSummary`).
-    pub insts: u64,
-    /// Scalar operations (vector bookkeeping/system ops excluded).
-    pub scalar_ops: u64,
-    /// Vector instructions issued.
-    pub vector_insts: u64,
-    /// Vector element operations (post-mask).
-    pub elem_ops: u64,
-    /// `vl_histogram[v]` = vector instructions executed at VL `v`.
-    pub vl_histogram: [u64; MAX_VL + 1],
-}
-
-impl Default for Profile {
-    fn default() -> Self {
-        Profile {
-            insts: 0,
-            scalar_ops: 0,
-            vector_insts: 0,
-            elem_ops: 0,
-            vl_histogram: [0; MAX_VL + 1],
-        }
-    }
-}
-
-impl Profile {
-    /// Record one dynamic instruction, mirroring the functional
-    /// simulator's `record_into` (plus the `insts` count).
-    fn record(&mut self, class: OpClass, d: &DynInst) {
-        self.insts += 1;
-        if class.is_vector() {
-            self.vector_insts += 1;
-            self.elem_ops += d.elems() as u64;
-            if d.vl > 0 {
-                self.vl_histogram[(d.vl as usize).min(MAX_VL)] += 1;
-            }
-        } else if !matches!(d.kind, DynKind::Barrier | DynKind::Halt | DynKind::VltCfg { .. }) {
-            self.scalar_ops += 1;
-        }
-    }
-
-    /// Add `other`'s counts (merging threads and regions).
-    fn add(&mut self, other: &Profile) {
-        self.insts += other.insts;
-        self.scalar_ops += other.scalar_ops;
-        self.vector_insts += other.vector_insts;
-        self.elem_ops += other.elem_ops;
-        for (a, b) in self.vl_histogram.iter_mut().zip(other.vl_histogram.iter()) {
-            *a += b;
-        }
-    }
-
-    /// Percentage of operations executed as vector element operations.
-    pub fn pct_vectorization(&self) -> f64 {
-        let total = (self.scalar_ops + self.elem_ops) as f64;
-        if total == 0.0 {
-            0.0
-        } else {
-            100.0 * self.elem_ops as f64 / total
-        }
-    }
-
-    /// Average vector length over vector instructions with a VL.
-    pub fn avg_vl(&self) -> f64 {
-        let count: u64 = self.vl_histogram.iter().sum();
-        if count == 0 {
-            return 0.0;
-        }
-        let weighted: u64 = self.vl_histogram.iter().enumerate().map(|(vl, n)| vl as u64 * n).sum();
-        weighted as f64 / count as f64
-    }
-
-    /// The most frequent vector lengths, most common first (up to `k`).
-    pub fn common_vls(&self, k: usize) -> Vec<usize> {
-        let mut pairs: Vec<(usize, u64)> = self
-            .vl_histogram
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| **n > 0)
-            .map(|(vl, n)| (vl, *n))
-            .collect();
-        pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        pairs.into_iter().take(k).map(|(vl, _)| vl).collect()
-    }
-}
-
 /// Per-`region` profile with an anchor for diagnostics.
 #[derive(Debug, Clone)]
 pub struct RegionProfile {
@@ -231,8 +142,8 @@ pub struct RegionProfile {
     pub region: u32,
     /// First static instruction executed under this region.
     pub first_sidx: usize,
-    /// Operation counts attributed to the region.
-    pub profile: Profile,
+    /// Operation counts attributed to the region (`per_thread` empty).
+    pub profile: RunSummary,
 }
 
 /// Static profile of one vector memory instruction site.
@@ -286,13 +197,15 @@ pub struct DlpProfile {
     pub notes: Vec<String>,
     /// Thread count the analysis ran under.
     pub threads: usize,
-    /// Whole-program counts (all threads).
-    pub total: Profile,
+    /// Whole-program counts, with each thread walk's instruction count in
+    /// `per_thread`: an exact profile's total is the [`RunSummary`] that
+    /// `FuncSim::run_to_completion` returns for the program.
+    pub total: RunSummary,
     /// Per-region counts, sorted by region id.
     pub regions: Vec<RegionProfile>,
     /// Per-barrier-epoch counts (index = epoch; epochs past the 64th merge
-    /// into the last slot).
-    pub epoch_profiles: Vec<Profile>,
+    /// into the last slot; `per_thread` empty).
+    pub epoch_profiles: Vec<RunSummary>,
     /// Barrier epochs entered (max over threads).
     pub epochs: u64,
     /// Vector memory sites, sorted by static index.
@@ -310,9 +223,9 @@ pub struct DlpProfile {
 struct WalkOut {
     exact: bool,
     note: Option<String>,
-    total: Profile,
+    total: RunSummary,
     regions: BTreeMap<u32, RegionProfile>,
-    epoch_profiles: Vec<Profile>,
+    epoch_profiles: Vec<RunSummary>,
     epochs: u64,
     vmem_sites: BTreeMap<usize, VMemSite>,
     setvl_sites: BTreeMap<usize, SetVlSite>,
@@ -391,7 +304,7 @@ impl<'a> Walker<'a> {
             epoch: 0,
             out: WalkOut {
                 exact: false,
-                epoch_profiles: vec![Profile::default()],
+                epoch_profiles: vec![RunSummary::default()],
                 ..WalkOut::default()
             },
             setvl_origin: [None; 32],
@@ -495,7 +408,7 @@ impl<'a> Walker<'a> {
         let entry = self.out.regions.entry(region).or_insert_with(|| RegionProfile {
             region,
             first_sidx: sidx,
-            profile: Profile::default(),
+            profile: RunSummary::default(),
         });
         entry.profile.record(si.class, d);
         let ei = self.epoch.min(EPOCH_CAP - 1).min(self.out.epoch_profiles.len() - 1);
@@ -504,7 +417,7 @@ impl<'a> Walker<'a> {
             self.epoch += 1;
             self.out.epochs = self.out.epochs.max(self.epoch as u64);
             if self.epoch < EPOCH_CAP && self.epoch >= self.out.epoch_profiles.len() {
-                self.out.epoch_profiles.push(Profile::default());
+                self.out.epoch_profiles.push(RunSummary::default());
             }
         }
 
@@ -744,7 +657,7 @@ pub fn analyze(prog: &Program, opts: &DlpOptions) -> DlpProfile {
             exact: false,
             notes: vec![why],
             threads: opts.threads.max(1),
-            total: Profile::default(),
+            total: RunSummary::default(),
             regions: Vec::new(),
             epoch_profiles: Vec::new(),
             epochs: 0,
@@ -755,29 +668,29 @@ pub fn analyze(prog: &Program, opts: &DlpOptions) -> DlpProfile {
     let dec = DecodedProgram::new(prog);
     let (outs, exact) = analyze_threads(&dec, opts);
 
-    let mut total = Profile::default();
+    let mut total = RunSummary::default();
     let mut regions: BTreeMap<u32, RegionProfile> = BTreeMap::new();
-    let mut epoch_profiles: Vec<Profile> = Vec::new();
+    let mut epoch_profiles: Vec<RunSummary> = Vec::new();
     let mut vmem_sites: BTreeMap<usize, VMemSite> = BTreeMap::new();
     let mut setvl_sites: BTreeMap<usize, SetVlSite> = BTreeMap::new();
     let mut epochs = 0u64;
     let mut notes = Vec::new();
     for (tid, o) in outs.iter().enumerate() {
-        total.add(&o.total);
+        total.merge(&o.total);
         for (rid, rp) in &o.regions {
             regions
                 .entry(*rid)
                 .and_modify(|e| {
                     e.first_sidx = e.first_sidx.min(rp.first_sidx);
-                    e.profile.add(&rp.profile);
+                    e.profile.merge(&rp.profile);
                 })
                 .or_insert_with(|| rp.clone());
         }
         for (i, p) in o.epoch_profiles.iter().enumerate() {
             if epoch_profiles.len() <= i {
-                epoch_profiles.push(Profile::default());
+                epoch_profiles.push(RunSummary::default());
             }
-            epoch_profiles[i].add(p);
+            epoch_profiles[i].merge(p);
         }
         epochs = epochs.max(o.epochs + 1);
         for (s, v) in &o.vmem_sites {
@@ -807,6 +720,7 @@ pub fn analyze(prog: &Program, opts: &DlpOptions) -> DlpProfile {
             notes.push(format!("thread {tid}: {n}"));
         }
     }
+    total.per_thread = outs.iter().map(|o| o.total.insts).collect();
 
     DlpProfile {
         exact,
@@ -905,7 +819,7 @@ const CHUNK: f64 = 2.0;
 const LANES: usize = 8;
 
 /// Cost of running `q` on one thread with `lanes` lanes and MVL `mvl`.
-fn cost_one(q: &Profile, lanes: usize, mvl: usize) -> (f64, f64) {
+fn cost_one(q: &RunSummary, lanes: usize, mvl: usize) -> (f64, f64) {
     let mut vec_cost = 0.0;
     let mut chunk_penalty = 0.0;
     for (vl, &n) in q.vl_histogram.iter().enumerate() {
@@ -945,7 +859,7 @@ fn cost_total(p: &DlpProfile, threads: usize, lanes_per_thread: usize, mvl: usiz
 }
 
 /// Classify one region's opportunity.
-fn classify(region: u32, q: &Profile) -> VltOpportunity {
+fn classify(region: u32, q: &RunSummary) -> VltOpportunity {
     if region == 0 {
         VltOpportunity::Serial
     } else if q.elem_ops == 0 {
@@ -1191,11 +1105,7 @@ mod tests {
         let p = analyze(&prog, &DlpOptions::default());
         let s = dynamic(&prog);
         assert!(p.exact, "walk should be exact: {:?}", p.notes);
-        assert_eq!(p.total.insts, s.insts, "insts");
-        assert_eq!(p.total.scalar_ops, s.scalar_ops, "scalar_ops");
-        assert_eq!(p.total.vector_insts, s.vector_insts, "vector_insts");
-        assert_eq!(p.total.elem_ops, s.elem_ops, "elem_ops");
-        assert_eq!(p.total.vl_histogram.as_slice(), s.vl_histogram.as_slice(), "vl histogram");
+        assert_eq!(p.total, s);
         p
     }
 
@@ -1386,9 +1296,7 @@ mod tests {
         let p = analyze(&prog, &opts);
         assert!(p.exact, "{:?}", p.notes);
         let mut sim = FuncSim::new(&prog, 2);
-        let s = sim.run_to_completion(1_000_000).unwrap();
-        assert_eq!(p.total.insts, s.insts);
-        assert_eq!(p.total.elem_ops, s.elem_ops);
+        assert_eq!(p.total, sim.run_to_completion(1_000_000).unwrap());
     }
 
     #[test]

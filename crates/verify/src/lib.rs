@@ -11,10 +11,10 @@
 //!    ([`Cfg`]) over it,
 //! 2. runs a forward abstract interpretation for def-before-use, constant
 //!    propagation, and `vl`/`vltcfg`/`vm` state (module `absint`),
-//! 3. statically checks memory accesses against the
-//!    `DATA_BASE`/`STACK_BASE` layout: constant addresses exactly,
-//!    including alignment, and other addresses when their whole interval
-//!    misses,
+//! 3. statically checks memory accesses against the regions
+//!    [`vlt_isa::access_regions`] allows (the dynamic checker's too):
+//!    constant addresses exactly, including alignment, and other
+//!    addresses when their whole interval misses,
 //! 4. checks SPMD convergence of `barrier` and `vltcfg` against branch
 //!    structure (module `structure`),
 //! 5. runs a backward liveness pass for dead writes (module `liveness`).
@@ -94,7 +94,7 @@ pub fn verify_with(prog: &Program, opts: &Options) -> Report {
     }
 
     let cfg = Cfg::build(insts);
-    raws.extend(absint::run(&cfg, prog, opts));
+    raws.extend(absint::run(&cfg, prog));
     raws.extend(liveness::dead_writes(&cfg));
     raws.extend(structure::check(&cfg));
 

@@ -164,12 +164,7 @@ fn static_and_dynamic(src: &str, what: &str) -> DlpProfile {
     assert!(p.exact, "{what}: walk went inexact: {:?}", p.notes);
     // Every mutant profile must still be the truth: bit-exact vs the run.
     let mut sim = FuncSim::new(&prog, 1);
-    let s = sim.run_to_completion(1_000_000).unwrap();
-    assert_eq!(p.total.insts, s.insts, "{what}: insts");
-    assert_eq!(p.total.scalar_ops, s.scalar_ops, "{what}: scalar ops");
-    assert_eq!(p.total.vector_insts, s.vector_insts, "{what}: vector insts");
-    assert_eq!(p.total.elem_ops, s.elem_ops, "{what}: elem ops");
-    assert_eq!(p.total.vl_histogram.as_slice(), s.vl_histogram.as_slice(), "{what}: histogram");
+    assert_eq!(p.total, sim.run_to_completion(1_000_000).unwrap(), "{what}");
     p
 }
 

@@ -44,7 +44,6 @@ fn examples_run_clean_under_dynamic_checker() {
         let mut sim = FuncSim::new(&prog, 4);
         sim.enable_checker(CheckConfig {
             undef_predictor: Some(Box::new(move |sidx| predicted.contains(&sidx))),
-            ..CheckConfig::default()
         });
         sim.run_to_completion(10_000_000).unwrap_or_else(|e| panic!("{name}: {e}"));
         let ck = sim.checker().unwrap();

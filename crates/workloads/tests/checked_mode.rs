@@ -24,7 +24,6 @@ fn all_workloads_run_clean_under_checker() {
             let mut sim = FuncSim::new(&built.program, threads);
             sim.enable_checker(CheckConfig {
                 undef_predictor: Some(Box::new(move |sidx| predicted.contains(&sidx))),
-                ..CheckConfig::default()
             });
             sim.run_to_completion(200_000_000)
                 .unwrap_or_else(|e| panic!("{} t={threads}: {e}", w.name()));
@@ -52,7 +51,6 @@ fn seeded_undef_read_is_caught_and_predicted() {
     let mut sim = FuncSim::new(&prog, 2);
     sim.enable_checker(CheckConfig {
         undef_predictor: Some(Box::new(move |sidx| predicted.contains(&sidx))),
-        ..CheckConfig::default()
     });
     sim.run_to_completion(1_000).unwrap();
     let ck = sim.checker().unwrap();

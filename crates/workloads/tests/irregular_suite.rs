@@ -182,12 +182,7 @@ fn irregular_kernels_dlp_exact_and_bit_accurate() {
         let p = analyze(&built.program, &DlpOptions::default());
         assert!(p.exact, "{}: static walk went inexact: {:?}", w.name(), p.notes);
         let mut sim = FuncSim::new(&built.program, 1);
-        let s = sim.run_to_completion(BUDGET).unwrap();
-        assert_eq!(p.total.insts, s.insts, "{}", w.name());
-        assert_eq!(p.total.scalar_ops, s.scalar_ops, "{}", w.name());
-        assert_eq!(p.total.vector_insts, s.vector_insts, "{}", w.name());
-        assert_eq!(p.total.elem_ops, s.elem_ops, "{}", w.name());
-        assert_eq!(p.total.vl_histogram.as_slice(), s.vl_histogram.as_slice(), "{}", w.name());
+        assert_eq!(p.total, sim.run_to_completion(BUDGET).unwrap(), "{}", w.name());
         // All four kernels vectorize their hot loops.
         assert!(p.total.pct_vectorization() > 5.0, "{}", w.name());
     }

@@ -1,14 +1,16 @@
-//! End-to-end checks of the `vlt` binary: the `lint --json` schema round
-//! trip through the library's own parser (`vlt::verify::json`), and the
+//! End-to-end checks of the `vlt` binary: the `lint --json` schema read
+//! back through the workspace's JSON parser (`vlt::stats::json`), and the
 //! command-line contract — a bad command line is a usage error (exit 2)
 //! in every subcommand, never a panic or a silently ignored flag. Only
 //! fast cases: most stop at argument validation.
 
-use std::path::PathBuf;
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use vlt::verify::json::{vlint_output_from_json, FileOutcome};
-use vlt::verify::Severity;
+use vlt::stats::json::Json;
+use vlt::verify::json::{vlint_output_to_json, FileOutcome};
+use vlt::verify::{Code, Diagnostic, Report};
 
 const SAXPY: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/asm/saxpy.s");
 
@@ -28,11 +30,121 @@ fn usage_error(args: &[&str]) -> String {
     stderr
 }
 
-/// A scratch directory for one test's input files.
-fn scratch(test: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("vlt-cli-{test}"));
+/// One test's scratch directory, removed when dropped, so a failing test
+/// cleans up too. The process id keeps concurrent runs of the suite apart.
+struct Scratch(PathBuf);
+
+impl Deref for Scratch {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn scratch(test: &str) -> Scratch {
+    let dir = std::env::temp_dir().join(format!("vlt-cli-{test}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    Scratch(dir)
+}
+
+/// The file entries of a `vlt lint --json` document, after checking the
+/// wrapper's schema and version.
+fn lint_files(doc: &str) -> Vec<Json> {
+    let v = Json::parse(doc).unwrap_or_else(|e| panic!("unparseable JSON ({e}):\n{doc}"));
+    assert_eq!(v.get("schema").and_then(Json::as_str), Some("vlint"), "{doc}");
+    assert_eq!(v.get("version").and_then(Json::as_f64), Some(1.0), "{doc}");
+    v.get("files").and_then(Json::as_arr).expect("a `files` array").to_vec()
+}
+
+/// Member `key` of a JSON object, as a string.
+fn text<'a>(v: &'a Json, key: &str) -> &'a str {
+    v.get(key).and_then(Json::as_str).unwrap_or_else(|| panic!("no string `{key}` in {v:?}"))
+}
+
+/// Member `key` of a JSON object, as a number.
+fn num(v: &Json, key: &str) -> f64 {
+    v.get(key).and_then(Json::as_f64).unwrap_or_else(|| panic!("no number `{key}` in {v:?}"))
+}
+
+/// The `diagnostics` array of a file entry.
+fn diags(file: &Json) -> &[Json] {
+    file.get("diagnostics").and_then(Json::as_arr).expect("a `diagnostics` array")
+}
+
+/// How many members a JSON object has.
+fn width(v: &Json) -> usize {
+    match v {
+        Json::Obj(m) => m.len(),
+        _ => panic!("not an object: {v:?}"),
+    }
+}
+
+/// The document `vlt_verify::json`'s byte golden pins, read back: every
+/// member of every entry holds what was written, and nothing else is there.
+#[test]
+fn lint_json_document_reads_back_through_vlt_stats() {
+    let diag = |code: Code, sidx, disasm: &str, msg: &str| Diagnostic {
+        code,
+        severity: code.severity(),
+        sidx,
+        disasm: disasm.into(),
+        msg: msg.into(),
+    };
+    let report = Report {
+        diags: vec![
+            diag(Code::ZeroVl, Some(4), "setvl x0, x3", "request is 0"),
+            diag(Code::RaceWw, Some(17), "vstx v1, x2, v3", "quotes \" and \\ back\\slash"),
+            diag(Code::RaceUnknown, None, "", "newline\nand tab\tand bell\u{7} and é"),
+            diag(Code::DlpShortVl, Some(0), "vadd.vv v1, v2, v3", "短い VL"),
+        ],
+        suppressed: 3,
+    };
+    let files = vec![
+        ("dir/some file.s".to_string(), FileOutcome::Report(report)),
+        ("empty.s".to_string(), FileOutcome::Report(Report::default())),
+        ("b \"q\".s".to_string(), FileOutcome::AssemblyError("line 1: bad\tthing".into())),
+    ];
+    let back = lint_files(&vlint_output_to_json(&files));
+    assert_eq!(back.len(), files.len());
+    for ((path, outcome), f) in files.iter().zip(&back) {
+        assert_eq!(text(f, "schema"), "vlint-report");
+        assert_eq!(num(f, "version"), 1.0);
+        assert_eq!(text(f, "path"), path);
+        let r = match outcome {
+            FileOutcome::AssemblyError(e) => {
+                assert_eq!(width(f), 4, "{f:?}");
+                assert_eq!(text(f, "assembly_error"), e);
+                continue;
+            }
+            FileOutcome::Report(r) => r,
+        };
+        assert_eq!(width(f), 8, "{f:?}");
+        assert_eq!(num(f, "errors"), r.errors() as f64);
+        assert_eq!(num(f, "warnings"), r.warnings() as f64);
+        assert_eq!(num(f, "infos"), r.infos() as f64);
+        assert_eq!(num(f, "suppressed"), r.suppressed as f64);
+        assert_eq!(diags(f).len(), r.diags.len());
+        for (d, j) in r.diags.iter().zip(diags(f)) {
+            assert_eq!(width(j), 6, "{j:?}");
+            assert_eq!(text(j, "code"), d.code.name());
+            assert_eq!(text(j, "severity"), d.severity.to_string());
+            let at = |key: &str| match j.get(key) {
+                Some(Json::Null) => None,
+                _ => Some(num(j, key) as u64),
+            };
+            assert_eq!(at("sidx"), d.sidx.map(|i| i as u64));
+            assert_eq!(at("pc"), d.pc());
+            assert_eq!(text(j, "disasm"), d.disasm);
+            assert_eq!(text(j, "msg"), d.msg);
+        }
+    }
+    assert!(lint_files(&vlint_output_to_json(&[])).is_empty());
 }
 
 #[test]
@@ -53,42 +165,32 @@ fn lint_json_round_trips_through_the_library_parser() {
         vlt(&["lint", "--json", clean.to_str().unwrap(), dirty.to_str().unwrap()]);
     assert_eq!(code, Some(1), "dirty file has an error finding");
 
-    let files = vlint_output_from_json(&stdout)
-        .unwrap_or_else(|e| panic!("CLI emitted unparseable JSON ({e}):\n{stdout}"));
+    let files = lint_files(&stdout);
     assert_eq!(files.len(), 2, "expected two file reports:\n{stdout}");
+    assert_eq!(text(&files[0], "path"), clean.to_str().unwrap());
+    assert!(diags(&files[0]).is_empty(), "clean file reported findings:\n{stdout}");
 
-    let (clean_path, clean_outcome) = &files[0];
-    assert_eq!(clean_path, clean.to_str().unwrap());
-    let FileOutcome::Report(clean_report) = clean_outcome else {
-        panic!("clean file failed to assemble:\n{stdout}");
-    };
-    assert!(clean_report.diags.is_empty(), "clean file reported findings:\n{stdout}");
-
-    let (dirty_path, dirty_outcome) = &files[1];
-    assert_eq!(dirty_path, dirty.to_str().unwrap());
-    let FileOutcome::Report(dirty_report) = dirty_outcome else {
-        panic!("dirty file failed to assemble:\n{stdout}");
-    };
-    assert!(dirty_report.errors() >= 1, "undef read must surface as an error:\n{stdout}");
+    assert_eq!(text(&files[1], "path"), dirty.to_str().unwrap());
+    assert!(num(&files[1], "errors") >= 1.0, "undef read must surface as an error:\n{stdout}");
     assert!(
-        dirty_report.diags.iter().any(|d| d.severity == Severity::Error && d.sidx == Some(0)),
+        diags(&files[1])
+            .iter()
+            .any(|d| text(d, "severity") == "error" && d.get("sidx") == Some(&Json::Num(0.0))),
         "error not anchored at sidx 0:\n{stdout}"
     );
 }
 
 #[test]
 fn lint_json_assembly_errors_are_structured() {
-    let bad = scratch("json-asm").join("bad.s");
+    let dir = scratch("json-asm");
+    let bad = dir.join("bad.s");
     std::fs::write(&bad, "bogus operand soup\n").unwrap();
 
     let (code, stdout, _) = vlt(&["lint", "--json", bad.to_str().unwrap()]);
     assert_eq!(code, Some(1), "assembly errors fail the run");
-    let files = vlint_output_from_json(&stdout)
-        .unwrap_or_else(|e| panic!("CLI emitted unparseable JSON ({e}):\n{stdout}"));
+    let files = lint_files(&stdout);
     assert_eq!(files.len(), 1);
-    let FileOutcome::AssemblyError(msg) = &files[0].1 else {
-        panic!("expected an assembly_error entry:\n{stdout}");
-    };
+    let msg = text(&files[0], "assembly_error");
     assert!(msg.contains("unknown mnemonic"), "unexpected message `{msg}`");
 }
 
@@ -97,7 +199,8 @@ fn lint_json_assembly_errors_are_structured() {
 #[test]
 fn lint_json_carries_race_and_dlp_findings() {
     // Two threads both store to the same address every epoch: race-ww.
-    let racy = scratch("json-races").join("racy.s");
+    let dir = scratch("json-races");
+    let racy = dir.join("racy.s");
     std::fs::write(
         &racy,
         ".data\nbuf:\n.zero 64\n.text\nla x1, buf\nli x2, 1\nsd x2, 0(x1)\nhalt\n",
@@ -106,10 +209,9 @@ fn lint_json_carries_race_and_dlp_findings() {
 
     let (code, stdout, _) = vlt(&["lint", "--json", "--races=2", racy.to_str().unwrap()]);
     assert_eq!(code, Some(0), "races are warnings, not errors");
-    let files = vlint_output_from_json(&stdout).unwrap();
-    let FileOutcome::Report(report) = &files[0].1 else { panic!("assembled") };
+    let files = lint_files(&stdout);
     assert!(
-        report.diags.iter().any(|d| d.code.name().starts_with("race-")),
+        diags(&files[0]).iter().any(|d| text(d, "code").starts_with("race-")),
         "race finding missing from JSON:\n{stdout}"
     );
 }
@@ -118,7 +220,8 @@ fn lint_json_carries_race_and_dlp_findings() {
 /// fault: here only thread 1 runs `setvl` of 0.
 #[test]
 fn lint_races_names_the_fault_that_stopped_the_walk() {
-    let path = scratch("race-fault").join("fault.s");
+    let dir = scratch("race-fault");
+    let path = dir.join("fault.s");
     std::fs::write(&path, "tid x1\nli x2, 1\nsub x2, x2, x1\nsetvl x0, x2\nhalt\n").unwrap();
     let (code, stdout, stderr) = vlt(&["lint", "--races=2", path.to_str().unwrap()]);
     assert_eq!(code, Some(0), "race-unknown is a warning:\n{stdout}{stderr}");
@@ -133,10 +236,9 @@ fn lint_races_names_the_fault_that_stopped_the_walk() {
 #[test]
 fn repro_writes_results_under_the_working_directory() {
     let dir = scratch("repro-cwd");
-    let _ = std::fs::remove_dir_all(dir.join("results"));
     let out = Command::new(env!("CARGO_BIN_EXE_vlt"))
         .args(["repro", "table1"])
-        .current_dir(&dir)
+        .current_dir(&*dir)
         .output()
         .expect("vlt runs");
     assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
@@ -149,7 +251,8 @@ fn repro_writes_results_under_the_working_directory() {
 /// one-line header.
 #[test]
 fn as_list_matches_dis_of_the_written_segment() {
-    let bin = scratch("dis").join("saxpy.bin");
+    let dir = scratch("dis");
+    let bin = dir.join("saxpy.bin");
     let (code, _, _) = vlt(&["as", SAXPY, "-o", bin.to_str().unwrap()]);
     assert_eq!(code, Some(0));
     let (code, listing, _) = vlt(&["as", SAXPY, "--list"]);
@@ -297,7 +400,8 @@ fn wrapping_addresses_run_and_lint_without_panicking() {
 /// report a load the program never makes.
 #[test]
 fn lint_clamps_a_top_bit_setvl_request_like_the_interpreter() {
-    let path = scratch("setvl").join("top_bit.s");
+    let dir = scratch("setvl");
+    let path = dir.join("top_bit.s");
     std::fs::write(
         &path,
         ".data\nxs:\n.zero 576\n.text\nli x1, -1\nsetvl x2, x1\nslli x3, x2, 3\nla x4, xs\n\
