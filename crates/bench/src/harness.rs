@@ -2,9 +2,10 @@
 //!
 //! Simulations are single-threaded and deterministic; independent runs fan
 //! out across a bounded worker pool (`available_parallelism` OS threads
-//! pulling specs from a shared queue). Failures — simulation errors or
-//! golden-model verification mismatches — propagate to the caller as
-//! [`SuiteError`]s instead of panicking inside a worker.
+//! pulling specs from a shared queue). Failures — simulation errors,
+//! golden-model verification mismatches, or stall-cause books that do not
+//! balance — propagate to the caller as [`SuiteError`]s instead of
+//! panicking inside a worker.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -66,7 +67,8 @@ pub enum SuiteError {
         /// The underlying simulator error.
         source: SimError,
     },
-    /// The run finished but the memory image failed golden verification.
+    /// The run finished but the memory image failed golden verification,
+    /// or its stall-cause attribution does not conserve.
     Verify {
         /// `"<workload> on <config> x<threads>"`.
         run: String,
@@ -88,8 +90,9 @@ impl std::fmt::Display for SuiteError {
 
 impl std::error::Error for SuiteError {}
 
-/// Run one built workload on a configuration, verifying the result.
-/// `label` names the workload in error messages.
+/// Run one built workload on a configuration, verifying the memory image
+/// and the stall-cause conservation of the result. `label` names the
+/// workload in error messages.
 pub fn run_built(
     cfg: SystemConfig,
     built: &Built,
@@ -100,11 +103,19 @@ pub fn run_built(
     let mut system = System::new(cfg, &built.program, threads);
     let result =
         system.run(MAX_CYCLES).map_err(|source| SuiteError::Sim { run: run.clone(), source })?;
-    (built.verifier)(system.funcsim()).map_err(|message| SuiteError::Verify { run, message })?;
+    (built.verifier)(system.funcsim())
+        .and_then(|()| result.check_stall_conservation())
+        .map_err(|message| SuiteError::Verify { run, message })?;
     Ok(result)
 }
 
+/// `(workload, threads, clusters, scale)`: what a build depends on.
+type BuildKey = (&'static str, usize, usize, Scale);
+
 /// One simulation to schedule: a workload at a thread count on a config.
+/// The program is built with its `vltcfg` spread over the config's
+/// clusters ([`Workload::build_spread`]); on a one-cluster config that is
+/// the flat [`Workload::build`].
 pub struct RunSpec {
     /// Workload to build.
     pub workload: &'static dyn Workload,
@@ -119,9 +130,14 @@ pub struct RunSpec {
 impl RunSpec {
     /// The build-memoization key: two specs with the same key produce
     /// identical [`Built`]s (workload builders are pure functions of
-    /// `(threads, scale)`), so the suite runner builds each key once.
-    fn build_key(&self) -> (&'static str, usize, Scale) {
-        (self.workload.name(), self.threads, self.scale)
+    /// `(threads, clusters, scale)`), so the suite runner builds each key
+    /// once.
+    fn build_key(&self) -> BuildKey {
+        (self.workload.name(), self.threads, self.config.clusters, self.scale)
+    }
+
+    fn build(&self) -> Built {
+        self.workload.build_spread(self.threads, self.config.clusters, self.scale)
     }
 
     fn execute(&self, built: &Built) -> Result<SimResult, SuiteError> {
@@ -134,8 +150,8 @@ impl RunSpec {
 /// OS threads (and never more than there are specs); the first failure (in
 /// spec order) is returned after all in-flight work drains.
 ///
-/// `Workload::build` results are memoized by `(workload, threads, scale)`
-/// and shared across the pool via `Arc`: a config sweep over one workload
+/// Builds are memoized by `(workload, threads, clusters, scale)` and shared
+/// across the pool via `Arc`: a config sweep over one workload
 /// (the common suite shape) assembles the program once instead of once per
 /// config. Builds happen up front on the calling thread — they are cheap
 /// (assembly) next to the simulations they feed.
@@ -146,16 +162,10 @@ pub fn run_suite_parallel(specs: Vec<RunSpec>) -> Result<Vec<SimResult>, SuiteEr
     let workers =
         std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(specs.len());
 
-    let mut cache: HashMap<(&'static str, usize, Scale), Arc<Built>> = HashMap::new();
+    let mut cache: HashMap<BuildKey, Arc<Built>> = HashMap::new();
     let builds: Vec<Arc<Built>> = specs
         .iter()
-        .map(|s| {
-            Arc::clone(
-                cache
-                    .entry(s.build_key())
-                    .or_insert_with(|| Arc::new(s.workload.build(s.threads, s.scale))),
-            )
-        })
+        .map(|s| Arc::clone(cache.entry(s.build_key()).or_insert_with(|| Arc::new(s.build()))))
         .collect();
 
     let next = AtomicUsize::new(0);

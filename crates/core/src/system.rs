@@ -2,10 +2,10 @@
 //! cores) + memory hierarchy, driven cycle by cycle over the functional
 //! simulator's instruction streams.
 //!
-//! There is exactly **one** driver loop, [`System::run_observed`]. Every
-//! public entry point (`run`, `run_sampled`) is a thin wrapper that plugs a
-//! different [`SimObserver`] into it, so sampling, profiling and any
-//! future instrumentation cannot drift from the plain run path.
+//! There is exactly **one** driver loop, [`System::run_observed`];
+//! [`System::run`] plugs the [`NullObserver`] into it, so profiling and any
+//! future instrumentation cannot drift from the plain run path. Observers
+//! only watch: the driver takes no input from them.
 //!
 //! The driver calls each unit class directly: the OoO scalar units, the
 //! in-order lane cores and the per-cluster vector units tick every stepped
@@ -15,7 +15,8 @@
 //!
 //! Time advances event-driven by default: when a cycle makes no progress,
 //! the driver queries every unit's `next_event` and jumps straight to the
-//! earliest future one, bulk-crediting the skipped span — with results
+//! earliest future one (or the cycle budget), bulk-crediting the skipped
+//! span — with results
 //! byte-identical to the naive cycle-by-cycle oracle, which stays
 //! selectable via [`DriverMode::CycleByCycle`]. That oracle is also what
 //! catches a unit class left out of one of the driver's walks.
@@ -83,8 +84,9 @@ impl FetchSource for TrackedSource {
 pub enum DriverMode {
     /// Skip provably-quiescent spans: query every unit's `next_event`,
     /// jump straight to the earliest one, and credit the skipped cycles in
-    /// bulk. Produces byte-identical [`SimResult`]s (and sample streams) to
-    /// [`DriverMode::CycleByCycle`]; `tests/driver_props.rs` enforces it.
+    /// bulk. Produces byte-identical [`SimResult`]s (and observer hook
+    /// streams) to [`DriverMode::CycleByCycle`]; `tests/driver_props.rs`
+    /// enforces it.
     #[default]
     EventDriven,
     /// Tick every unit on every cycle — the naive oracle the event-driven
@@ -126,19 +128,13 @@ struct CycleEvents {
 }
 
 /// Read-only view of the machine handed to [`SimObserver::on_cycle`].
-/// Aggregates (`committed`, `utilization`) are computed lazily so a no-op
+/// Aggregates (`utilization`, `stalls`) are computed lazily so a no-op
 /// observer pays nothing per cycle.
 pub struct CycleView<'a> {
     sys: &'a System,
 }
 
 impl CycleView<'_> {
-    /// Cumulative committed instructions across scalar units and lane cores.
-    pub fn committed(&self) -> u64 {
-        self.sys.cores.iter().map(|c| c.stats.committed).sum::<u64>()
-            + self.sys.lane_cores.iter().map(|c| c.stats.committed).sum::<u64>()
-    }
-
     /// Cumulative datapath utilization, summed across lane clusters (zeros
     /// without a vector unit).
     pub fn utilization(&self) -> Utilization {
@@ -198,31 +194,23 @@ impl CycleView<'_> {
 ///
 /// Ordering contract, per simulated cycle:
 /// 1. `on_cycle(now, view)` — *before* the machine advances, so a snapshot
-///    at cycle `n` sees the state entering `n` (this is what keeps
-///    `run_sampled` byte-compatible with the historical implementation);
+///    at cycle `n` sees the state entering `n`;
 /// 2. the machine steps;
 /// 3. `on_barrier` / `on_repartition` for events that cycle produced.
 ///
 /// `on_finish` fires once, after the machine drains, with the final result.
 ///
-/// Under the default [`DriverMode::EventDriven`] driver, cycles inside a
-/// provably-quiescent span are *not* simulated, so `on_cycle` does not fire
-/// for them. An observer that must see specific cycles declares them via
-/// [`SimObserver::next_deadline`]; the driver never skips past a deadline,
-/// and the machine state at a deadline cycle is identical to what the
-/// cycle-by-cycle driver would present (nothing happens in a skipped span
-/// by construction). Barriers and repartitions are machine activity, so
-/// `on_barrier` / `on_repartition` are never elided.
+/// Observers only watch: nothing an observer does reaches the driver's
+/// schedule. Under the default [`DriverMode::EventDriven`] driver, cycles
+/// inside a provably-quiescent span are *not* simulated, so `on_cycle` does
+/// not fire for them; their per-cycle counters are credited in bulk before
+/// the next `on_cycle`, so a view at cycle `n` counts exactly the cycles
+/// before `n`. Every other hook reports machine activity, which a skipped
+/// span holds none of, so both drivers fire it at the same cycle with the
+/// same payload.
 pub trait SimObserver {
     /// Start of a simulated cycle, before any unit ticks.
     fn on_cycle(&mut self, _now: u64, _view: &CycleView<'_>) {}
-    /// The next cycle (`>= now`) at which this observer needs `on_cycle` to
-    /// fire even if the machine is idle; the event-driven driver caps every
-    /// skip at it. `Some(now)` forbids skipping entirely (the observer sees
-    /// every cycle); `None` (the default) lets the driver skip freely.
-    fn next_deadline(&self, _now: u64) -> Option<u64> {
-        None
-    }
     /// A barrier rendezvous completed; `releases` is the cumulative count.
     /// The view snapshots the machine *after* the releasing cycle — the
     /// epoch boundary for barrier-epoch CPI windows.
@@ -268,66 +256,6 @@ pub trait SimObserver {
 pub struct NullObserver;
 
 impl SimObserver for NullObserver {}
-
-/// A point-in-time snapshot emitted by [`System::run_sampled`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sample {
-    /// Cycle at which the snapshot was taken.
-    pub cycle: u64,
-    /// Cumulative committed instructions.
-    pub committed: u64,
-    /// Cumulative datapath utilization (Figure-4 categories).
-    pub utilization: Utilization,
-    /// Region active at the snapshot (thread 0's marker).
-    pub region: u32,
-}
-
-/// Records a [`Sample`] every `interval` cycles — the raw material for
-/// utilization-over-time plots and phase analyses.
-#[derive(Debug)]
-pub struct SamplingObserver {
-    interval: u64,
-    next: u64,
-    samples: Vec<Sample>,
-}
-
-impl SamplingObserver {
-    /// Sample every `interval` cycles, starting at cycle 0.
-    pub fn new(interval: u64) -> Self {
-        assert!(interval > 0);
-        SamplingObserver { interval, next: 0, samples: Vec::new() }
-    }
-
-    /// The samples collected so far.
-    pub fn samples(&self) -> &[Sample] {
-        &self.samples
-    }
-
-    /// Consume the observer, yielding the collected samples.
-    pub fn into_samples(self) -> Vec<Sample> {
-        self.samples
-    }
-}
-
-impl SimObserver for SamplingObserver {
-    fn on_cycle(&mut self, now: u64, view: &CycleView<'_>) {
-        if now >= self.next {
-            self.samples.push(Sample {
-                cycle: now,
-                committed: view.committed(),
-                utilization: view.utilization(),
-                region: view.region(),
-            });
-            self.next += self.interval;
-        }
-    }
-
-    fn next_deadline(&self, _now: u64) -> Option<u64> {
-        // Never skip past a sample boundary: samples land on exactly the
-        // same cycles (with the same values) as under the naive driver.
-        Some(self.next)
-    }
-}
 
 /// A repartition accepted by the driver, waiting for every vector unit to
 /// drain before it takes effect machine-wide.
@@ -616,19 +544,6 @@ impl System {
         self.run_observed(max_cycles, &mut NullObserver)
     }
 
-    /// Like [`System::run`], but additionally records a [`Sample`] every
-    /// `interval` cycles — the raw material for utilization-over-time plots
-    /// and phase analyses.
-    pub fn run_sampled(
-        &mut self,
-        max_cycles: u64,
-        interval: u64,
-    ) -> Result<(SimResult, Vec<Sample>), SimError> {
-        let mut obs = SamplingObserver::new(interval);
-        let result = self.run_observed(max_cycles, &mut obs)?;
-        Ok((result, obs.into_samples()))
-    }
-
     /// The one driver loop: run to completion (all threads halted and
     /// pipelines drained) with `obs` hooked into every simulated cycle.
     ///
@@ -728,7 +643,7 @@ impl System {
                 // scan (a gate, not a soundness condition: a false "busy"
                 // just defers the scan one cycle).
                 if quiet && !self.done() {
-                    if let Some(target) = self.quiescent_horizon(now, max_cycles, obs) {
+                    if let Some(target) = self.quiescent_horizon(now, max_cycles) {
                         let span = target - now;
                         self.credit_idle_span(now, span);
                         acc_cycles += span;
@@ -747,20 +662,10 @@ impl System {
 
     /// The latest cycle `> from` the driver may jump to without simulating
     /// the span in between, or `None` when no skip is possible: the minimum
-    /// over every unit's `next_event`, the observer's deadline, and the
-    /// cycle budget (so a would-be hang times out at exactly `max_cycles`,
-    /// like the naive driver).
-    fn quiescent_horizon<O: SimObserver + ?Sized>(
-        &self,
-        from: u64,
-        max_cycles: u64,
-        obs: &O,
-    ) -> Option<u64> {
-        let mut horizon = match obs.next_deadline(from) {
-            Some(d) if d <= from => return None,
-            Some(d) => d.min(max_cycles),
-            None => max_cycles,
-        };
+    /// over every unit's `next_event` and the cycle budget (so a would-be
+    /// hang times out at exactly `max_cycles`, like the naive driver).
+    fn quiescent_horizon(&self, from: u64, max_cycles: u64) -> Option<u64> {
+        let mut horizon = max_cycles;
         // A pending repartition over fully-drained vector units applies at
         // the very next step — driver-owned state the per-unit polls cannot
         // see, so it is guarded here.

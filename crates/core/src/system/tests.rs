@@ -464,30 +464,6 @@ fn dynamic_vltcfg_beats_fixed_partitioning() {
     );
 }
 
-/// `run_sampled` produces monotone cumulative counters that end at the
-/// final result's values.
-#[test]
-fn sampled_run_matches_plain_run() {
-    let prog = daxpy(256, 16, 1, 4);
-    let plain = System::new(SystemConfig::base(8), &prog, 1).run(MAX).unwrap();
-    let (sampled, samples) =
-        System::new(SystemConfig::base(8), &prog, 1).run_sampled(MAX, 256).unwrap();
-    assert_eq!(plain.cycles, sampled.cycles);
-    assert_eq!(plain.committed, sampled.committed);
-    assert!(!samples.is_empty());
-    // Monotonicity.
-    for w in samples.windows(2) {
-        assert!(w[1].cycle > w[0].cycle);
-        assert!(w[1].committed >= w[0].committed);
-        assert!(w[1].utilization.busy >= w[0].utilization.busy);
-        assert!(w[1].utilization.total() >= w[0].utilization.total());
-    }
-    // Final sample does not exceed the end state.
-    let last = samples.last().unwrap();
-    assert!(last.committed <= sampled.committed);
-    assert!(last.cycle < sampled.cycles);
-}
-
 /// A `vltcfg` fetched while vector work is in flight must drain the
 /// machine before applying: the driver refuses new dispatches meanwhile and
 /// reports the drain latency through `on_repartition_applied`.
@@ -562,16 +538,14 @@ impl SimObserver for Recorder {
     }
 }
 
-/// The plain, sampled, and observed entry points all go through the same
-/// driver and must return identical results.
+/// The plain and observed entry points go through the same driver and
+/// must return identical results.
 #[test]
 fn all_entry_points_share_one_driver() {
     let prog = daxpy(256, 16, 1, 4);
     let plain = System::new(SystemConfig::base(8), &prog, 1).run(MAX).unwrap();
-    let (sampled, _) = System::new(SystemConfig::base(8), &prog, 1).run_sampled(MAX, 1).unwrap();
     let observed =
         System::new(SystemConfig::base(8), &prog, 1).run_observed(MAX, &mut NullObserver).unwrap();
-    assert_eq!(plain, sampled);
     assert_eq!(plain, observed);
 }
 
@@ -608,36 +582,48 @@ fn chase_kernel(hops: usize) -> Program {
     assemble(&src).unwrap()
 }
 
-/// The event-driven driver elides provably-idle cycles for observers with
-/// no deadline — but an observer that declares a deadline of `now` still
-/// sees every cycle, and the results agree either way.
+/// Observers only watch: an observer that overrides every hook (and asks
+/// for vector and L2 events) still lets the event-driven driver elide the
+/// chase kernel's memory waits, and the result equals the unobserved
+/// run's.
 #[test]
-fn event_driver_skips_only_what_observers_allow() {
-    struct EveryCycle(Recorder);
-    impl SimObserver for EveryCycle {
+fn observers_do_not_constrain_skipping() {
+    struct EveryHook(Recorder);
+    impl SimObserver for EveryHook {
         fn on_cycle(&mut self, now: u64, view: &CycleView<'_>) {
             self.0.on_cycle(now, view);
         }
-        fn next_deadline(&self, now: u64) -> Option<u64> {
-            Some(now)
+        fn on_barrier(&mut self, _now: u64, _releases: u64, _view: &CycleView<'_>) {}
+        fn on_repartition(&mut self, _now: u64, _ev: &RepartitionEvent) {}
+        fn on_repartition_applied(&mut self, _now: u64, _drain_latency: u64) {}
+        fn on_region(&mut self, _now: u64, _region: u32, _view: &CycleView<'_>) {}
+        fn on_park(&mut self, _now: u64, _thread: usize, _parked: bool) {}
+        fn on_vec_issue(&mut self, _now: u64, _ev: &crate::vu::VecIssue) {}
+        fn wants_vec_events(&self) -> bool {
+            true
+        }
+        fn on_mem_access(&mut self, _now: u64, _ev: &vlt_mem::BankEvent) {}
+        fn wants_mem_events(&self) -> bool {
+            true
+        }
+        fn on_finish(&mut self, result: &SimResult) {
+            self.0.on_finish(result);
         }
     }
 
     let prog = chase_kernel(24);
-    let mut passive = Recorder::default();
-    let r = System::new(SystemConfig::base(8), &prog, 1).run_observed(MAX, &mut passive).unwrap();
+    let plain =
+        System::new(SystemConfig::base(8), &prog, 1).run_observed(MAX, &mut NullObserver).unwrap();
+    let mut every = EveryHook(Recorder::default());
+    let r = System::new(SystemConfig::base(8), &prog, 1).run_observed(MAX, &mut every).unwrap();
     assert!(
-        passive.cycles_seen < r.cycles / 2,
+        every.0.cycles_seen < r.cycles / 2,
         "memory waits should be skipped: saw {} of {} cycles",
-        passive.cycles_seen,
+        every.0.cycles_seen,
         r.cycles
     );
-    assert_eq!(passive.finishes, 1);
-
-    let mut every = EveryCycle(Recorder::default());
-    let r2 = System::new(SystemConfig::base(8), &prog, 1).run_observed(MAX, &mut every).unwrap();
-    assert_eq!(every.0.cycles_seen, r2.cycles);
-    assert_eq!(r, r2);
+    assert_eq!(every.0.finishes, 1);
+    assert_eq!(r, plain);
 }
 
 /// Event-driven vs cycle-by-cycle equality across every machine family:
@@ -661,23 +647,6 @@ fn event_driver_matches_naive_all_config_families() {
             .run(MAX)
             .unwrap();
         assert_eq!(event, naive, "driver divergence on {name} x{threads}");
-    }
-}
-
-/// Satellite coverage: `SamplingObserver` under skipping — samples land on
-/// exactly the same cycles, with the same values, as the naive driver.
-#[test]
-fn sampling_matches_naive_driver_under_skipping() {
-    for interval in [1u64, 7, 64, 1024] {
-        let prog = chase_kernel(24);
-        let (re, se) =
-            System::new(SystemConfig::base(8), &prog, 1).run_sampled(MAX, interval).unwrap();
-        let (rn, sn) = System::new(SystemConfig::base(8), &prog, 1)
-            .with_driver(DriverMode::CycleByCycle)
-            .run_sampled(MAX, interval)
-            .unwrap();
-        assert_eq!(re, rn, "result divergence at interval {interval}");
-        assert_eq!(se, sn, "sample divergence at interval {interval}");
     }
 }
 

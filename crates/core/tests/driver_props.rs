@@ -1,17 +1,22 @@
 //! Property tests on the driver spine.
 //!
-//! 1. Every public entry point is a thin wrapper over the same observed
-//!    loop, so `run`, `run_sampled(interval=1)`, and `run_observed` with a
-//!    no-op observer must produce identical `SimResult`s for any workload.
+//! 1. `run` is a thin wrapper over the observed loop, so `run` and
+//!    `run_observed` with a no-op observer must produce identical
+//!    `SimResult`s for any workload.
 //! 2. The event-driven driver (idle-cycle skipping) must be **byte
-//!    identical** — `SimResult` and sample stream — to the cycle-by-cycle
-//!    oracle across randomized workload/config/thread matrices, including
-//!    mid-run `vltcfg` repartitions and barrier flushes.
+//!    identical** — `SimResult` and the stream of observer hooks machine
+//!    activity fires — to the cycle-by-cycle oracle across randomized
+//!    workload/config/thread matrices, including mid-run `vltcfg`
+//!    repartitions and barrier flushes.
 
 use proptest::prelude::*;
-use vlt_core::{DriverMode, NullObserver, System, SystemConfig};
+use vlt_core::{
+    CycleView, DriverMode, NullObserver, RepartitionEvent, SimObserver, SimResult, StallBreakdown,
+    System, SystemConfig, Utilization, VecIssue,
+};
 use vlt_isa::asm::assemble;
 use vlt_isa::Program;
+use vlt_mem::BankEvent;
 
 const MAX: u64 = 20_000_000;
 
@@ -262,23 +267,90 @@ fn two_phase(wide: usize, narrow_npt: usize) -> Program {
     assemble(&src).unwrap()
 }
 
-/// Run the same machine under both drivers; the results (and, when
-/// `interval` is given, the sample streams) must match byte for byte.
-/// Panics on mismatch (the vendored proptest has no shrinking, so a
-/// panic is exactly how properties fail).
-fn assert_drivers_agree(mk: impl Fn() -> System, max: u64, interval: Option<u64>) {
-    match interval {
-        Some(iv) => {
-            let (re, se) = mk().run_sampled(max, iv).unwrap();
-            let (rn, sn) = mk().with_driver(DriverMode::CycleByCycle).run_sampled(max, iv).unwrap();
-            assert_eq!(re, rn, "SimResult diverged (interval {iv})");
-            assert_eq!(se, sn, "sample stream diverged (interval {iv})");
+/// The machine's cumulative counters as a view shows them.
+#[derive(Debug, PartialEq)]
+struct Counters {
+    utilization: Utilization,
+    vu_stalls: StallBreakdown,
+    cores: Vec<(u64, StallBreakdown)>,
+    lanes: Vec<(u64, StallBreakdown)>,
+}
+
+impl Counters {
+    fn of(view: &CycleView<'_>) -> Self {
+        Counters {
+            utilization: view.utilization(),
+            vu_stalls: view.vu_stalls(),
+            cores: view.core_stalls(),
+            lanes: view.lane_stalls(),
         }
-        None => {
-            let re = mk().run(max).unwrap();
-            let rn = mk().with_driver(DriverMode::CycleByCycle).run(max).unwrap();
-            assert_eq!(re, rn, "SimResult diverged");
-        }
+    }
+}
+
+/// One hook that machine activity fired, with its cycle and payload.
+#[derive(Debug, PartialEq)]
+enum Act {
+    Barrier(u64, u64, Counters),
+    Repartition(u64, RepartitionEvent),
+    Applied(u64, u64),
+    Region(u64, u32, Counters),
+    Park(u64, usize, bool),
+    VecIssue(u64, VecIssue),
+    Mem(u64, BankEvent),
+}
+
+/// Records every hook machine activity fires: the activity stream both
+/// drivers must deliver alike. `on_cycle` is left out on purpose, since
+/// the event-driven driver elides the cycles it skips.
+#[derive(Default)]
+struct Activity(Vec<Act>);
+
+impl SimObserver for Activity {
+    fn on_barrier(&mut self, now: u64, releases: u64, view: &CycleView<'_>) {
+        self.0.push(Act::Barrier(now, releases, Counters::of(view)));
+    }
+    fn on_repartition(&mut self, now: u64, ev: &RepartitionEvent) {
+        self.0.push(Act::Repartition(now, *ev));
+    }
+    fn on_repartition_applied(&mut self, now: u64, drain_latency: u64) {
+        self.0.push(Act::Applied(now, drain_latency));
+    }
+    fn on_region(&mut self, now: u64, region: u32, view: &CycleView<'_>) {
+        self.0.push(Act::Region(now, region, Counters::of(view)));
+    }
+    fn on_park(&mut self, now: u64, thread: usize, parked: bool) {
+        self.0.push(Act::Park(now, thread, parked));
+    }
+    fn on_vec_issue(&mut self, now: u64, ev: &VecIssue) {
+        self.0.push(Act::VecIssue(now, *ev));
+    }
+    fn wants_vec_events(&self) -> bool {
+        true
+    }
+    fn on_mem_access(&mut self, now: u64, ev: &BankEvent) {
+        self.0.push(Act::Mem(now, *ev));
+    }
+    fn wants_mem_events(&self) -> bool {
+        true
+    }
+}
+
+/// Run `sys` with the [`Activity`] recorder.
+fn run_with_activity(mut sys: System, max: u64) -> (SimResult, Vec<Act>) {
+    let mut acts = Activity::default();
+    let r = sys.run_observed(max, &mut acts).unwrap();
+    (r, acts.0)
+}
+
+/// Run the same machine under both drivers; the results and the activity
+/// streams must match byte for byte. Panics on mismatch (the vendored
+/// proptest has no shrinking, so a panic is exactly how properties fail).
+fn assert_drivers_agree(mk: impl Fn() -> System, max: u64) {
+    let (re, ae) = run_with_activity(mk(), max);
+    let (rn, an) = run_with_activity(mk().with_driver(DriverMode::CycleByCycle), max);
+    assert_eq!(re, rn, "SimResult diverged");
+    if let Some(i) = (0..ae.len().max(an.len())).find(|&i| ae.get(i) != an.get(i)) {
+        panic!("activity stream diverged at hook {i}: {:?} vs {:?}", ae.get(i), an.get(i));
     }
 }
 
@@ -300,39 +372,28 @@ proptest! {
         let prog = daxpy(npt, vl, threads, scalar_work);
 
         let plain = System::new(cfg(), &prog, threads).run(MAX).unwrap();
-        let (sampled, samples) =
-            System::new(cfg(), &prog, threads).run_sampled(MAX, 1).unwrap();
         let observed = System::new(cfg(), &prog, threads)
             .run_observed(MAX, &mut NullObserver)
             .unwrap();
-
-        prop_assert_eq!(&plain, &sampled);
         prop_assert_eq!(&plain, &observed);
-
-        // Interval 1 snapshots every cycle, pre-step: 0 ..= cycles-1.
-        prop_assert_eq!(samples.len() as u64, plain.cycles);
-        prop_assert_eq!(samples.first().unwrap().cycle, 0);
-        prop_assert_eq!(samples.last().unwrap().cycle, plain.cycles - 1);
     }
 
     /// Tentpole guarantee: the event-driven driver is byte-identical to the
-    /// cycle-by-cycle oracle — SimResult *and* sample stream — over random
-    /// daxpy shapes, vector lengths, thread counts, and sample intervals.
+    /// cycle-by-cycle oracle — SimResult *and* activity stream — over
+    /// random daxpy shapes, vector lengths, and thread counts.
     #[test]
     fn event_driver_is_byte_identical_to_naive(
         npt in 16usize..96,
         vl_pick in 0usize..3,
         threads_pick in 0usize..2,
         scalar_work in 0usize..5,
-        interval_pick in 0usize..4,
     ) {
         let vl = [8usize, 16, 64][vl_pick];
         let threads = [1usize, 2][threads_pick];
-        let interval = [None, Some(1u64), Some(61), Some(509)][interval_pick];
         let cfg = || if threads == 2 { SystemConfig::v2_cmp() } else { SystemConfig::base(8) };
         let vl = vl.min(64 / threads);
         let prog = daxpy(npt, vl, threads, scalar_work);
-        assert_drivers_agree(|| System::new(cfg(), &prog, threads), MAX, interval);
+        assert_drivers_agree(|| System::new(cfg(), &prog, threads), MAX);
     }
 
     /// Mid-run `vltcfg` repartitions and barrier flushes: phase A parks one
@@ -342,27 +403,23 @@ proptest! {
     fn event_driver_survives_repartitions_and_barriers(
         wide in 32usize..256,
         narrow_npt in 8usize..64,
-        interval_pick in 0usize..3,
     ) {
-        let interval = [None, Some(1u64), Some(97)][interval_pick];
         let prog = two_phase(wide, narrow_npt);
-        assert_drivers_agree(|| System::new(SystemConfig::v2_cmp(), &prog, 2), MAX, interval);
+        assert_drivers_agree(|| System::new(SystemConfig::v2_cmp(), &prog, 2), MAX);
     }
 
     /// Hierarchical `vltcfg` on the 2-cluster ultra-wide machine: flat and
     /// packed operands at 2/4/8 threads must drive both drivers to byte
-    /// identical results, samples included.
+    /// identical results and activity streams.
     #[test]
     fn event_driver_matches_naive_on_clustered_machines(
         npt in 16usize..64,
         threads_pick in 0usize..3,
         clusters_pick in 0usize..2,
         scalar_work in 0usize..4,
-        interval_pick in 0usize..3,
     ) {
         let threads = [2usize, 4, 8][threads_pick];
         let clusters = [1usize, 2][clusters_pick];
-        let interval = [None, Some(1u64), Some(61)][interval_pick];
         // Flat operands keep the legacy MVL = 64/t; packed ones spread to
         // both clusters for MVL = 128/t.
         let (op, mvl) = if clusters > 1 {
@@ -375,7 +432,6 @@ proptest! {
         assert_drivers_agree(
             || System::new(SystemConfig::v8_clustered(2), &prog, threads),
             MAX,
-            interval,
         );
     }
 
@@ -387,20 +443,14 @@ proptest! {
         npt_a in 16usize..64,
         npt_b in 8usize..48,
         op_pick in 0usize..3,
-        interval_pick in 0usize..3,
     ) {
-        let interval = [None, Some(1u64), Some(97)][interval_pick];
         let (op_b, threads_b) = [
             (4u64, 4usize),                      // flat: the machine keeps both clusters
             (vlt_isa::vltcfg::operand(4, 1), 4), // explicit collapse to one cluster
             (vlt_isa::vltcfg::operand(2, 2), 2), // one thread per cluster, MVL 64
         ][op_pick];
         let prog = cross_cluster_two_phase(npt_a, npt_b, op_b, threads_b);
-        assert_drivers_agree(
-            || System::new(SystemConfig::v8_clustered(2), &prog, 8),
-            MAX,
-            interval,
-        );
+        assert_drivers_agree(|| System::new(SystemConfig::v8_clustered(2), &prog, 8), MAX);
     }
 
     /// Scalar machines: the CMT baseline (in-order scalar cores, no VU) and
@@ -409,15 +459,13 @@ proptest! {
     fn event_driver_matches_naive_on_scalar_machines(
         n in 32usize..256,
         cfg_pick in 0usize..2,
-        interval_pick in 0usize..3,
     ) {
-        let interval = [None, Some(1u64), Some(61)][interval_pick];
         let cfg: fn() -> SystemConfig =
             [SystemConfig::cmt, SystemConfig::v4_cmt_lane_threads][cfg_pick];
         // CMT runs on the 4 SMT contexts; lane-thread mode on the 8 lanes.
         let threads = [4usize, 8][cfg_pick];
         let prog = scalar_sum(n, threads);
-        assert_drivers_agree(|| System::new(cfg(), &prog, threads), MAX, interval);
+        assert_drivers_agree(|| System::new(cfg(), &prog, threads), MAX);
     }
 }
 
@@ -428,19 +476,19 @@ proptest! {
 #[ignore = "release-mode CI step: large inputs, slow under debug builds"]
 fn event_driver_matches_naive_at_scale() {
     let prog = daxpy(4096, 64, 2, 12);
-    assert_drivers_agree(|| System::new(SystemConfig::v2_cmp(), &prog, 2), MAX, Some(1024));
+    assert_drivers_agree(|| System::new(SystemConfig::v2_cmp(), &prog, 2), MAX);
 
     let prog = two_phase(2048, 512);
-    assert_drivers_agree(|| System::new(SystemConfig::v2_cmp(), &prog, 2), MAX, Some(257));
+    assert_drivers_agree(|| System::new(SystemConfig::v2_cmp(), &prog, 2), MAX);
 
     let prog = scalar_sum(4096, 8);
-    assert_drivers_agree(|| System::new(SystemConfig::v4_cmt_lane_threads(), &prog, 8), MAX, None);
+    assert_drivers_agree(|| System::new(SystemConfig::v4_cmt_lane_threads(), &prog, 8), MAX);
 
     // Multi-cluster at scale: 8 threads spread over 2 clusters, then a
     // long run with a mid-run collapse across the cluster boundary.
     let prog = daxpy_with_operand(2048, 16, 8, 6, vlt_isa::vltcfg::operand(8, 2));
-    assert_drivers_agree(|| System::new(SystemConfig::v8_clustered(2), &prog, 8), MAX, Some(513));
+    assert_drivers_agree(|| System::new(SystemConfig::v8_clustered(2), &prog, 8), MAX);
 
     let prog = cross_cluster_two_phase(1024, 256, vlt_isa::vltcfg::operand(4, 1), 4);
-    assert_drivers_agree(|| System::new(SystemConfig::v8_clustered(2), &prog, 8), MAX, None);
+    assert_drivers_agree(|| System::new(SystemConfig::v8_clustered(2), &prog, 8), MAX);
 }

@@ -43,6 +43,10 @@ use vlt_core::{CpiStack, CycleView, SimObserver, SimResult, StallBreakdown, Util
 struct Snap {
     /// Elapsed cycles this snapshot represents.
     cycles: u64,
+    /// The vector units' per-cycle datapath budget (`3 × lanes ×
+    /// clusters`; 0 without a vector unit, which suppresses the `vu`
+    /// stack).
+    datapaths: u64,
     util: Utilization,
     vu_stalls: StallBreakdown,
     /// Per-scalar-unit `(fetch_stall_cycles, stalls)`.
@@ -55,6 +59,7 @@ impl Snap {
     fn at(cycles: u64, view: &CycleView<'_>) -> Self {
         Snap {
             cycles,
+            datapaths: view.vu_datapaths(),
             util: view.utilization(),
             vu_stalls: view.vu_stalls(),
             cores: view.core_stalls(),
@@ -65,6 +70,7 @@ impl Snap {
     fn at_finish(result: &SimResult) -> Self {
         Snap {
             cycles: result.cycles,
+            datapaths: 3 * result.lane_busy.len() as u64,
             util: result.utilization,
             vu_stalls: result.vu_stalls,
             cores: result.cores.iter().map(|c| (c.fetch_stall_cycles, c.stalls)).collect(),
@@ -73,15 +79,13 @@ impl Snap {
     }
 }
 
-/// Difference two snapshots into per-unit stacks. `datapaths` is the
-/// vector units' per-cycle budget (`3 × lanes × clusters`; 0 without a
-/// vector unit, which suppresses the `vu` stack).
-fn window_stacks(prev: &Snap, cur: &Snap, datapaths: u64) -> Vec<CpiStack> {
+/// Difference two snapshots into per-unit stacks.
+fn window_stacks(prev: &Snap, cur: &Snap) -> Vec<CpiStack> {
     let da = cur.cycles - prev.cycles;
     let mut out = Vec::with_capacity(1 + cur.cores.len() + cur.lanes.len());
-    if datapaths > 0 {
+    if cur.datapaths > 0 {
         let mut s = CpiStack::empty("vu");
-        s.cycles = datapaths * da;
+        s.cycles = cur.datapaths * da;
         s.base = cur.util.busy - prev.util.busy;
         s.partly_idle = cur.util.partly_idle - prev.util.partly_idle;
         s.stalls = cur.vu_stalls.since(&prev.vu_stalls);
@@ -119,13 +123,9 @@ fn merge_into(acc: &mut Vec<CpiStack>, window: &[CpiStack]) {
 }
 
 /// Collects per-region, per-barrier-epoch, and whole-run CPI stacks over
-/// one simulation run (see module docs). Passive: no `next_deadline`, so
-/// results stay byte-identical to an unobserved run.
+/// one simulation run (see module docs).
 #[derive(Debug, Default)]
 pub struct CpiObserver {
-    /// Vector-unit datapath budget per cycle, captured at cycle 0
-    /// (`on_cycle` always fires there before any skip).
-    datapaths: Option<u64>,
     region_snap: Snap,
     cur_region: u32,
     epoch_snap: Snap,
@@ -203,26 +203,19 @@ impl CpiObserver {
     }
 
     fn close_windows(&mut self, cur: &Snap, region_done: bool, epoch_done: bool) {
-        let dp = self.datapaths.unwrap_or(0);
         if region_done {
-            let w = window_stacks(&self.region_snap, cur, dp);
+            let w = window_stacks(&self.region_snap, cur);
             merge_into(self.by_region.entry(self.cur_region).or_default(), &w);
             self.region_snap = cur.clone();
         }
         if epoch_done {
-            self.by_epoch.push(window_stacks(&self.epoch_snap, cur, dp));
+            self.by_epoch.push(window_stacks(&self.epoch_snap, cur));
             self.epoch_snap = cur.clone();
         }
     }
 }
 
 impl SimObserver for CpiObserver {
-    fn on_cycle(&mut self, _now: u64, view: &CycleView<'_>) {
-        if self.datapaths.is_none() {
-            self.datapaths = Some(view.vu_datapaths());
-        }
-    }
-
     fn on_region(&mut self, now: u64, region: u32, view: &CycleView<'_>) {
         let cur = Snap::at(now + 1, view);
         self.close_windows(&cur, true, false);
@@ -239,17 +232,9 @@ impl SimObserver for CpiObserver {
             return;
         }
         self.finished = true;
-        if self.datapaths.is_none() {
-            // A run short enough to finish without a single on_cycle.
-            self.datapaths = Some(if result.lane_busy.is_empty() {
-                0
-            } else {
-                3 * result.lane_busy.len() as u64
-            });
-        }
         let cur = Snap::at_finish(result);
         self.close_windows(&cur, true, true);
-        self.total = window_stacks(&Snap::default(), &cur, self.datapaths.unwrap_or(0));
+        self.total = window_stacks(&Snap::default(), &cur);
     }
 }
 
@@ -270,6 +255,7 @@ mod tests {
     fn window_stacks_conserve_by_construction() {
         let prev = Snap {
             cycles: 10,
+            datapaths: 24,
             util: Utilization { busy: 100, partly_idle: 20, stalled: 80, all_idle: 40 },
             vu_stalls: breakdown(&[(StallCause::NoDlp, 120)]),
             cores: vec![(4, breakdown(&[(StallCause::BankConflict, 4)]))],
@@ -277,6 +263,7 @@ mod tests {
         };
         let cur = Snap {
             cycles: 30,
+            datapaths: 24,
             util: Utilization { busy: 300, partly_idle: 60, stalled: 90, all_idle: 30 },
             vu_stalls: breakdown(&[(StallCause::NoDlp, 310), (StallCause::BarrierWait, 50)]),
             cores: vec![(
@@ -285,7 +272,7 @@ mod tests {
             )],
             lanes: vec![],
         };
-        let stacks = window_stacks(&prev, &cur, 24);
+        let stacks = window_stacks(&prev, &cur);
         assert_eq!(stacks.len(), 2);
         assert_eq!(stacks[0].unit, "vu");
         assert_eq!(stacks[0].cycles, 24 * 20);

@@ -20,12 +20,11 @@
 //!   conservation invariant (components sum to the measured budget),
 //!   the causal layer `vlt prof --whatif` cross-checks against;
 //! * [`Multi`] — a composite adapter that fans every hook out to several
-//!   observers so sampling, metrics, and tracing share one simulation pass.
+//!   observers so metrics, tracing, and CPI stacks share one simulation
+//!   pass.
 //!
-//! Every observer here is *passive*: none declares a `next_deadline`
-//! tighter than the events it reacts to, so the event-driven driver keeps
-//! skipping quiescent spans and results stay byte-identical to an
-//! unobserved run (enforced by `tests/equivalence.rs`).
+//! Observing a run leaves it byte-identical to an unobserved one
+//! (enforced by `tests/equivalence.rs`).
 
 pub mod cpi;
 pub mod metrics;

@@ -40,10 +40,6 @@ const DRAIN_BOUNDS: [u64; 5] = [4, 16, 64, 256, 1024];
 const PCT_BOUNDS: [u64; 7] = [5, 10, 25, 50, 75, 90, 100];
 
 /// Collects counters and histograms over one simulation run.
-///
-/// Passive: declares no `next_deadline`, so the event-driven driver skips
-/// exactly as it would for [`vlt_core::NullObserver`] and the simulation
-/// result is byte-identical (see `tests/equivalence.rs`).
 #[derive(Debug)]
 pub struct MetricsObserver {
     reg: MetricsRegistry,

@@ -1,11 +1,9 @@
 //! [`Multi`]: a composite observer that fans every driver hook out to a
-//! set of member observers, so sampling, metrics collection, and timeline
-//! tracing share one simulation pass instead of three.
+//! set of member observers, so metrics collection, timeline tracing, and
+//! CPI stacks share one simulation pass instead of three.
 //!
 //! Composition rules:
 //!
-//! * `next_deadline` is the **minimum** of the members' deadlines — the
-//!   driver may never skip past any member's requested cycle;
 //! * `wants_vec_events` / `wants_mem_events` are the **or** of the
 //!   members' answers (a member that didn't ask still receives the
 //!   deliveries — harmless, its default hooks are no-ops);
@@ -53,10 +51,6 @@ impl SimObserver for Multi<'_> {
         for m in &mut self.members {
             m.on_cycle(now, view);
         }
-    }
-
-    fn next_deadline(&self, now: u64) -> Option<u64> {
-        self.members.iter().filter_map(|m| m.next_deadline(now)).min()
     }
 
     fn on_barrier(&mut self, now: u64, releases: u64, view: &CycleView<'_>) {

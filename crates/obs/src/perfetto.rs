@@ -219,9 +219,7 @@ fn class_name(class: OpClass) -> &'static str {
 
 /// Records a Chrome-trace timeline (see module docs for the mapping).
 ///
-/// Passive like every observer in this crate: no `next_deadline`, so the
-/// event-driven driver is unhindered and results stay byte-identical to
-/// an unobserved run. A recorded event is a fixed-size record with a
+/// A recorded event is a fixed-size record with a
 /// static name and a fixed kind of numeric args; only the repartition
 /// instants, whose names carry numbers, own a string.
 ///

@@ -4,7 +4,6 @@
 //! # vlt-stats — reporting utilities for the experiment harness
 //!
 //! * [`table::Table`] — aligned ASCII tables matching the paper's layout,
-//! * [`speedup`] — speedup/geomean helpers,
 //! * [`report`] — machine-readable per-experiment records (JSON), written
 //!   next to the text output so EXPERIMENTS.md can be regenerated and
 //!   diffed.
@@ -12,7 +11,6 @@
 pub mod json;
 pub mod metrics;
 pub mod report;
-pub mod speedup;
 pub mod table;
 
 pub use metrics::{Histogram, MetricsRegistry, METRICS_SCHEMA_VERSION};

@@ -31,19 +31,6 @@ impl Iv {
         Iv { lo: Some(lo), hi: Some(hi) }
     }
 
-    /// The value if the interval pins exactly one.
-    pub fn as_const(self) -> Option<i64> {
-        match (self.lo, self.hi) {
-            (Some(a), Some(b)) if a == b => Some(a),
-            _ => None,
-        }
-    }
-
-    /// True if `k` lies inside the interval.
-    pub fn contains(self, k: i64) -> bool {
-        self.lo.is_none_or(|l| l <= k) && self.hi.is_none_or(|h| k <= h)
-    }
-
     /// Convex hull (the join of the lattice).
     pub fn join(self, other: Iv) -> Iv {
         Iv { lo: min_opt_lo(self.lo, other.lo), hi: max_opt_hi(self.hi, other.hi) }
@@ -164,11 +151,8 @@ mod tests {
     fn exact_and_join() {
         let a = Iv::exact(3);
         let b = Iv::exact(10);
-        assert_eq!(a.as_const(), Some(3));
-        let j = a.join(b);
-        assert_eq!(j, Iv::new(3, 10));
-        assert!(j.contains(7));
-        assert!(!j.contains(11));
+        assert_eq!(a, Iv::new(3, 3));
+        assert_eq!(a.join(b), Iv::new(3, 10));
     }
 
     #[test]
@@ -221,8 +205,6 @@ mod tests {
         // Any unbounded side makes a product unbounded on both sides (sign
         // of the other operand could flip the open side).
         assert_eq!(ge0.mul(Iv::exact(-1)), Iv::TOP);
-        assert!(ge0.contains(i64::MAX));
-        assert!(!ge0.contains(-1));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! [`vlt_isa::Program`] *before* it executes:
 //!
 //! 1. decodes the text section ([`Code::BadEncoding`]) and builds a CFG
-//!    ([`Cfg`]) over it,
+//!    over it (module `cfg`),
 //! 2. runs a forward abstract interpretation for def-before-use, constant
 //!    propagation, and `vl`/`vltcfg`/`vm` state (module `absint`),
 //! 3. statically checks memory accesses against the regions
@@ -44,10 +44,7 @@ mod liveness;
 mod races;
 mod structure;
 
-pub use absint::{AbsState, Cv, Init};
-pub use cfg::{direct_target, Block, Cfg, Term};
 pub use diag::{Code, Diagnostic, Options, Report, Severity};
-pub use interval::Iv;
 pub use races::{check_races, check_races_with, predicted_race_sites};
 
 /// The first text word that does not decode, named for a no-verdict
@@ -93,7 +90,7 @@ pub fn verify_with(prog: &Program, opts: &Options) -> Report {
         return Report { diags: vec![d], suppressed: 0 };
     }
 
-    let cfg = Cfg::build(insts);
+    let cfg = cfg::Cfg::build(insts);
     raws.extend(absint::run(&cfg, prog));
     raws.extend(liveness::dead_writes(&cfg));
     raws.extend(structure::check(&cfg));

@@ -1,12 +1,13 @@
 //! Workload characterization — the measured side of Table 4.
 //!
-//! Functional runs yield the operation-level metrics (% vectorization,
-//! average vector length, common VLs); a timed run on the base processor
-//! yields the % opportunity (fraction of execution time inside `region`
-//! markers, which tag each workload's VLT-eligible parallel phases).
+//! A functional replay yields the operation-level counts (its
+//! [`RunSummary`], from which % vectorization, average vector length and
+//! common VLs derive); a timed run on the base processor yields the %
+//! opportunity (fraction of execution time inside `region` markers, which
+//! tag each workload's VLT-eligible parallel phases).
 
 use vlt_core::{System, SystemConfig};
-use vlt_exec::FuncSim;
+use vlt_exec::{FuncSim, RunSummary};
 
 use crate::common::Scale;
 use crate::suite::Workload;
@@ -16,16 +17,10 @@ use crate::suite::Workload;
 pub struct Characterization {
     /// Workload name.
     pub name: &'static str,
-    /// Measured % vectorization (operations).
-    pub pct_vect: f64,
-    /// Measured average vector length.
-    pub avg_vl: f64,
-    /// Most common vector lengths, most frequent first.
-    pub common_vls: Vec<usize>,
+    /// The functional replay's counts.
+    pub summary: RunSummary,
     /// Measured % opportunity (cycles in marked regions on base timing).
     pub opportunity: f64,
-    /// Dynamic instructions in the functional run.
-    pub insts: u64,
 }
 
 /// Characterize one workload at the given scale (single-threaded, as the
@@ -42,14 +37,7 @@ pub fn characterize(w: &dyn Workload, scale: Scale) -> Result<Characterization, 
     let mut system = System::new(SystemConfig::base(8), &built.program, 1);
     let result = system.run(2_000_000_000).map_err(|e| e.to_string())?;
 
-    Ok(Characterization {
-        name: w.name(),
-        pct_vect: summary.pct_vectorization(),
-        avg_vl: summary.avg_vl(),
-        common_vls: summary.common_vls(4),
-        opportunity: result.opportunity(),
-        insts: summary.insts,
-    })
+    Ok(Characterization { name: w.name(), summary, opportunity: result.opportunity() })
 }
 
 #[cfg(test)]
@@ -59,28 +47,29 @@ mod tests {
 
     #[test]
     fn mxm_is_highly_vectorized() {
-        let c = characterize(workload("mxm").unwrap(), Scale::Test).unwrap();
-        assert!(c.pct_vect > 85.0, "mxm: {:.1}%", c.pct_vect);
-        assert!(c.avg_vl > 60.0, "mxm avg VL: {:.1}", c.avg_vl);
-        assert_eq!(c.common_vls[0], 64);
+        let s = characterize(workload("mxm").unwrap(), Scale::Test).unwrap().summary;
+        assert!(s.pct_vectorization() > 85.0, "mxm: {:.1}%", s.pct_vectorization());
+        assert!(s.avg_vl() > 60.0, "mxm avg VL: {:.1}", s.avg_vl());
+        assert_eq!(s.common_vls(4)[0], 64);
     }
 
     #[test]
     fn bt_is_half_vectorized_with_short_vls() {
-        let c = characterize(workload("bt").unwrap(), Scale::Test).unwrap();
+        let s = characterize(workload("bt").unwrap(), Scale::Test).unwrap().summary;
         assert!(
-            (30.0..65.0).contains(&c.pct_vect),
+            (30.0..65.0).contains(&s.pct_vectorization()),
             "bt should be ~46% vectorized: {:.1}%",
-            c.pct_vect
+            s.pct_vectorization()
         );
-        assert!(c.avg_vl < 12.0, "bt avg VL: {:.1}", c.avg_vl);
-        assert!(c.common_vls.contains(&5));
+        assert!(s.avg_vl() < 12.0, "bt avg VL: {:.1}", s.avg_vl());
+        assert!(s.common_vls(4).contains(&5));
     }
 
     #[test]
     fn radix_is_barely_vectorized() {
         let c = characterize(workload("radix").unwrap(), Scale::Test).unwrap();
-        assert!(c.pct_vect < 25.0, "radix: {:.1}%", c.pct_vect);
+        let pct = c.summary.pct_vectorization();
+        assert!(pct < 25.0, "radix: {pct:.1}%");
         assert!(c.opportunity > 60.0, "radix opportunity: {:.1}%", c.opportunity);
     }
 
@@ -88,7 +77,7 @@ mod tests {
     fn ocean_and_barnes_have_no_vectors() {
         for name in ["ocean", "barnes"] {
             let c = characterize(workload(name).unwrap(), Scale::Test).unwrap();
-            assert_eq!(c.pct_vect, 0.0, "{name}");
+            assert_eq!(c.summary.pct_vectorization(), 0.0, "{name}");
             assert!(c.opportunity > 75.0, "{name} opportunity: {:.1}%", c.opportunity);
         }
     }
@@ -96,10 +85,11 @@ mod tests {
     #[test]
     fn trfd_has_table4_vls() {
         let c = characterize(workload("trfd").unwrap(), Scale::Test).unwrap();
-        for vl in c.common_vls.iter().take(3) {
-            assert!([4usize, 20, 30, 35].contains(vl), "unexpected VL {vl}");
+        for vl in c.summary.common_vls(3) {
+            assert!([4usize, 20, 30, 35].contains(&vl), "unexpected VL {vl}");
         }
-        assert!((15.0..30.0).contains(&c.avg_vl), "trfd avg VL: {:.1}", c.avg_vl);
+        let avg_vl = c.summary.avg_vl();
+        assert!((15.0..30.0).contains(&avg_vl), "trfd avg VL: {avg_vl:.1}");
         assert!(c.opportunity > 85.0, "trfd opportunity: {:.1}%", c.opportunity);
     }
 }

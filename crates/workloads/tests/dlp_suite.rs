@@ -24,26 +24,21 @@ fn static_table4_matches_dynamic_for_all_kernels() {
 
         // Exact walks must agree with the run bit for bit, but assert the
         // acceptance-level tolerances so the test states the contract.
-        let (sp, dp) = (p.total.pct_vectorization(), c.pct_vect);
+        let (sp, dp) = (p.total.pct_vectorization(), c.summary.pct_vectorization());
         assert!(
             (sp - dp).abs() <= 5.0,
             "{}: pct vectorization static {sp:.2} vs dynamic {dp:.2}",
             w.name()
         );
-        let (sa, da) = (p.total.avg_vl(), c.avg_vl);
+        let (sa, da) = (p.total.avg_vl(), c.summary.avg_vl());
         let tol = (da * 0.10).max(1e-9);
         assert!(
             (sa - da).abs() <= tol || (sa == 0.0 && da == 0.0),
             "{}: avg VL static {sa:.2} vs dynamic {da:.2}",
             w.name()
         );
-        assert_eq!(
-            p.total.common_vls(1),
-            c.common_vls.iter().take(1).copied().collect::<Vec<_>>(),
-            "{}: most common VL",
-            w.name()
-        );
-        assert_eq!(p.total.insts, c.insts, "{}: instruction count", w.name());
+        assert_eq!(p.total.common_vls(1), c.summary.common_vls(1), "{}: most common VL", w.name());
+        assert_eq!(p.total.insts, c.summary.insts, "{}: instruction count", w.name());
     }
 }
 

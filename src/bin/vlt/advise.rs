@@ -15,10 +15,10 @@
 //!
 //! With `--validate`, also measures the dynamic characterization, writes
 //! `results/table4_dynamic.json` and `results/irregular_dynamic.json`, and
-//! cross-checks static against dynamic (avg VL within 10%, % vectorization
-//! within 5 points, top common VL exact, instruction count exact for exact
-//! walks) — exiting 1 on any mismatch, so CI can gate releases on the
-//! analyzer staying honest.
+//! cross-checks static against dynamic exactly (every walk exact, and its
+//! total equal to the replay's `RunSummary` field for field) — exiting 1
+//! on any mismatch, so CI can gate releases on the analyzer staying
+//! honest.
 
 use std::process::ExitCode;
 

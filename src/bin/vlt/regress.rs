@@ -20,8 +20,8 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use vlt_bench::harness::{results_dir, MAX_CYCLES};
-use vlt_core::{SimResult, System, SystemConfig};
+use vlt_bench::harness::{results_dir, run_built};
+use vlt_core::SystemConfig;
 use vlt_stats::json::Json;
 use vlt_stats::Table;
 use vlt_workloads::{irregular_suite, suite, Scale, Workload};
@@ -59,7 +59,6 @@ struct Point {
     workload: &'static dyn Workload,
     cfg: SystemConfig,
     threads: usize,
-    clusters: usize,
 }
 
 /// The fixed point set: every workload (Table 4 + irregular) at 1/2/4
@@ -77,7 +76,6 @@ fn points() -> Vec<Point> {
                 workload: w,
                 cfg: SystemConfig::v4_cmt(),
                 threads,
-                clusters: 1,
             });
         }
         if w.vectorizable() {
@@ -86,24 +84,18 @@ fn points() -> Vec<Point> {
                 workload: w,
                 cfg: SystemConfig::v8_clustered(2),
                 threads: 8,
-                clusters: 2,
             });
         }
     }
     out
 }
 
-/// Run one point and flatten its result into the recorded metric set.
+/// Run one point (its program spread over the config's clusters) and
+/// flatten its result into the recorded metric set.
 fn measure(p: &Point) -> Result<BTreeMap<String, f64>> {
-    let failed = |msg: String| Error::Failed(format!("{}: {msg}", p.key));
-    let built = p.workload.build_spread(p.threads, p.clusters, Scale::Test);
-    let mut sys = System::new(p.cfg.clone(), &built.program, p.threads);
-    let result: SimResult =
-        sys.run(MAX_CYCLES).map_err(|e| failed(format!("simulation failed: {e}")))?;
-    (built.verifier)(sys.funcsim()).map_err(|m| failed(format!("verification failed: {m}")))?;
-    result
-        .check_stall_conservation()
-        .map_err(|e| failed(format!("stall accounting broken: {e}")))?;
+    let built = p.workload.build_spread(p.threads, p.cfg.clusters, Scale::Test);
+    let result = run_built(p.cfg.clone(), &built, p.threads, p.workload.name())
+        .map_err(|e| Error::Failed(format!("{}: {e}", p.key)))?;
 
     let mut m = BTreeMap::new();
     m.insert("cycles".into(), result.cycles as f64);

@@ -45,8 +45,9 @@ fn experiment(id: &str, scale: Scale) -> Result<()> {
         "table2" => ex::table2::run(),
         "table3" => return print_and_write(&ex::table3::run(), id),
         "table4" => {
-            println!("{}", ex::table4::render_full(scale));
-            return written(ex::table4::run(scale).write_to(&results_dir()));
+            let rows = t4s::dynamic_rows(scale);
+            println!("{}", ex::table4::render_full(&rows));
+            return written(ex::table4::run(&rows).write_to(&results_dir()));
         }
         "table4_static" => return print_and_write(&t4s::static_table(&t4s::run(scale)), id),
         "table4_dynamic" => {
