@@ -33,7 +33,9 @@ pub mod vu;
 
 pub use config::{IdealizeConfig, SystemConfig, VclConfig};
 pub use result::{SimError, SimResult, Utilization};
-pub use system::{CycleView, DriverMode, NullObserver, RepartitionEvent, SimObserver, System};
+pub use system::{
+    CycleView, DriverMode, NullObserver, RepartitionEvent, SimObserver, System, Work,
+};
 pub use vlt_exec::EngineMode;
 pub use vlt_mem::{NetConfig, NetStats};
 pub use vlt_scalar::{CpiStack, StallBreakdown, StallCause};

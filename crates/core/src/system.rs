@@ -8,20 +8,23 @@
 //! only watch: the driver takes no input from them.
 //!
 //! The driver calls each unit class directly: the OoO scalar units, the
-//! in-order lane cores and the per-cluster vector units tick every stepped
-//! cycle; the inter-cluster network and the memory system are passive (their
-//! state changes only inside the other units' accesses) and only answer the
-//! skip horizon and deliver L2 events.
+//! in-order lane cores and the per-cluster vector units tick; the
+//! inter-cluster network and the memory system are passive (their state
+//! changes only inside the other units' accesses) and only deliver L2
+//! events.
 //!
-//! Time advances event-driven by default: when a cycle makes no progress,
-//! the driver queries every unit's `next_event` and jumps straight to the
-//! earliest future one (or the cycle budget), bulk-crediting the skipped
-//! span — with results
-//! byte-identical to the naive cycle-by-cycle oracle, which stays
-//! selectable via [`DriverMode::CycleByCycle`]. That oracle is also what
-//! catches a unit class left out of one of the driver's walks.
+//! Time advances event-driven by default: each unit sleeps on its own.
+//! After a tick that left a unit's work unchanged, the driver asks that unit
+//! alone for its `next_event` and does not tick it again before then,
+//! unless another unit acts on it (a wake edge); the slept span is credited
+//! in bulk when the unit wakes. When every unit sleeps, the driver jumps to
+//! the earliest wake (or the cycle budget). Results are byte-identical to
+//! the naive cycle-by-cycle oracle, which stays selectable via
+//! [`DriverMode::CycleByCycle`]. That oracle is also what catches a unit
+//! class left out of one of the driver's walks or a missing wake edge.
 
 use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 use vlt_exec::{DecodedProgram, DynKind, ExecError, FuncSim, Step};
@@ -49,6 +52,9 @@ struct TrackedSource {
     /// The machine has a vector unit; without one a vector instruction is a
     /// fault ([`ExecError::NoVectorUnit`]), not work for a scalar unit.
     has_vu: bool,
+    /// Barriers and halts fetched so far: only these can open a barrier
+    /// (it opens once every live thread waits at it).
+    arrivals: u64,
 }
 
 impl FetchSource for TrackedSource {
@@ -58,8 +64,12 @@ impl FetchSource for TrackedSource {
                 if !self.has_vu && self.prog.get(d.sidx as usize).class.is_vector() {
                     return Err(ExecError::NoVectorUnit { tid: thread, pc: d.pc });
                 }
-                if let DynKind::VltCfg { threads, clusters } = d.kind {
-                    self.vlt_request = Some((threads, clusters));
+                match d.kind {
+                    DynKind::VltCfg { threads, clusters } => {
+                        self.vlt_request = Some((threads, clusters))
+                    }
+                    DynKind::Barrier | DynKind::Halt => self.arrivals += 1,
+                    _ => {}
                 }
                 if thread == 0 {
                     let si = self.prog.get(d.sidx as usize);
@@ -82,11 +92,11 @@ impl FetchSource for TrackedSource {
 /// How [`System::run_observed`] advances simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DriverMode {
-    /// Skip provably-quiescent spans: query every unit's `next_event`,
-    /// jump straight to the earliest one, and credit the skipped cycles in
-    /// bulk. Produces byte-identical [`SimResult`]s (and observer hook
-    /// streams) to [`DriverMode::CycleByCycle`]; `tests/driver_props.rs`
-    /// enforces it.
+    /// Let each unit sleep until its own next event or until another unit
+    /// acts on it, credit the slept cycles in bulk, and jump over cycles in
+    /// which every unit sleeps. Produces byte-identical [`SimResult`]s (and
+    /// observer hook streams and views) to [`DriverMode::CycleByCycle`];
+    /// `tests/driver_props.rs` enforces it.
     #[default]
     EventDriven,
     /// Tick every unit on every cycle — the naive oracle the event-driven
@@ -120,8 +130,6 @@ struct CycleEvents {
     barrier_releases: Option<u64>,
     /// A `vltcfg` reached the vector unit this cycle.
     repartition: Option<RepartitionEvent>,
-    /// Bitmask of software threads parked at a barrier after this cycle.
-    parked: u64,
     /// A pending repartition took effect this cycle, after draining for
     /// this many cycles.
     applied_latency: Option<u64>,
@@ -129,16 +137,19 @@ struct CycleEvents {
 
 /// Read-only view of the machine handed to [`SimObserver::on_cycle`].
 /// Aggregates (`utilization`, `stalls`) are computed lazily so a no-op
-/// observer pays nothing per cycle.
+/// observer pays nothing per cycle. Its counters cover every cycle before
+/// `at`: a sleeping unit's uncredited cycles are added as the credit its
+/// wake-up will make, computed without touching the unit.
 pub struct CycleView<'a> {
     sys: &'a System,
+    at: u64,
 }
 
 impl CycleView<'_> {
     /// Cumulative datapath utilization, summed across lane clusters (zeros
     /// without a vector unit).
     pub fn utilization(&self) -> Utilization {
-        self.sys.vu_utilization()
+        self.sys.vu_counters(self.at).0
     }
 
     /// Region marker active on thread 0.
@@ -152,12 +163,9 @@ impl CycleView<'_> {
     /// core cycles), so treat this as a composition profile, not a single
     /// count; per-unit breakdowns are on the final [`SimResult`].
     pub fn stalls(&self) -> StallBreakdown {
-        let mut b = self.sys.vu_stalls();
-        for c in &self.sys.cores {
-            b.merge(&c.stats.stalls);
-        }
-        for l in &self.sys.lane_cores {
-            b.merge(&l.stats.stalls);
+        let mut b = self.vu_stalls();
+        for (_, s) in self.core_stalls().iter().chain(&self.lane_stalls()) {
+            b.merge(s);
         }
         b
     }
@@ -165,7 +173,7 @@ impl CycleView<'_> {
     /// Cumulative vector-unit stall-cause breakdown, merged across lane
     /// clusters (zeros without a vector unit). Datapath-cycles.
     pub fn vu_stalls(&self) -> StallBreakdown {
-        self.sys.vu_stalls()
+        self.sys.vu_counters(self.at).1
     }
 
     /// Datapath slots the vector units charge per machine cycle: three
@@ -179,13 +187,23 @@ impl CycleView<'_> {
     /// Per-scalar-unit `(fetch_stall_cycles, stalls)` snapshots, in core
     /// order — the raw material for windowed CPI stacks.
     pub fn core_stalls(&self) -> Vec<(u64, StallBreakdown)> {
-        self.sys.cores.iter().map(|c| (c.stats.fetch_stall_cycles, c.stats.stalls)).collect()
+        let at = self.at;
+        let stats = |c: &Slot<OooCore>| match c.uncredited(at) {
+            Some((from, n)) => c.stats_after_idle(from, n),
+            None => c.stats.clone(),
+        };
+        self.sys.cores.iter().map(stats).map(|s| (s.fetch_stall_cycles, s.stalls)).collect()
     }
 
     /// Per-lane-core `(stall_cycles, stalls)` snapshots, in lane order
     /// (empty outside VLT scalar-thread mode).
     pub fn lane_stalls(&self) -> Vec<(u64, StallBreakdown)> {
-        self.sys.lane_cores.iter().map(|l| (l.stats.stall_cycles, l.stats.stalls)).collect()
+        let at = self.at;
+        let stats = |l: &Slot<InOrderCore>| match l.uncredited(at) {
+            Some((from, n)) => l.stats_after_idle(from, n),
+            None => l.stats.clone(),
+        };
+        self.sys.lane_cores.iter().map(stats).map(|s| (s.stall_cycles, s.stalls)).collect()
     }
 }
 
@@ -201,13 +219,13 @@ impl CycleView<'_> {
 /// `on_finish` fires once, after the machine drains, with the final result.
 ///
 /// Observers only watch: nothing an observer does reaches the driver's
-/// schedule. Under the default [`DriverMode::EventDriven`] driver, cycles
-/// inside a provably-quiescent span are *not* simulated, so `on_cycle` does
-/// not fire for them; their per-cycle counters are credited in bulk before
-/// the next `on_cycle`, so a view at cycle `n` counts exactly the cycles
-/// before `n`. Every other hook reports machine activity, which a skipped
-/// span holds none of, so both drivers fire it at the same cycle with the
-/// same payload.
+/// schedule. Under the default [`DriverMode::EventDriven`] driver, a cycle
+/// in which every unit sleeps is *not* simulated, so `on_cycle` does not
+/// fire for it. A view counts exactly the cycles before `n` (`on_cycle`)
+/// or through `n` (the other hooks), sleeping units included, so it reads
+/// as the cycle-by-cycle driver's does at the same cycle. Every other hook
+/// reports machine activity, which a skipped cycle holds none of, so both
+/// drivers fire it at the same cycle with the same payload.
 pub trait SimObserver {
     /// Start of a simulated cycle, before any unit ticks.
     fn on_cycle(&mut self, _now: u64, _view: &CycleView<'_>) {}
@@ -269,40 +287,158 @@ struct PendingRepartition {
     since: u64,
 }
 
+/// A unit's wake cycle while it waits for another unit to act on it.
+const NEVER: u64 = u64::MAX;
+
+/// A unit and its place in the event-driven schedule.
+struct Slot<U> {
+    unit: U,
+    /// The next cycle the unit ticks ([`NEVER`] while only another unit
+    /// can wake it).
+    wake: u64,
+    /// The unit's per-cycle counters cover every cycle before this one.
+    credited: u64,
+}
+
+impl<U> Slot<U> {
+    fn new(unit: U) -> Self {
+        Slot { unit, wake: 0, credited: 0 }
+    }
+
+    /// Tick the unit no later than cycle `t`.
+    fn wake_at(&mut self, t: u64) {
+        self.wake = self.wake.min(t);
+    }
+
+    /// The span `(from, cycles)` the unit slept through before `at` and has
+    /// not been credited with.
+    fn uncredited(&self, at: u64) -> Option<(u64, u64)> {
+        (self.credited < at).then(|| (self.credited, at - self.credited))
+    }
+
+    /// Credit the span before `now` the unit slept through, through
+    /// `credit(unit, from, cycles)`.
+    fn catch_up(&mut self, now: u64, credit: impl FnOnce(&mut U, u64, u64)) {
+        if let Some((from, cycles)) = self.uncredited(now) {
+            credit(&mut self.unit, from, cycles);
+            self.credited = now;
+        }
+    }
+
+    /// After the unit's tick at `now`: tick again at `now + 1` if the tick
+    /// moved its work (`busy`), else at its own next event.
+    fn ticked(&mut self, now: u64, busy: bool, next_event: impl FnOnce(&U) -> Option<u64>) {
+        self.credited = now + 1;
+        self.wake = if busy { now + 1 } else { next_event(&self.unit).unwrap_or(NEVER) };
+    }
+}
+
+impl<U> Deref for Slot<U> {
+    type Target = U;
+
+    fn deref(&self) -> &U {
+        &self.unit
+    }
+}
+
+impl<U> DerefMut for Slot<U> {
+    fn deref_mut(&mut self) -> &mut U {
+        &mut self.unit
+    }
+}
+
+/// What a vector unit's per-cycle accounting reads from the rest of the
+/// machine. The driver credits every sleeping vector unit before any of it
+/// changes, so a slept span is credited with the inputs that held over it.
+#[derive(Debug, Clone, Copy)]
+struct VuInputs {
+    /// Software threads parked at a barrier, as of the last stepped cycle.
+    parked: u64,
+    nthreads: usize,
+    /// A repartition is draining.
+    draining: bool,
+}
+
+impl Slot<VectorUnit> {
+    fn catch_up_vu(&mut self, now: u64, i: VuInputs) {
+        self.catch_up(now, |v, from, n| {
+            v.account_idle_span(from, n, i.parked, i.nthreads, i.draining)
+        });
+    }
+}
+
+/// How much work a run's driver did: the cycles it stepped and the ticks
+/// of each unit class. Deterministic for a given program, machine and
+/// [`DriverMode`], but different between the two modes by design, so it is
+/// kept out of [`SimResult`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Work {
+    /// Cycles the driver stepped (`on_cycle` calls).
+    pub stepped: u64,
+    /// OoO scalar-unit ticks.
+    pub core_ticks: u64,
+    /// Lane-core ticks.
+    pub lane_ticks: u64,
+    /// Vector-unit ticks.
+    pub vu_ticks: u64,
+}
+
 /// Routes scalar-unit vector traffic to the per-cluster vector units:
 /// thread `t` lives in cluster `t % active` under local id `t / active`
 /// (injective per cluster). Tokens carry the cluster in their top byte, so
 /// on a single-cluster machine (`active == 1`) every field — local ids and
 /// tokens alike — is bit-identical to the pre-cluster driver.
+///
+/// A dispatch or a resolution changes the unit's window, so the router
+/// first credits a sleeping unit through the previous cycle and then wakes
+/// it: the vector units tick after the scalar units, so it ticks this
+/// cycle. A refused dispatch changes nothing and wakes no one.
 struct VecRouter<'a> {
-    vus: &'a mut [VectorUnit],
+    vus: &'a mut [Slot<VectorUnit>],
     active: usize,
-    /// A repartition is draining: refuse dispatch machine-wide (the natural
-    /// backpressure on the scalar units).
-    pending: bool,
+    /// What the vector units' accounting read before this cycle (its
+    /// `draining` refuses dispatch machine-wide: the natural backpressure
+    /// on the scalar units while a repartition drains).
+    inputs: VuInputs,
+    now: u64,
 }
 
 /// Bits of a [`VecToken`] holding the within-cluster token.
 const TOKEN_MASK: u64 = (1u64 << 56) - 1;
 
+impl VecRouter<'_> {
+    /// Vector unit `c`, credited through the previous cycle.
+    fn credited(&mut self, c: usize) -> &mut Slot<VectorUnit> {
+        let v = &mut self.vus[c];
+        v.catch_up_vu(self.now, self.inputs);
+        v
+    }
+}
+
 impl VectorSink for VecRouter<'_> {
     fn try_dispatch(&mut self, mut d: VecDispatch, now: u64) -> Option<VecToken> {
-        if self.pending {
+        if self.inputs.draining {
             return None; // draining toward a repartition
         }
         let c = d.vthread % self.active;
         d.vthread /= self.active;
-        let t = self.vus[c].try_dispatch(d, now)?;
+        let v = self.credited(c);
+        let t = v.try_dispatch(d, now)?;
+        v.wake_at(now);
         debug_assert!(t.0 <= TOKEN_MASK);
         Some(VecToken(((c as u64) << 56) | t.0))
     }
 
     fn resolve(&mut self, vthread: usize, seq: u64, done_at: u64) {
-        let c = vthread % self.active;
-        self.vus[c].resolve(vthread / self.active, seq, done_at);
+        let (c, local, now) = (vthread % self.active, vthread / self.active, self.now);
+        let v = self.credited(c);
+        v.resolve(local, seq, done_at);
+        v.wake_at(now);
     }
 
     fn poll(&mut self, token: VecToken) -> Option<u64> {
+        // A taken report frees its slot at the unit's next tick, and an
+        // issued entry keeps the unit awake until then.
         let c = (token.0 >> 56) as usize;
         self.vus[c].poll(VecToken(token.0 & TOKEN_MASK))
     }
@@ -318,10 +454,10 @@ impl VectorSink for VecRouter<'_> {
 pub struct System {
     cfg: SystemConfig,
     src: TrackedSource,
-    cores: Vec<OooCore>,
-    lane_cores: Vec<InOrderCore>,
+    cores: Vec<Slot<OooCore>>,
+    lane_cores: Vec<Slot<InOrderCore>>,
     /// One vector unit per lane cluster (empty without a vector unit).
-    vus: Vec<VectorUnit>,
+    vus: Vec<Slot<VectorUnit>>,
     /// Inter-cluster network (multi-cluster machines only; passive).
     net: Option<ClusterNet>,
     /// The memory hierarchy (passive).
@@ -332,9 +468,13 @@ pub struct System {
     vu_pending: Option<PendingRepartition>,
     /// Software threads loaded into the functional simulator.
     nthreads: usize,
+    /// Bitmask of software threads parked at a barrier, as of the last
+    /// stepped cycle.
+    parked: u64,
     /// Barrier releases already flushed, against the funcsim's exact count.
     flushed_releases: u64,
     driver: DriverMode,
+    work: Work,
 }
 
 impl System {
@@ -458,39 +598,59 @@ impl System {
         let has_vu = cfg.has_vu;
         System {
             cfg,
-            src: TrackedSource { sim, prog: decoded, cur_region: 0, vlt_request: None, has_vu },
-            cores,
-            lane_cores,
-            vus,
+            src: TrackedSource {
+                sim,
+                prog: decoded,
+                cur_region: 0,
+                vlt_request: None,
+                has_vu,
+                arrivals: 0,
+            },
+            cores: cores.into_iter().map(Slot::new).collect(),
+            lane_cores: lane_cores.into_iter().map(Slot::new).collect(),
+            vus: vus.into_iter().map(Slot::new).collect(),
             net,
             mem,
             active_clusters,
             vu_pending: None,
             nthreads,
+            parked: 0,
             flushed_releases: 0,
             driver: DriverMode::default(),
+            work: Work::default(),
         }
     }
 
-    /// Datapath utilization summed across lane clusters.
-    fn vu_utilization(&self) -> Utilization {
+    /// What the vector units' accounting reads, as it held through the
+    /// last stepped cycle.
+    fn vu_inputs(&self) -> VuInputs {
+        VuInputs {
+            parked: self.parked,
+            nthreads: self.nthreads,
+            draining: self.vu_pending.is_some(),
+        }
+    }
+
+    /// Datapath utilization and vector stall causes summed across lane
+    /// clusters, covering every cycle before `at`.
+    fn vu_counters(&self, at: u64) -> (Utilization, StallBreakdown) {
+        let inputs = self.vu_inputs();
         let mut u = Utilization::default();
-        for v in &self.vus {
-            u.busy += v.util.busy;
-            u.partly_idle += v.util.partly_idle;
-            u.stalled += v.util.stalled;
-            u.all_idle += v.util.all_idle;
-        }
-        u
-    }
-
-    /// Vector stall-cause breakdown merged across lane clusters.
-    fn vu_stalls(&self) -> StallBreakdown {
         let mut b = StallBreakdown::default();
         for v in &self.vus {
-            b.merge(&v.stalls);
+            let (util, stalls) = match v.uncredited(at) {
+                Some((from, n)) => {
+                    v.counters_after_idle(from, n, inputs.parked, inputs.nthreads, inputs.draining)
+                }
+                None => (v.util, v.stalls),
+            };
+            u.busy += util.busy;
+            u.partly_idle += util.partly_idle;
+            u.stalled += util.stalled;
+            u.all_idle += util.all_idle;
+            b.merge(&stalls);
         }
-        b
+        (u, b)
     }
 
     /// Bitmask of software threads currently parked at a barrier.
@@ -532,6 +692,11 @@ impl System {
         &self.src.sim
     }
 
+    /// The driver's work so far: stepped cycles and unit ticks per class.
+    pub fn work(&self) -> Work {
+        self.work
+    }
+
     /// Every hardware context has drained. Only the scalar units and lane
     /// cores vote: a scalar unit is not done while a vector instruction it
     /// dispatched is in flight, and the passive units hold no pending work.
@@ -547,15 +712,16 @@ impl System {
     /// The one driver loop: run to completion (all threads halted and
     /// pipelines drained) with `obs` hooked into every simulated cycle.
     ///
-    /// Under [`DriverMode::EventDriven`] (the default), whenever a simulated
-    /// cycle makes no observable progress the driver asks every unit for its
-    /// next event cycle and jumps straight to the earliest one, crediting
-    /// the skipped span in bulk to the per-cycle counters (region
-    /// attribution, VU utilization, core busy/stall counters). The skip is
-    /// sound because a `next_event` answer is never *later* than the unit's
-    /// true next state change, so nothing that would have happened in the
-    /// span is lost — and results stay byte-identical to
-    /// [`DriverMode::CycleByCycle`] (see DESIGN.md §"Time advancement").
+    /// Under [`DriverMode::EventDriven`] (the default), a unit whose tick
+    /// left its work unchanged sleeps until its `next_event` or until
+    /// another unit acts on it, and the cycles it slept through are
+    /// credited in bulk to its per-cycle counters when it wakes; a cycle in
+    /// which every unit sleeps is not stepped at all (its region time is
+    /// counted in bulk). Sleeping is sound because a `next_event` answer is
+    /// never *later* than the unit's true next state change and every act
+    /// of one unit on another wakes the target — so results stay
+    /// byte-identical to [`DriverMode::CycleByCycle`] (see DESIGN.md
+    /// §"Time advancement").
     pub fn run_observed<O: SimObserver + ?Sized>(
         &mut self,
         max_cycles: u64,
@@ -568,8 +734,6 @@ impl System {
         let mut acc_cycles = 0u64;
         let mut clamped_repartitions = 0u64;
         let mut now = 0u64;
-        let skipping = self.driver == DriverMode::EventDriven;
-        let mut fingerprint = self.progress_fingerprint();
         // Event delivery is opt-in per run: the producing units record
         // nothing unless this observer asked, so `run` pays nothing.
         let vec_events = obs.wants_vec_events();
@@ -579,7 +743,8 @@ impl System {
         }
         self.mem.l2.set_recording(mem_events);
         // Park transitions are reported by diffing against the previous
-        // cycle's mask (threads start running, so the baseline is empty).
+        // stepped cycle's mask (threads start running, so the baseline is
+        // empty).
         let mut parked_prev = 0u64;
         loop {
             if self.done() {
@@ -588,10 +753,11 @@ impl System {
             if now >= max_cycles {
                 return Err(SimError::Timeout { cycles: now });
             }
-            obs.on_cycle(now, &CycleView { sys: self });
+            obs.on_cycle(now, &CycleView { sys: self, at: now });
             let ev = self.step(now)?;
+            let after = CycleView { sys: self, at: now + 1 };
             if let Some(releases) = ev.barrier_releases {
-                obs.on_barrier(now, releases, &CycleView { sys: self });
+                obs.on_barrier(now, releases, &after);
             }
             if let Some(rp) = &ev.repartition {
                 if rp.clamped {
@@ -602,14 +768,14 @@ impl System {
             if let Some(latency) = ev.applied_latency {
                 obs.on_repartition_applied(now, latency);
             }
-            if ev.parked != parked_prev {
-                let diff = ev.parked ^ parked_prev;
+            if self.parked != parked_prev {
+                let diff = self.parked ^ parked_prev;
                 for t in 0..self.nthreads.min(64) {
                     if diff & (1u64 << t) != 0 {
-                        obs.on_park(now, t, ev.parked & (1u64 << t) != 0);
+                        obs.on_park(now, t, self.parked & (1u64 << t) != 0);
                     }
                 }
-                parked_prev = ev.parked;
+                parked_prev = self.parked;
             }
             if vec_events || mem_events {
                 // Vector issues before L2 bank events, cluster by cluster;
@@ -631,25 +797,17 @@ impl System {
                 }
                 acc_region = self.src.cur_region;
                 acc_cycles = 0;
-                obs.on_region(now, acc_region, &CycleView { sys: self });
+                obs.on_region(now, acc_region, &CycleView { sys: self, at: now + 1 });
             }
             acc_cycles += 1;
             now += 1;
-            if skipping {
-                let fp = self.progress_fingerprint();
-                let quiet = fp == fingerprint;
-                fingerprint = fp;
-                // Only a cycle that made no progress is worth a horizon
-                // scan (a gate, not a soundness condition: a false "busy"
-                // just defers the scan one cycle).
-                if quiet && !self.done() {
-                    if let Some(target) = self.quiescent_horizon(now, max_cycles) {
-                        let span = target - now;
-                        self.credit_idle_span(now, span);
-                        acc_cycles += span;
-                        now = target;
-                    }
-                }
+            // Every unit sleeps past `now`: jump to the earliest wake, or to
+            // the cycle budget, so a would-be hang times out at exactly
+            // `max_cycles` like the oracle.
+            let wake = self.next_wake().min(max_cycles);
+            if wake > now && !self.done() {
+                acc_cycles += wake - now;
+                now = wake;
             }
         }
         if acc_cycles > 0 {
@@ -660,103 +818,95 @@ impl System {
         Ok(result)
     }
 
-    /// The latest cycle `> from` the driver may jump to without simulating
-    /// the span in between, or `None` when no skip is possible: the minimum
-    /// over every unit's `next_event` and the cycle budget (so a would-be
-    /// hang times out at exactly `max_cycles`, like the naive driver).
-    fn quiescent_horizon(&self, from: u64, max_cycles: u64) -> Option<u64> {
-        let mut horizon = max_cycles;
-        // A pending repartition over fully-drained vector units applies at
-        // the very next step — driver-owned state the per-unit polls cannot
-        // see, so it is guarded here.
-        if self.vu_pending.is_some() && self.vus.iter().all(|v| v.drained()) {
-            return None;
-        }
-        // The passive units (network, memory) answer advisorily (always
-        // > `from`), so they only ever shorten a skip.
-        let events = self
-            .cores
-            .iter()
-            .map(|c| c.next_event(from, &self.src))
-            .chain(self.lane_cores.iter().map(|l| l.next_event(from, &self.src)))
-            .chain(self.vus.iter().map(|v| v.next_event(from)))
-            .chain(self.net.iter().map(|n| n.next_event(from)))
-            .chain(std::iter::once_with(|| self.mem.next_event(from)));
-        for ev in events {
-            match ev {
-                Some(t) if t <= from => return None,
-                Some(t) => horizon = horizon.min(t),
-                None => {}
-            }
-        }
-        (horizon > from).then_some(horizon)
+    /// The earliest cycle any unit ticks at.
+    fn next_wake(&self) -> u64 {
+        let cores = self.cores.iter().map(|c| c.wake);
+        let lanes = self.lane_cores.iter().map(|l| l.wake);
+        cores.chain(lanes).chain(self.vus.iter().map(|v| v.wake)).min().unwrap_or(NEVER)
     }
 
-    /// Bulk-credit a skipped `[from, from + span)` window to every
-    /// per-cycle counter, exactly as `span` naive ticks would have. Park
-    /// state cannot change inside a quiescent span (parking and resuming
-    /// are front-end activity), so one mask covers the whole window.
-    fn credit_idle_span(&mut self, from: u64, span: u64) {
-        let parked = self.parked_mask();
-        let draining = self.vu_pending.is_some();
-        for c in &mut self.cores {
-            c.credit_idle_span(from, span);
-        }
-        for l in &mut self.lane_cores {
-            l.credit_idle_span(from, span, self.src.sim.thread_parked(l.thread()));
-        }
-        for v in &mut self.vus {
-            v.account_idle_span(from, span, parked, self.nthreads, draining);
-        }
-        // The passive units hold no per-cycle counters.
-    }
-
-    /// A cheap monotone digest of total forward progress; unchanged across
-    /// a step means the machine (very likely) idled that cycle. Only a gate
-    /// for the horizon scan — correctness rests on `quiescent_horizon`.
-    fn progress_fingerprint(&self) -> u64 {
-        let mut fp = self.src.sim.executed + self.src.sim.barrier_releases();
-        for c in &self.cores {
-            fp += c.stats.committed + c.stats.issued + c.stats.vec_dispatched;
-        }
-        for l in &self.lane_cores {
-            fp += l.stats.committed;
-        }
-        for v in &self.vus {
-            fp += v.issued;
-        }
-        fp
-    }
-
-    /// Advance the whole machine by one cycle. The front end ticks first:
-    /// the scalar units (their vector traffic routed to the vector units,
-    /// or to [`NullVectorSink`] on a machine without one), then the lane
-    /// cores. At the boundary the driver snapshots park state and processes
+    /// Advance the whole machine by one cycle, ticking the units awake at
+    /// `now` in a fixed order. The front end ticks first: the scalar units
+    /// (their vector traffic routed to the vector units, or to
+    /// [`NullVectorSink`] on a machine without one), then the lane cores.
+    /// At the boundary the driver snapshots park state and processes
     /// `vltcfg` requests ([`System::pre_backend`]); then the vector units
     /// tick. The network and the memory system are passive and never tick.
+    ///
+    /// A unit that acts on another wakes it: at `now` when the target comes
+    /// later in the order (its tick this cycle sees the act, as the
+    /// oracle's would), else at `now + 1`.
     fn step(&mut self, now: u64) -> Result<CycleEvents, SimError> {
         let mut ev = CycleEvents::default();
-        let System { cores, lane_cores, vus, mem, src, active_clusters, vu_pending, .. } = self;
-        if vus.is_empty() {
-            for c in cores.iter_mut() {
-                c.tick(now, mem, src, &mut NullVectorSink)?;
+        let sleeps = self.driver == DriverMode::EventDriven;
+        let inputs = self.vu_inputs();
+        let System { cores, lane_cores, vus, mem, src, active_clusters, work, .. } = self;
+        let mut arrivals = src.arrivals;
+        let mut null = NullVectorSink;
+        let no_vu = vus.is_empty();
+        let mut router = VecRouter { vus, active: *active_clusters, inputs, now };
+        for i in 0..cores.len() {
+            let c = &mut cores[i];
+            if c.wake > now {
+                continue;
             }
-        } else {
-            let pending = vu_pending.is_some();
-            let mut router = VecRouter { vus, active: *active_clusters, pending };
-            for c in cores.iter_mut() {
-                c.tick(now, mem, src, &mut router)?;
+            c.catch_up(now, OooCore::credit_idle_span);
+            work.core_ticks += 1;
+            let mark = c.progress();
+            let sink: &mut dyn VectorSink = if no_vu { &mut null } else { &mut router };
+            c.tick(now, mem, src, sink)?;
+            let busy = !sleeps || c.progress() != mark;
+            c.ticked(now, busy, |c| c.next_event(now + 1, src));
+            if src.arrivals != arrivals {
+                arrivals = src.arrivals;
+                wake_front_end(cores, lane_cores, i, now);
             }
         }
-        for l in lane_cores.iter_mut() {
+        for j in 0..lane_cores.len() {
+            let l = &mut lane_cores[j];
+            if l.wake > now {
+                continue;
+            }
+            l.catch_up(now, InOrderCore::credit_idle_span);
+            work.lane_ticks += 1;
+            let mark = l.progress();
             l.tick(now, mem, src)?;
+            let busy = !sleeps || l.progress() != mark;
+            l.ticked(now, busy, |l| l.next_event(now + 1, src));
+            if src.arrivals != arrivals {
+                arrivals = src.arrivals;
+                let by = cores.len() + j;
+                wake_front_end(cores, lane_cores, by, now);
+            }
         }
 
         self.pre_backend(now, &mut ev);
-        let draining = self.vu_pending.is_some();
-        let System { vus, net, mem, src, nthreads, .. } = self;
+        let inputs = self.vu_inputs();
+        let System { cores, vus, net, mem, src, work, .. } = self;
+        let (mut issued, mut freed) = (0u64, false);
         for v in vus.iter_mut() {
-            v.tick(now, mem, net.as_mut(), src.sim.arena(), ev.parked, *nthreads, draining);
+            if v.wake > now {
+                continue;
+            }
+            v.catch_up_vu(now, inputs);
+            work.vu_ticks += 1;
+            let mark = (v.issued, v.released());
+            let (parked, nthreads, draining) = (inputs.parked, inputs.nthreads, inputs.draining);
+            v.tick(now, mem, net.as_mut(), src.sim.arena(), parked, nthreads, draining);
+            issued |= v.take_issued_threads();
+            freed |= v.released() != mark.1;
+            let busy = !sleeps || (v.issued, v.released()) != mark;
+            v.ticked(now, busy, |v| v.next_event(now + 1));
+        }
+        // An issue may complete a vector instruction the core running its
+        // thread awaits; a freed slot may admit one the unit refused. The
+        // cores poll or retry next cycle.
+        if issued != 0 || freed {
+            for c in cores.iter_mut() {
+                if c.awaits_vector(issued) || (freed && c.refused()) {
+                    c.wake_at(now + 1);
+                }
+            }
         }
 
         // Barrier rendezvous completed: flush L1 data caches so post-barrier
@@ -775,22 +925,35 @@ impl System {
             }
             ev.barrier_releases = Some(releases);
         }
+        self.work.stepped += 1;
 
         Ok(ev)
     }
 
-    /// Front-end/back-end boundary work, once per cycle: snapshot park
-    /// state (observation inputs: VU stall-cause attribution and the
+    /// Front-end/back-end boundary work, once per stepped cycle: snapshot
+    /// park state (observation inputs: VU stall-cause attribution and the
     /// `on_park` transition hook) and process per-phase lane repartitioning
     /// (paper §3.3, hierarchical per DESIGN.md §11): a fetched `vltcfg`
     /// requests it; the machine applies it once every vector unit has
     /// drained and refuses new dispatches meanwhile.
+    ///
+    /// The park state and the pending repartition are inputs of every
+    /// vector unit's accounting, so before either changes each unit is
+    /// credited through the previous cycle and woken to tick this cycle.
     fn pre_backend(&mut self, now: u64, ev: &mut CycleEvents) {
-        ev.parked = self.parked_mask();
-        if self.vus.is_empty() {
-            return; // scalar machines never consume vltcfg requests
+        let parked = self.parked_mask();
+        let request = if self.vus.is_empty() { None } else { self.src.vlt_request.take() };
+        if parked == self.parked && request.is_none() && self.vu_pending.is_none() {
+            return;
         }
-        if let Some((t_req, c_req)) = self.src.vlt_request.take() {
+        let inputs = self.vu_inputs();
+        for v in &mut self.vus {
+            v.catch_up_vu(now, inputs);
+        }
+        let changed = parked != self.parked;
+        self.parked = parked;
+        let pending = self.vu_pending.is_some();
+        if let Some((t_req, c_req)) = request {
             let rp = self.validate_request(t_req, c_req);
             let current = (self.active_clusters * self.vus[0].threads(), self.active_clusters);
             if (rp.applied, rp.applied_clusters) != current {
@@ -807,6 +970,17 @@ impl System {
                 self.apply_partition(p.threads, p.clusters);
                 ev.applied_latency = Some(now.saturating_sub(p.since));
                 self.vu_pending = None;
+                // Dispatch reopens, into the new partitions.
+                for c in &mut self.cores {
+                    if c.refused() {
+                        c.wake_at(now + 1);
+                    }
+                }
+            }
+        }
+        if changed || ev.applied_latency.is_some() || self.vu_pending.is_some() != pending {
+            for v in &mut self.vus {
+                v.wake_at(now);
             }
         }
     }
@@ -855,13 +1029,24 @@ impl System {
         self.active_clusters = c_active;
     }
 
-    /// Assemble the final result after the machine drains.
+    /// Credit every unit through the last cycle, then assemble the final
+    /// result.
     fn finish(
-        &self,
+        &mut self,
         cycles: u64,
         region_cycles: BTreeMap<u32, u64>,
         clamped_repartitions: u64,
     ) -> SimResult {
+        for c in &mut self.cores {
+            c.catch_up(cycles, OooCore::credit_idle_span);
+        }
+        for l in &mut self.lane_cores {
+            l.catch_up(cycles, InOrderCore::credit_idle_span);
+        }
+        let inputs = self.vu_inputs();
+        for v in &mut self.vus {
+            v.catch_up_vu(cycles, inputs);
+        }
         let committed = self.cores.iter().map(|c| c.stats.committed).sum::<u64>()
             + self.lane_cores.iter().map(|c| c.stats.committed).sum::<u64>();
         let mut mem = self.mem.stats();
@@ -873,18 +1058,44 @@ impl System {
             lane_busy.extend_from_slice(b);
             lane_partly.extend_from_slice(p);
         }
+        let (utilization, vu_stalls) = self.vu_counters(cycles);
         SimResult {
             cycles,
             committed,
-            utilization: self.vu_utilization(),
+            utilization,
             cores: self.cores.iter().map(|c| c.stats.clone()).collect(),
             lanes: self.lane_cores.iter().map(|c| c.stats.clone()).collect(),
-            vu_stalls: self.vu_stalls(),
+            vu_stalls,
             mem,
             region_cycles,
             lane_busy,
             lane_partly,
             clamped_repartitions,
+        }
+    }
+}
+
+/// A thread arrived at a barrier or halted during the tick of front-end
+/// unit `by` (the scalar units, then the lane cores, in tick order), which
+/// may have opened a barrier that any live front-end unit waits on. They
+/// all wake: those after `by` tick this cycle and see the release, the
+/// rest tick the next.
+fn wake_front_end(
+    cores: &mut [Slot<OooCore>],
+    lane_cores: &mut [Slot<InOrderCore>],
+    by: usize,
+    now: u64,
+) {
+    let at = |k: usize| if k > by { now } else { now + 1 };
+    for (k, c) in cores.iter_mut().enumerate() {
+        if !c.done() {
+            c.wake_at(at(k));
+        }
+    }
+    let n = cores.len();
+    for (k, l) in lane_cores.iter_mut().enumerate() {
+        if !l.done() {
+            l.wake_at(at(n + k));
         }
     }
 }

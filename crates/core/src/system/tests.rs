@@ -8,7 +8,10 @@ use vlt_exec::ExecError;
 
 use crate::config::SystemConfig;
 use crate::result::{SimError, SimResult};
-use crate::system::{CycleView, DriverMode, NullObserver, RepartitionEvent, SimObserver, System};
+use crate::system::{
+    CycleView, DriverMode, NullObserver, RepartitionEvent, SimObserver, System, Work,
+};
+use vlt_scalar::StallCause;
 
 const MAX: u64 = 20_000_000;
 
@@ -651,7 +654,7 @@ fn event_driver_matches_naive_all_config_families() {
 }
 
 /// A would-be hang times out at exactly the same cycle in both modes (the
-/// skip horizon is capped at the cycle budget).
+/// jump to the earliest wake is capped at the cycle budget).
 #[test]
 fn timeout_identical_across_drivers() {
     let prog = assemble("loop:\nj loop\n").unwrap();
@@ -962,4 +965,158 @@ fn barrier_releases_count_rendezvous_not_arrivals() {
     // Events report the cumulative count once per cycle, so several
     // rendezvous completing in one cycle coalesce into one callback.
     assert!(rec.barrier_events >= 1 && rec.barrier_events <= 3);
+}
+
+/// Every view `on_cycle` shows, with its cycle.
+#[derive(Default)]
+struct Views(Vec<(u64, String)>);
+
+impl SimObserver for Views {
+    fn on_cycle(&mut self, now: u64, view: &CycleView<'_>) {
+        let counters =
+            (view.utilization(), view.vu_stalls(), view.core_stalls(), view.lane_stalls());
+        self.0.push((now, format!("{counters:?}")));
+    }
+}
+
+/// Run `prog` under both drivers. The results must match, and so must
+/// every view the event-driven run shows and the oracle's at the same
+/// cycle. Returns the result and the event-driven and cycle-by-cycle work.
+fn wake_edge_holds(cfg: SystemConfig, prog: &Program, threads: usize) -> (SimResult, Work, Work) {
+    let run = |mode| {
+        let mut views = Views::default();
+        let mut sys = System::new(cfg.clone(), prog, threads).with_driver(mode);
+        let r = sys.run_observed(MAX, &mut views).unwrap();
+        (r, sys.work(), views.0)
+    };
+    let (re, we, ve) = run(DriverMode::EventDriven);
+    let (rn, wn, vn) = run(DriverMode::CycleByCycle);
+    assert_eq!(re, rn, "driver divergence on {}", cfg.name);
+    for (now, view) in &ve {
+        assert_eq!(Some(view), vn.get(*now as usize).map(|(_, v)| v), "view at cycle {now}");
+    }
+    (re, we, wn)
+}
+
+/// A core whose vector instruction the full window refused sleeps, and
+/// the slot a completion frees wakes it to retry the next cycle: 48
+/// independent divides serialize on one divider behind a 32-entry window,
+/// and the scalar loop behind them starts only once the last is admitted.
+#[test]
+fn a_refused_dispatch_retries_the_cycle_after_a_slot_frees() {
+    let src = "
+        li      x1, 64
+        setvl   x2, x1
+        li      x3, 0
+        li      x4, 48
+    divs:
+        vfdiv.vv v1, v2, v3
+        addi    x3, x3, 1
+        blt     x3, x4, divs
+        li      x3, 0
+        li      x4, 2000
+    spin:
+        addi    x3, x3, 1
+        blt     x3, x4, spin
+        halt
+    ";
+    let prog = assemble(src).unwrap();
+    let (r, event, naive) = wake_edge_holds(SystemConfig::base(8), &prog, 1);
+    assert!(r.cycles > 16 * 32 + 2000, "the loop waits for the last divide: {} cycles", r.cycles);
+    assert!(event.core_ticks < naive.core_ticks, "the refused core slept: {event:?}");
+}
+
+/// Lane cores parked at a barrier sleep until the last thread's arrival
+/// opens it; those later in the tick order resume that very cycle.
+#[test]
+fn a_parked_lane_core_resumes_at_release() {
+    let src = "
+        tid     x10
+        bnez    x10, wait
+        li      x1, 0
+        li      x2, 400
+    spin:
+        addi    x1, x1, 1
+        blt     x1, x2, spin
+    wait:
+        barrier
+        addi    x3, x10, 1
+        barrier
+        halt
+    ";
+    let prog = assemble(src).unwrap();
+    let (r, event, naive) = wake_edge_holds(SystemConfig::v4_cmt_lane_threads(), &prog, 8);
+    assert!(r.lanes.iter().skip(1).all(|l| l.stalls.get(StallCause::BarrierWait) > 300));
+    assert!(event.lane_ticks < naive.lane_ticks / 4, "the parked lanes slept: {event:?}");
+}
+
+/// An idle vector unit sleeps while thread 1 parks and thread 0 computes;
+/// each change of the parked mask first credits the slept span with the
+/// mask that held over it (`NoDlp` before the park, `BarrierWait` after).
+#[test]
+fn a_sleeping_vu_is_credited_with_the_old_mask_when_a_thread_parks() {
+    let prog = scalar_sum_kernel(300, 2);
+    let (r, event, _) = wake_edge_holds(SystemConfig::v2_cmp(), &prog, 2);
+    assert!(r.vu_stalls.get(StallCause::BarrierWait) > 0 && r.vu_stalls.get(StallCause::NoDlp) > 0);
+    assert!(event.vu_ticks < r.cycles / 10, "the idle VU slept: {event:?} in {} cycles", r.cycles);
+}
+
+/// Dispatches refused while a repartition drains sleep until it applies:
+/// thread 1 keeps dispatching divides after thread 0's `vltcfg 1` starts
+/// the drain, and the apply wakes it to dispatch into the new partition.
+#[test]
+fn cores_refused_during_a_drain_resume_after_the_apply() {
+    let src = "
+        li      x9, 2
+        vltcfg  x9
+        li      x1, 32
+        setvl   x2, x1
+        vfdiv.vv v1, v2, v3
+        vfdiv.vv v4, v2, v3
+        tid     x10
+        bnez    x10, late
+        li      x9, 1
+        vltcfg  x9
+        j       join
+    late:
+        vfdiv.vv v5, v2, v3
+        vfdiv.vv v6, v2, v3
+        vfdiv.vv v7, v2, v3
+        li      x9, 1
+        vltcfg  x9
+    join:
+        setvl   x2, x1
+        vfadd.vv v8, v2, v3
+        halt
+    ";
+    let prog = assemble(src).unwrap();
+    let mut rec = Recorder::default();
+    System::new(SystemConfig::v2_cmp(), &prog, 2).run_observed(MAX, &mut rec).unwrap();
+    assert!(rec.applies.iter().any(|&(_, latency)| latency > 0), "no drain: {:?}", rec.applies);
+    let (_, event, naive) = wake_edge_holds(SystemConfig::v2_cmp(), &prog, 2);
+    assert!(event.core_ticks < naive.core_ticks, "no core slept: {event:?}");
+}
+
+/// A vector unit asleep through a long scalar phase is credited with its
+/// empty window (all idle, `NoDlp`) before the dispatch that ends the
+/// phase puts an entry in it, one that waits on a divide (stalled,
+/// `ScalarDep`).
+#[test]
+fn a_sleeping_vu_is_credited_before_a_dispatch_changes_its_window() {
+    let src = "
+        li      x1, 8
+        setvl   x2, x1
+        li      x3, 0
+        li      x4, 300
+    spin:
+        addi    x3, x3, 1
+        blt     x3, x4, spin
+        div     x5, x4, x1
+        vadd.vs v1, v1, x5
+        halt
+    ";
+    let prog = assemble(src).unwrap();
+    let (r, event, _) = wake_edge_holds(SystemConfig::base(8), &prog, 1);
+    assert!(r.vu_stalls.get(StallCause::NoDlp) > 0 && r.vu_stalls.get(StallCause::ScalarDep) > 0);
+    assert!(event.vu_ticks < r.cycles / 10, "the idle VU slept: {event:?} in {} cycles", r.cycles);
 }

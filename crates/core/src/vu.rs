@@ -30,7 +30,7 @@ use vlt_exec::{AddrArena, AddrRange, DecodedProgram};
 use vlt_isa::{Op, OpClass};
 use vlt_mem::{ClusterNet, MemSystem};
 use vlt_scalar::{
-    fold_event, DepSet, StallBreakdown, StallCause, VecDispatch, VecToken, VectorSink,
+    fold_event, thread_bit, DepSet, StallBreakdown, StallCause, VecDispatch, VecToken, VectorSink,
 };
 
 use crate::result::Utilization;
@@ -256,6 +256,11 @@ pub struct VectorUnit {
     /// A token was polled since the last tick (its slot releases at the
     /// tick's end).
     taken: bool,
+    /// Window slots released so far.
+    released: u64,
+    /// The software threads whose instructions issued since the driver
+    /// last took them (a set of [`thread_bit`]s).
+    issued_threads: u64,
     /// Same-partition resolutions of one issue pass, `(vthread, seq,
     /// ready, producer kind)`; a buffer reused across cycles.
     resolutions: Vec<(usize, u64, u64, WaitSrc)>,
@@ -269,9 +274,10 @@ pub struct VectorUnit {
     pub issued: u64,
     /// Per-physical-lane busy datapath-cycles on the arithmetic pipes,
     /// credited inside the same per-cycle accounting pass as the aggregate
-    /// taxonomy (idle-skipped spans carry no arithmetic occupancy, so the
-    /// bulk-credit path never touches these). Indexed by physical lane;
-    /// survives repartitioning. Conservation: sums to `util.busy`.
+    /// taxonomy (spans the unit sleeps through carry no arithmetic
+    /// occupancy, so the bulk-credit path never touches these). Indexed by
+    /// physical lane; survives repartitioning. Conservation: sums to
+    /// `util.busy`.
     lane_busy: Vec<u64>,
     /// Per-physical-lane partly-idle datapath-cycles (occupied arithmetic
     /// pipe, lane masked off by a short VL). Sums to `util.partly_idle`.
@@ -296,6 +302,8 @@ impl VectorUnit {
             reports: VecDeque::new(),
             token_base: 0,
             taken: false,
+            released: 0,
+            issued_threads: 0,
             resolutions: Vec::new(),
             util: Utilization::default(),
             stalls: StallBreakdown::default(),
@@ -354,6 +362,18 @@ impl VectorUnit {
     /// This unit's cluster id in the thread mapping.
     pub fn cluster(&self) -> usize {
         self.offset
+    }
+
+    /// Window slots released so far, a count that never falls: it moves
+    /// in every tick that frees room for a dispatch.
+    pub fn released(&self) -> u64 {
+        self.released
+    }
+
+    /// The software threads whose instructions issued since the last call,
+    /// as a set of [`thread_bit`]s.
+    pub fn take_issued_threads(&mut self) -> u64 {
+        std::mem::take(&mut self.issued_threads)
     }
 
     /// Translate the global parked mask and thread count into this unit's
@@ -424,7 +444,9 @@ impl VectorUnit {
             self.taken = false;
             let (reports, base) = (&self.reports, self.token_base);
             for p in &mut self.partitions {
+                let held = p.window.len();
                 p.window.retain(|e| reports[(e.token.0 - base) as usize] != Report::Taken);
+                self.released += (held - p.window.len()) as u64;
             }
             while self.reports.front() == Some(&Report::Taken) {
                 self.reports.pop_front();
@@ -522,13 +544,15 @@ impl VectorUnit {
                 self.issued += 1;
                 let seq = e.seq;
                 let vthread = e.vthread;
+                // Entries hold local thread ids; the set holds global ones.
+                let global = vthread * self.stride + self.offset;
+                self.issued_threads |= thread_bit(global);
                 self.reports[(e.token.0 - self.token_base) as usize] = Report::Ready(done);
                 if self.log_issues {
                     self.issue_log.push(VecIssue {
                         cluster: self.offset as u32,
                         partition: pi as u32,
-                        // Entries hold local thread ids; log the global one.
-                        vthread: (vthread * self.stride + self.offset) as u32,
+                        vthread: global as u32,
                         sidx: e.sidx,
                         vl: e.vl,
                         lanes: lanes as u16,
@@ -630,11 +654,12 @@ impl VectorUnit {
     }
 
     /// Why a partition's non-busy datapath groups are losing this cycle.
-    /// Every input is constant across a quiescent span (window membership,
-    /// deps, `ready_base`, `wait`, the pending repartition, and park state
-    /// only change inside driver steps; a dep-free entry that is ready right
-    /// now forces `Some(from)` in [`VectorUnit::next_event`]), so the
-    /// per-cycle and bulk-credit paths tag identically.
+    /// Every input is constant across a span the unit sleeps through: the
+    /// driver credits the unit before a dispatch or resolution changes its
+    /// window and before the pending repartition or the park state changes,
+    /// and a dep-free entry that is ready right now forces `Some(from)` in
+    /// [`VectorUnit::next_event`]. So the per-cycle and bulk-credit paths
+    /// tag identically.
     fn partition_cause(p: &Partition, now: u64, draining: bool, parked: bool) -> StallCause {
         if p.unissued == 0 {
             return if draining {
@@ -689,13 +714,12 @@ impl VectorUnit {
 
     /// Earliest cycle `>= from` at which the vector unit can change state:
     /// an in-flight arithmetic op's per-cycle datapath occupancy is still
-    /// evolving (no skip — the utilization taxonomy varies cycle to
+    /// evolving (no sleep — the utilization taxonomy varies cycle to
     /// cycle), a completed entry awaits the scalar unit's poll, or a
     /// dep-free entry can issue. `None` when every window entry is blocked
-    /// on an unresolved producer — the wake then comes from the producing
-    /// unit's own event. Never later than the true next change; `Some(from)`
-    /// means "cannot skip". (A pending repartition over a drained unit is
-    /// the system driver's event, guarded in its horizon scan.)
+    /// on an unresolved producer — the resolution that unblocks one then
+    /// wakes the unit. Never later than the true next change; `Some(from)`
+    /// means "cannot sleep".
     pub fn next_event(&self, from: u64) -> Option<u64> {
         let mut ev: Option<u64> = None;
         for p in &self.partitions {
@@ -719,15 +743,9 @@ impl VectorUnit {
         ev
     }
 
-    /// Credit `cycles` provably-idle cycles starting at `from` to the
-    /// utilization taxonomy, exactly as per-cycle [`VectorUnit::tick`]
-    /// accounting would have: no datapath does element work during a skipped
-    /// span ([`VectorUnit::next_event`] refuses to skip while any arithmetic
-    /// pipeline is occupied), so each partition's three datapath groups
-    /// accrue `stalled` when work is waiting in its window and `all_idle`
-    /// otherwise, all under one [`StallCause`] — every attribution input is
-    /// constant over a quiescent span (see [`VectorUnit`]'s
-    /// `partition_cause`).
+    /// Credit `cycles` cycles from `from` that the unit slept through to
+    /// the utilization taxonomy, exactly as per-cycle [`VectorUnit::tick`]
+    /// accounting would have (see [`VectorUnit::counters_after_idle`]).
     pub fn account_idle_span(
         &mut self,
         from: u64,
@@ -736,21 +754,41 @@ impl VectorUnit {
         nthreads: usize,
         draining: bool,
     ) {
+        (self.util, self.stalls) =
+            self.counters_after_idle(from, cycles, parked_threads, nthreads, draining);
+    }
+
+    /// The utilization and stall counters as they read once an idle span
+    /// of `cycles` cycles from `from` is credited, under the park state,
+    /// thread count and drain flag that held over it. No datapath does
+    /// element work while the unit sleeps ([`VectorUnit::next_event`]
+    /// keeps it awake while any arithmetic pipeline is occupied), so each
+    /// partition's three datapath groups accrue `stalled` when work is
+    /// waiting in its window and `all_idle` otherwise, all under one
+    /// [`StallCause`] (see [`VectorUnit`]'s `partition_cause`).
+    pub fn counters_after_idle(
+        &self,
+        from: u64,
+        cycles: u64,
+        parked_threads: u64,
+        nthreads: usize,
+        draining: bool,
+    ) -> (Utilization, StallBreakdown) {
+        let (mut util, mut stalls) = (self.util, self.stalls);
         let (parked_threads, nthreads) = self.localize(parked_threads, nthreads);
         let pcount = self.partitions.len();
         for pi in 0..pcount {
             let parked = Self::partition_parked(pi, pcount, parked_threads, nthreads);
             let p = &self.partitions[pi];
-            let waiting = p.unissued > 0;
             let add = 3 * p.lanes as u64 * cycles;
-            if waiting {
-                self.util.stalled += add;
+            if p.unissued > 0 {
+                util.stalled += add;
             } else {
-                self.util.all_idle += add;
+                util.all_idle += add;
             }
-            let cause = Self::partition_cause(p, from, draining, parked);
-            self.stalls.add(cause, add);
+            stalls.add(Self::partition_cause(p, from, draining, parked), add);
         }
+        (util, stalls)
     }
 
     /// True when no vector instructions are in flight.

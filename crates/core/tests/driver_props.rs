@@ -3,16 +3,21 @@
 //! 1. `run` is a thin wrapper over the observed loop, so `run` and
 //!    `run_observed` with a no-op observer must produce identical
 //!    `SimResult`s for any workload.
-//! 2. The event-driven driver (idle-cycle skipping) must be **byte
-//!    identical** — `SimResult` and the stream of observer hooks machine
-//!    activity fires — to the cycle-by-cycle oracle across randomized
+//! 2. The event-driven driver (units that sleep) must be **byte
+//!    identical** — `SimResult`, the stream of observer hooks machine
+//!    activity fires, and the view `on_cycle` shows at every cycle it
+//!    steps — to the cycle-by-cycle oracle across randomized
 //!    workload/config/thread matrices, including mid-run `vltcfg`
-//!    repartitions and barrier flushes.
+//!    repartitions and barrier flushes, and no unit class may tick more
+//!    often than under the oracle.
+
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
 use proptest::prelude::*;
 use vlt_core::{
     CycleView, DriverMode, NullObserver, RepartitionEvent, SimObserver, SimResult, StallBreakdown,
-    System, SystemConfig, Utilization, VecIssue,
+    System, SystemConfig, Utilization, VecIssue, Work,
 };
 use vlt_isa::asm::assemble;
 use vlt_isa::Program;
@@ -267,6 +272,125 @@ fn two_phase(wide: usize, narrow_npt: usize) -> Program {
     assemble(&src).unwrap()
 }
 
+/// A radix sort in the style of vlt-workloads' `radix`: `passes` stable
+/// LSD passes over 4-bit digits of `n` keys per thread. Each pass zeroes
+/// the thread's column of a transposed histogram (`hist[digit][thread]`),
+/// counts its slice, and after a barrier thread 0 turns the counts into
+/// exclusive offsets; after another barrier each thread scatters its slice
+/// through its offsets, with data-dependent addresses. Three barriers a
+/// pass and a serial phase keep most threads parked much of the time.
+fn radix_sort(n: usize, threads: usize, passes: usize) -> (Program, Vec<u64>) {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let keys: Vec<u64> = (0..n * threads)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        })
+        .collect();
+    let data: Vec<String> = keys.iter().map(|k| format!("{:#x}", k)).collect();
+    let src = format!(
+        r#"
+        .data
+    keys:
+        .dword {data}
+    buf:
+        .zero {bytes}
+    hist:
+        .zero {hbytes}
+        .text
+        tid     x10
+        li      x11, {threads}
+        li      x12, {n}
+        mul     x13, x10, x12
+        la      x17, hist
+        li      x14, 0
+        la      x15, keys
+        la      x16, buf
+        li      x18, 0
+        li      x22, 16
+    pass:
+        li      x20, 0
+    zero:
+        mul     x21, x20, x11
+        add     x21, x21, x10
+        slli    x21, x21, 3
+        add     x21, x21, x17
+        sd      x0, 0(x21)
+        addi    x20, x20, 1
+        blt     x20, x22, zero
+        slli    x23, x13, 3
+        add     x23, x23, x15
+        li      x20, 0
+    count:
+        ld      x24, 0(x23)
+        srl     x24, x24, x14
+        andi    x24, x24, 15
+        mul     x21, x24, x11
+        add     x21, x21, x10
+        slli    x21, x21, 3
+        add     x21, x21, x17
+        ld      x25, 0(x21)
+        addi    x25, x25, 1
+        sd      x25, 0(x21)
+        addi    x23, x23, 8
+        addi    x20, x20, 1
+        blt     x20, x12, count
+        barrier
+        bnez    x10, scanned
+        mul     x26, x11, x22
+        li      x20, 0
+        li      x27, 0
+        mv      x21, x17
+    scan:
+        ld      x25, 0(x21)
+        sd      x27, 0(x21)
+        add     x27, x27, x25
+        addi    x21, x21, 8
+        addi    x20, x20, 1
+        blt     x20, x26, scan
+    scanned:
+        barrier
+        slli    x23, x13, 3
+        add     x23, x23, x15
+        li      x20, 0
+    scatter:
+        ld      x24, 0(x23)
+        srl     x28, x24, x14
+        andi    x28, x28, 15
+        mul     x21, x28, x11
+        add     x21, x21, x10
+        slli    x21, x21, 3
+        add     x21, x21, x17
+        ld      x25, 0(x21)
+        slli    x29, x25, 3
+        add     x29, x29, x16
+        sd      x24, 0(x29)
+        addi    x25, x25, 1
+        sd      x25, 0(x21)
+        addi    x23, x23, 8
+        addi    x20, x20, 1
+        blt     x20, x12, scatter
+        barrier
+        mv      x30, x15
+        mv      x15, x16
+        mv      x16, x30
+        addi    x14, x14, 4
+        addi    x18, x18, 1
+        li      x30, {passes}
+        blt     x18, x30, pass
+        halt
+    "#,
+        data = data.join(", "),
+        bytes = 8 * n * threads,
+        hbytes = 8 * 16 * threads,
+    );
+    let mut sorted = keys;
+    sorted.sort_by_key(|k| k & ((1u64 << (4 * passes)) - 1));
+    (assemble(&src).unwrap(), sorted)
+}
+
 /// The machine's cumulative counters as a view shows them.
 #[derive(Debug, PartialEq)]
 struct Counters {
@@ -299,59 +423,100 @@ enum Act {
     Mem(u64, BankEvent),
 }
 
+/// A digest of the counters a view shows: every `on_cycle` view of an
+/// at-scale run is compared, too many to keep whole.
+fn digest(view: &CycleView<'_>) -> u64 {
+    let mut h = DefaultHasher::new();
+    format!("{:?}", Counters::of(view)).hash(&mut h);
+    h.finish()
+}
+
 /// Records every hook machine activity fires: the activity stream both
-/// drivers must deliver alike. `on_cycle` is left out on purpose, since
-/// the event-driven driver elides the cycles it skips.
+/// drivers must deliver alike. `on_cycle` views are kept apart, since the
+/// event-driven driver elides the cycles in which every unit sleeps: the
+/// event-driven run records a digest of each, and the oracle's run checks
+/// its view at the same cycle against it.
 #[derive(Default)]
-struct Activity(Vec<Act>);
+struct Activity {
+    acts: Vec<Act>,
+    views: Vec<(u64, u64)>,
+    /// The event-driven run's views, checked by the oracle's run.
+    expect: Option<std::iter::Peekable<std::vec::IntoIter<(u64, u64)>>>,
+}
 
 impl SimObserver for Activity {
+    fn on_cycle(&mut self, now: u64, view: &CycleView<'_>) {
+        let Some(expect) = &mut self.expect else {
+            self.views.push((now, digest(view)));
+            return;
+        };
+        if let Some((_, want)) = expect.next_if(|&(at, _)| at == now) {
+            assert_eq!(digest(view), want, "on_cycle view diverged at cycle {now}");
+        }
+    }
     fn on_barrier(&mut self, now: u64, releases: u64, view: &CycleView<'_>) {
-        self.0.push(Act::Barrier(now, releases, Counters::of(view)));
+        self.acts.push(Act::Barrier(now, releases, Counters::of(view)));
     }
     fn on_repartition(&mut self, now: u64, ev: &RepartitionEvent) {
-        self.0.push(Act::Repartition(now, *ev));
+        self.acts.push(Act::Repartition(now, *ev));
     }
     fn on_repartition_applied(&mut self, now: u64, drain_latency: u64) {
-        self.0.push(Act::Applied(now, drain_latency));
+        self.acts.push(Act::Applied(now, drain_latency));
     }
     fn on_region(&mut self, now: u64, region: u32, view: &CycleView<'_>) {
-        self.0.push(Act::Region(now, region, Counters::of(view)));
+        self.acts.push(Act::Region(now, region, Counters::of(view)));
     }
     fn on_park(&mut self, now: u64, thread: usize, parked: bool) {
-        self.0.push(Act::Park(now, thread, parked));
+        self.acts.push(Act::Park(now, thread, parked));
     }
     fn on_vec_issue(&mut self, now: u64, ev: &VecIssue) {
-        self.0.push(Act::VecIssue(now, *ev));
+        self.acts.push(Act::VecIssue(now, *ev));
     }
     fn wants_vec_events(&self) -> bool {
         true
     }
     fn on_mem_access(&mut self, now: u64, ev: &BankEvent) {
-        self.0.push(Act::Mem(now, *ev));
+        self.acts.push(Act::Mem(now, *ev));
     }
     fn wants_mem_events(&self) -> bool {
         true
     }
 }
 
-/// Run `sys` with the [`Activity`] recorder.
-fn run_with_activity(mut sys: System, max: u64) -> (SimResult, Vec<Act>) {
-    let mut acts = Activity::default();
-    let r = sys.run_observed(max, &mut acts).unwrap();
-    (r, acts.0)
+/// Run `sys` with `obs`, returning the result and the driver's work.
+fn run_with(mut sys: System, max: u64, obs: &mut Activity) -> (SimResult, Work) {
+    let r = sys.run_observed(max, obs).unwrap();
+    (r, sys.work())
 }
 
-/// Run the same machine under both drivers; the results and the activity
-/// streams must match byte for byte. Panics on mismatch (the vendored
-/// proptest has no shrinking, so a panic is exactly how properties fail).
+/// Run the same machine under both drivers; the results, the activity
+/// streams and every `on_cycle` view the event-driven run shows must match
+/// the oracle's byte for byte, and no unit class may tick more often than
+/// under the oracle. Panics on mismatch (the vendored proptest has no
+/// shrinking, so a panic is exactly how properties fail).
 fn assert_drivers_agree(mk: impl Fn() -> System, max: u64) {
-    let (re, ae) = run_with_activity(mk(), max);
-    let (rn, an) = run_with_activity(mk().with_driver(DriverMode::CycleByCycle), max);
+    let mut event = Activity::default();
+    let (re, we) = run_with(mk(), max, &mut event);
+    let stepped = event.views.len() as u64;
+    let mut naive = Activity {
+        expect: Some(std::mem::take(&mut event.views).into_iter().peekable()),
+        ..Activity::default()
+    };
+    let (rn, wn) = run_with(mk().with_driver(DriverMode::CycleByCycle), max, &mut naive);
     assert_eq!(re, rn, "SimResult diverged");
+    let (ae, an) = (&event.acts, &naive.acts);
     if let Some(i) = (0..ae.len().max(an.len())).find(|&i| ae.get(i) != an.get(i)) {
         panic!("activity stream diverged at hook {i}: {:?} vs {:?}", ae.get(i), an.get(i));
     }
+    let unchecked = naive.expect.map_or(0, Iterator::count);
+    assert_eq!(unchecked, 0, "event-driven views at cycles the oracle never stepped");
+    assert_eq!((we.stepped, wn.stepped), (stepped, rn.cycles), "stepped cycles miscounted");
+    assert!(
+        we.core_ticks <= wn.core_ticks
+            && we.lane_ticks <= wn.lane_ticks
+            && we.vu_ticks <= wn.vu_ticks,
+        "a unit class ticked more often event-driven ({we:?}) than cycle by cycle ({wn:?})"
+    );
 }
 
 proptest! {
@@ -491,4 +656,44 @@ fn event_driver_matches_naive_at_scale() {
 
     let prog = cross_cluster_two_phase(1024, 256, vlt_isa::vltcfg::operand(4, 1), 4);
     assert_drivers_agree(|| System::new(SystemConfig::v8_clustered(2), &prog, 8), MAX);
+
+    // Radix x8 in lane-thread mode: barrier-heavy lane cores beside two
+    // scalar units that bind no context. A scalar kernel on V4-CMT: a
+    // vector unit that never gets work.
+    let (prog, _) = radix_sort(2048, 8, 2);
+    assert_drivers_agree(|| System::new(SystemConfig::v4_cmt_lane_threads(), &prog, 8), MAX);
+
+    let prog = scalar_sum(8192, 4);
+    assert_drivers_agree(|| System::new(SystemConfig::v4_cmt(), &prog, 4), MAX);
+}
+
+/// The radix kernel sorts (so the at-scale comparison drives real work),
+/// and on V4-CMT-lanes x8 each scalar unit, which binds no context, ticks
+/// at most once.
+#[test]
+fn radix_sorts_and_unbound_scalar_units_sleep() {
+    let (prog, sorted) = radix_sort(64, 8, 2);
+    let cfg = SystemConfig::v4_cmt_lane_threads();
+    let cores = cfg.cores.len() as u64;
+    let mut sys = System::new(cfg, &prog, 8);
+    sys.run(MAX).unwrap();
+    let base = prog.symbol("keys").unwrap();
+    let got: Vec<u64> =
+        (0..sorted.len() as u64).map(|i| sys.funcsim().mem.read_u64(base + 8 * i)).collect();
+    assert_eq!(got, sorted, "two stable 4-bit passes sort by the low byte");
+    let work = sys.work();
+    assert!(work.core_ticks <= cores, "unbound scalar units ticked {} times", work.core_ticks);
+    assert!(work.lane_ticks > 0);
+}
+
+/// A scalar kernel on V4-CMT never gives the vector unit work: it ticks a
+/// handful of times, not once per cycle.
+#[test]
+fn an_idle_vector_unit_sleeps() {
+    let prog = scalar_sum(512, 4);
+    let mut sys = System::new(SystemConfig::v4_cmt(), &prog, 4);
+    let r = sys.run(MAX).unwrap();
+    let work = sys.work();
+    assert!(work.vu_ticks <= 8, "an idle VU ticked {} times in {} cycles", work.vu_ticks, r.cycles);
+    assert!(work.stepped < r.cycles && work.core_ticks > 0);
 }

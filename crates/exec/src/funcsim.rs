@@ -314,8 +314,8 @@ impl FuncSim {
             return Ok(Step::Halted);
         }
         // Hand out block-executed instructions first. `executed` counts at
-        // hand-out, not at block-execution time, so the timing driver's
-        // progress fingerprint advances exactly as under the interpreter.
+        // hand-out, not at block-execution time, so it advances exactly as
+        // under the interpreter.
         if let Some(d) = self.pending[t].pop_front() {
             self.executed += 1;
             return Ok(Step::Inst(d));

@@ -149,25 +149,6 @@ impl BankedL2 {
         done
     }
 
-    /// Advisory earliest cycle `> from` at which a currently-busy bank or
-    /// the memory channel frees up; `None` when everything is already free.
-    /// The memory system is passive (it never changes state on its own —
-    /// every transition happens inside a requester's `access`), so this can
-    /// only *shorten* an idle-cycle skip; it lets the driver bound a span
-    /// without reasoning about in-flight line fills.
-    pub fn next_event(&self, from: u64) -> Option<u64> {
-        let mut ev: Option<u64> = None;
-        for &b in &self.bank_free {
-            if b > from {
-                ev = Some(ev.map_or(b, |e: u64| e.min(b)));
-            }
-        }
-        if self.mem_free > from {
-            ev = Some(ev.map_or(self.mem_free, |e| e.min(self.mem_free)));
-        }
-        ev
-    }
-
     /// L2 tag hit rate so far.
     pub fn hit_rate(&self) -> f64 {
         self.tags.hit_rate()

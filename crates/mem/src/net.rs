@@ -10,9 +10,8 @@
 //! conflicts via the `NetworkContention` stall cause.
 //!
 //! Like the rest of the memory system the network is passive: every state
-//! transition happens inside a requester's [`ClusterNet::access`], so its
-//! [`ClusterNet::next_event`] is advisory (it can only shorten an
-//! idle-span skip, never create work).
+//! transition happens inside a requester's [`ClusterNet::access`], so it
+//! never ticks and never wakes a unit.
 //!
 //! [`BankedL2`]: crate::l2::BankedL2
 
@@ -121,20 +120,6 @@ impl ClusterNet {
         let done = mem.l2_access(addr, write, depart + hop);
         (done + hop, contended)
     }
-
-    /// Advisory earliest cycle `> from` at which a currently-busy link
-    /// frees up; `None` when all links are free. Advisory for the same
-    /// reason as [`BankedL2::next_event`](crate::l2::BankedL2::next_event):
-    /// the network is passive.
-    pub fn next_event(&self, from: u64) -> Option<u64> {
-        let mut ev: Option<u64> = None;
-        for &l in &self.link_free {
-            if l > from {
-                ev = Some(ev.map_or(l, |e: u64| e.min(l)));
-            }
-        }
-        ev
-    }
 }
 
 #[cfg(test)]
@@ -194,16 +179,5 @@ mod tests {
         let (_, c1) = n.access(&mut m, 1, 0x3008, false, 100);
         assert!(!c0 && !c1, "different clusters must not contend");
         assert_eq!(n.stats.contended, 0);
-    }
-
-    #[test]
-    fn next_event_is_advisory_and_beyond_from() {
-        let mut m = mem();
-        let mut n = net(2);
-        assert_eq!(n.next_event(0), None);
-        n.access(&mut m, 1, 0x4000, false, 10);
-        let ev = n.next_event(10).unwrap();
-        assert!(ev > 10);
-        assert_eq!(n.next_event(ev), None);
     }
 }

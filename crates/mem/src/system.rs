@@ -91,15 +91,6 @@ impl MemSystem {
         }
     }
 
-    /// Advisory earliest cycle `> from` at which any timed memory resource
-    /// (L2 bank pipelines, the main-memory channel) frees up; `None` when
-    /// all are free. The L1s and lane I-caches hold no timing state, so the
-    /// banked L2 is the only contributor. See [`BankedL2::next_event`] for
-    /// why this is advisory (memory is passive).
-    pub fn next_event(&self, from: u64) -> Option<u64> {
-        self.l2.next_event(from)
-    }
-
     /// Barrier coherence action: invalidate L1 data caches so post-barrier
     /// reads observe other threads' writes (compiler memory barriers in the
     /// paper; see DESIGN.md §8).

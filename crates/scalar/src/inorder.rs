@@ -97,12 +97,18 @@ impl InOrderCore {
         self.thread
     }
 
+    /// Instructions committed so far. The driver asks a lane core whose
+    /// tick committed nothing for its [`InOrderCore::next_event`].
+    pub fn progress(&self) -> u64 {
+        self.stats.committed
+    }
+
     /// Earliest cycle `>= from` at which this lane core can next make
     /// progress: its stall window expires, a stashed instruction's operands
     /// (or a load-queue slot) become ready, or the front end can pull a new
     /// instruction. `None` when halted or parked at a barrier — only
-    /// another thread can wake it then. Never later than the true next
-    /// state change; `Some(from)` simply means "cannot skip".
+    /// another thread's release can wake it then. Never later than the true
+    /// next state change; `Some(from)` simply means "cannot sleep".
     pub fn next_event(&self, from: u64, src: &dyn FetchSource) -> Option<u64> {
         if self.halted {
             return None;
@@ -128,43 +134,48 @@ impl InOrderCore {
         Some(t)
     }
 
-    /// Credit a provably-idle span `[from, from + cycles)` to the stall
-    /// counters, as per-cycle ticks would have: every persistent quiescent
-    /// state of a live lane core (stall window, operand wait, full load
-    /// queue, barrier park) charges exactly one stall cycle per cycle.
-    /// Port-conflict stashes are the only stall-free quiescent-looking
-    /// states, and they cannot persist across a cycle boundary (ports
-    /// replenish every tick), so [`InOrderCore::next_event`] never lets a
-    /// span cover one.
+    /// Credit a span `[from, from + cycles)` the lane core slept through
+    /// to the stall counters, as per-cycle ticks would have (see
+    /// [`InOrderCore::stats_after_idle`]).
+    pub fn credit_idle_span(&mut self, from: u64, cycles: u64) {
+        self.stats = self.stats_after_idle(from, cycles);
+    }
+
+    /// The statistics as they read once an idle span `[from, from +
+    /// cycles)` is credited: every persistent quiescent state of a live
+    /// lane core (stall window, operand wait, full load queue, barrier
+    /// park) charges exactly one stall cycle per cycle. Port-conflict
+    /// stashes are the only stall-free quiescent-looking states, and they
+    /// cannot persist across a cycle boundary (ports replenish every tick),
+    /// so [`InOrderCore::next_event`] never lets a span cover one.
     ///
     /// Cause attribution splits the span exactly as the per-cycle path
     /// would: first the front-end stall window ([`StallCause::IssueWidth`]),
-    /// then — all predicates being constant over a quiescent span — either a
-    /// barrier park, an operand wait, or a full load queue. The operand-wait
-    /// phase ends at the latest unready operand's ready time, which is
-    /// exactly where [`InOrderCore::next_event`] ends the span unless a full
-    /// load queue extends it, so the three-way split reproduces the
-    /// cycle-by-cycle tags byte for byte.
-    pub fn credit_idle_span(&mut self, from: u64, cycles: u64, parked: bool) {
+    /// then — all predicates being constant over the span — either a
+    /// barrier park, an operand wait, or a full load queue. A live lane
+    /// core with nothing stashed sleeps only while its thread is parked, so
+    /// the span's park state is the core's own. The operand-wait phase ends
+    /// at the latest unready operand's ready time, which is exactly where
+    /// [`InOrderCore::next_event`] ends the span unless a full load queue
+    /// extends it, so the three-way split reproduces the cycle-by-cycle
+    /// tags byte for byte.
+    pub fn stats_after_idle(&self, from: u64, cycles: u64) -> LaneStats {
+        let mut stats = self.stats.clone();
         if self.halted {
-            return;
+            return stats;
         }
-        self.stats.stall_cycles += cycles;
+        stats.stall_cycles += cycles;
         let bubble = self.stall_until.saturating_sub(from).min(cycles);
-        self.stats.stalls.add(StallCause::IssueWidth, bubble);
+        stats.stalls.add(StallCause::IssueWidth, bubble);
         let rem = cycles - bubble;
         if rem == 0 {
-            return;
+            return stats;
         }
         let s = from + bubble;
         match &self.pending {
-            None => {
-                // A live, pending-less lane only persists parked at a
-                // barrier (otherwise the front end would fetch).
-                debug_assert!(parked, "quiescent span with nothing pending and not parked");
-                let cause = if parked { StallCause::BarrierWait } else { StallCause::IssueWidth };
-                self.stats.stalls.add(cause, rem);
-            }
+            // A live, pending-less lane only sleeps parked at a barrier
+            // (otherwise the front end would fetch).
+            None => stats.stalls.add(StallCause::BarrierWait, rem),
             Some(d) => {
                 let si = self.prog.get(d.sidx as usize);
                 // Per-cycle order: operand wait is checked before the load
@@ -178,19 +189,20 @@ impl InOrderCore {
                     .max()
                     .unwrap_or(0);
                 let dep = max_ready.saturating_sub(s).min(rem);
-                self.stats.stalls.add(StallCause::ScalarDep, dep);
+                stats.stalls.add(StallCause::ScalarDep, dep);
                 let rest = rem - dep;
                 if rest > 0 {
                     let qfull = si.class == OpClass::Load
                         && self.outstanding.iter().filter(|done| **done > s).count()
                             >= self.cfg.load_queue;
-                    debug_assert!(qfull, "quiescent span past operand-ready without queue stall");
+                    debug_assert!(qfull, "slept span past operand-ready without queue stall");
                     let cause =
                         if qfull { StallCause::BankConflict } else { StallCause::ScalarDep };
-                    self.stats.stalls.add(cause, rest);
+                    stats.stalls.add(cause, rest);
                 }
             }
         }
+        stats
     }
 
     /// Advance one cycle.

@@ -33,6 +33,6 @@ pub use ooo::{CoreStats, OooCore};
 pub use predictor::Predictor;
 pub use stall::{StallBreakdown, StallCause};
 pub use traits::{
-    fold_event, DepSet, FetchResult, FetchSource, NullVectorSink, VecDispatch, VecToken,
-    VectorSink, MAX_SRCS,
+    fold_event, thread_bit, DepSet, FetchResult, FetchSource, NullVectorSink, VecDispatch,
+    VecToken, VectorSink, MAX_SRCS,
 };

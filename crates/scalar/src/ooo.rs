@@ -46,7 +46,8 @@ use crate::config::CoreConfig;
 use crate::predictor::Predictor;
 use crate::stall::{StallBreakdown, StallCause};
 use crate::traits::{
-    fold_event, DepSet, FetchResult, FetchSource, VecDispatch, VecToken, VectorSink, MAX_SRCS,
+    fold_event, thread_bit, DepSet, FetchResult, FetchSource, VecDispatch, VecToken, VectorSink,
+    MAX_SRCS,
 };
 
 /// Execution latency by class (cycles from issue to result availability).
@@ -181,6 +182,10 @@ struct Ctx {
     /// An instruction pulled from the source but not yet accepted
     /// (window full, I-cache miss, or VIQ full).
     pending: Option<DynInst>,
+    /// The vector unit refused `pending` at its last dispatch attempt.
+    /// Only another unit can make room (a freed window slot, an applied
+    /// repartition), and the driver wakes the core when one does.
+    refused: bool,
     halted: bool,
     draining: bool,
 }
@@ -213,6 +218,7 @@ impl Ctx {
             fetch_ready: 0,
             last_fetch_line: u64::MAX,
             pending: None,
+            refused: false,
             halted: false,
             draining: false,
         }
@@ -307,21 +313,45 @@ impl OooCore {
         &self.pred
     }
 
+    /// Instructions committed, issued and dispatched so far: a count that
+    /// moves in every tick that does the core's main work. The driver asks
+    /// a core whose tick left it unchanged for its [`OooCore::next_event`].
+    pub fn progress(&self) -> u64 {
+        self.stats.committed + self.stats.issued + self.seq_next
+    }
+
+    /// Some vector instruction this core handed over awaits its
+    /// completion, and one of `threads` (a set of [`thread_bit`]s) runs
+    /// here: an issue for those threads may complete it.
+    pub fn awaits_vector(&self, threads: u64) -> bool {
+        !self.pending_vec.is_empty()
+            && self.ctxs.iter().filter_map(|c| c.thread).any(|t| thread_bit(t) & threads != 0)
+    }
+
+    /// Some context holds a vector instruction the vector unit refused: a
+    /// freed window slot or an applied repartition may admit it.
+    pub fn refused(&self) -> bool {
+        self.ctxs.iter().any(|c| c.refused)
+    }
+
     /// Earliest cycle `>= from` at which this core can next change state:
     /// a head entry becomes committable, a ready-listed entry reaches its
     /// `ready_base`, a redirect/I-cache penalty expires, or the front end can
     /// pull a new instruction. `None` means the core is inert until some
-    /// other unit acts (drained, or every context parked at a barrier).
+    /// other unit acts: it is drained, its contexts are parked at a
+    /// barrier, it awaits vector completions, or the vector unit refused
+    /// its stashed vector instruction. The driver wakes the core on each of
+    /// those acts (DESIGN.md §6).
     ///
     /// The contract shared by all `next_event` implementations: the returned
     /// cycle is never *later* than the true first state change — reporting
-    /// too early merely shortens a skip (`Some(from)` means "cannot skip").
+    /// too early merely costs a tick (`Some(from)` means "cannot sleep").
     /// Completed non-head ROB entries are inert here because producers
     /// broadcast their completion cycle at issue time, not at commit.
     /// `fetch_ready` is reported for every bound context so the
     /// fetch-eligibility predicate (and with it the `fetch_stall_cycles`
     /// accounting in [`OooCore::credit_idle_span`]) is constant over any
-    /// skipped span.
+    /// span the core sleeps through.
     pub fn next_event(&self, from: u64, src: &dyn FetchSource) -> Option<u64> {
         if self.done() {
             return None;
@@ -350,9 +380,10 @@ impl OooCore {
                 continue; // cleared by the Serialize commit (head event)
             }
             if c.pending.is_some() {
-                // Stashed instruction retried while the window has room (a
-                // VIQ-full retry depends on VU state not modeled here).
-                if c.rob.len() < self.cfg.window_per_ctx() {
+                // Stashed instruction retried while the window has room,
+                // unless the vector unit refused it: then the unit that
+                // makes room wakes the core.
+                if !c.refused && c.rob.len() < self.cfg.window_per_ctx() {
                     fold_event(&mut ev, from);
                 }
                 continue;
@@ -364,16 +395,24 @@ impl OooCore {
         ev
     }
 
-    /// Credit a provably-idle span of `cycles` cycles starting at `from` to
-    /// the per-cycle counters, exactly as cycle-by-cycle ticks would have:
-    /// `busy_cycles` accrues while any context holds in-flight work, and
-    /// `fetch_stall_cycles` accrues while no context is fetch-eligible but
-    /// some context is still active. Both predicates are constant across a
-    /// quiescent span — [`OooCore::next_event`] caps the span at anything
-    /// that could flip them.
+    /// Credit a span of `cycles` cycles starting at `from` that the core
+    /// slept through to the per-cycle counters, exactly as cycle-by-cycle
+    /// ticks would have (see [`OooCore::stats_after_idle`]).
     pub fn credit_idle_span(&mut self, from: u64, cycles: u64) {
+        self.stats = self.stats_after_idle(from, cycles);
+    }
+
+    /// The statistics as they read once an idle span of `cycles` cycles
+    /// from `from` is credited: `busy_cycles` accrues while any context
+    /// holds in-flight work, and `fetch_stall_cycles` accrues while no
+    /// context is fetch-eligible but some context is still active. Both
+    /// predicates are constant across a span the core sleeps through —
+    /// [`OooCore::next_event`] ends the span at anything that could flip
+    /// them.
+    pub fn stats_after_idle(&self, from: u64, cycles: u64) -> CoreStats {
+        let mut stats = self.stats.clone();
         if self.ctxs.iter().any(|c| !c.rob.is_empty()) {
-            self.stats.busy_cycles += cycles;
+            stats.busy_cycles += cycles;
         }
         let any_eligible = self.ctxs.iter().any(|c| {
             c.thread.is_some()
@@ -383,15 +422,16 @@ impl OooCore {
                 && (c.rob.len() < self.cfg.window_per_ctx() || c.pending.is_some())
         });
         if !any_eligible && self.ctxs.iter().any(|c| c.active()) {
-            self.stats.fetch_stall_cycles += cycles;
-            self.stats.stalls.add(self.fetch_stall_cause(from), cycles);
+            stats.fetch_stall_cycles += cycles;
+            stats.stalls.add(self.fetch_stall_cause(from), cycles);
         }
+        stats
     }
 
     /// Classify *why* no context is fetch-eligible this cycle, for
     /// stall-cause attribution. Called from the per-cycle fetch stage and
-    /// from [`OooCore::credit_idle_span`]; every predicate it reads is
-    /// constant across a quiescent span ([`OooCore::next_event`] folds each
+    /// from [`OooCore::stats_after_idle`]; every predicate it reads is
+    /// constant across a slept span ([`OooCore::next_event`] folds each
     /// context's `fetch_ready`, the head entry's completion, and the
     /// `ready_base` of every ready-listed entry, and ROB membership only
     /// changes inside `tick`), so both paths tag identically.
@@ -774,7 +814,7 @@ impl OooCore {
                 }
 
                 if !self.dispatch(ci, d, now, vu) {
-                    // VIQ full: retry next cycle.
+                    // VIQ full or draining: retry once there is room.
                     break;
                 }
                 budget -= 1;
@@ -873,7 +913,9 @@ impl OooCore {
                     scalar_deps,
                     ready_base,
                 };
-                match vu.try_dispatch(disp, now) {
+                let admitted = vu.try_dispatch(disp, now);
+                self.ctxs[ci].refused = admitted.is_none();
+                match admitted {
                     Some(token) => {
                         self.stats.vec_dispatched += 1;
                         // All vector instructions retire from the ROB at

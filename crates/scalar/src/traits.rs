@@ -24,9 +24,9 @@ pub trait FetchSource {
     /// Non-consuming probe: true when `thread`'s next [`FetchSource::fetch`]
     /// is guaranteed to return [`FetchResult::AtBarrier`] — the thread is
     /// parked at an unopened barrier and only another thread's progress can
-    /// wake it. The event-driven driver uses this to prove a front end
-    /// quiescent without pulling from the stream. The default ("never
-    /// parked") is always safe: it only forfeits skipping.
+    /// wake it. The event-driven driver uses this to let a front end sleep
+    /// without pulling from the stream. The default ("never parked") is
+    /// always safe: it only forfeits sleeping.
     fn parked(&self, _thread: usize) -> bool {
         false
     }
@@ -40,6 +40,13 @@ pub fn fold_event(ev: &mut Option<u64>, t: u64) {
         Some(e) => e.min(t),
         None => t,
     });
+}
+
+/// Software thread `t`'s bit in a set of threads: every bit for a thread
+/// past 63, so a set never misses one.
+#[inline]
+pub fn thread_bit(t: usize) -> u64 {
+    u32::try_from(t).ok().and_then(|t| 1u64.checked_shl(t)).unwrap_or(u64::MAX)
 }
 
 /// Opaque handle for a vector instruction in flight in the vector unit.
@@ -210,6 +217,14 @@ mod tests {
             },
             0,
         );
+    }
+
+    #[test]
+    fn thread_bits_cover_threads_past_63() {
+        assert_eq!(thread_bit(0), 1);
+        assert_eq!(thread_bit(63), 1 << 63);
+        assert_eq!(thread_bit(64), u64::MAX);
+        assert_eq!(thread_bit(usize::MAX), u64::MAX);
     }
 
     #[test]

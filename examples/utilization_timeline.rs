@@ -23,12 +23,12 @@ struct Row {
 /// Records a [`Row`] at the first stepped cycle at or after each
 /// `INTERVAL`-cycle boundary.
 ///
-/// The driver skips provably idle cycles and fires `on_cycle` only on the
-/// cycles it steps, so a row lands at or after its boundary, not always
-/// on it. That costs no exactness: utilization is cumulative, and a
-/// skipped span is credited in bulk before the next stepped cycle, so a
-/// row at cycle `c` counts exactly the cycles before `c`. Percentages
-/// taken over each row's actual span are therefore exact.
+/// The driver skips cycles in which every unit sleeps and fires `on_cycle`
+/// only on the cycles it steps, so a row lands at or after its boundary,
+/// not always on it. That costs no exactness: utilization is cumulative,
+/// and a view counts every cycle before `c`, a sleeping unit's included,
+/// so a row at cycle `c` reads as the cycle-by-cycle driver's would.
+/// Percentages taken over each row's actual span are therefore exact.
 #[derive(Default)]
 struct Timeline {
     next: u64,

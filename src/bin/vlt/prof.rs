@@ -27,7 +27,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use vlt_bench::harness::MAX_CYCLES;
-use vlt_core::{IdealizeConfig, SimResult, StallCause, System, SystemConfig};
+use vlt_core::{IdealizeConfig, SimResult, StallCause, System, SystemConfig, Work};
 use vlt_obs::perfetto::validate_chrome_trace;
 use vlt_obs::{CpiObserver, MetricsObserver, Multi, PerfettoObserver};
 use vlt_stats::json::Json;
@@ -136,13 +136,14 @@ fn resolve_target(
 }
 
 /// One simulation of the target on `cfg`, verified, with conservation
-/// checked. `run_observed` only when observers are attached.
+/// checked, and the driver's work. `run_observed` only when observers are
+/// attached.
 fn simulate(
     cfg: &SystemConfig,
     target: &Target,
     threads: usize,
     obs: Option<&mut Multi<'_>>,
-) -> Result<SimResult> {
+) -> Result<(SimResult, Work)> {
     let failed = Error::Failed;
     let mut sys = System::new(cfg.clone(), &target.program, threads);
     let result = match obs {
@@ -156,7 +157,7 @@ fn simulate(
     result
         .check_stall_conservation()
         .map_err(|e| failed(format!("stall accounting broken: {e}")))?;
-    Ok(result)
+    Ok((result, sys.work()))
 }
 
 fn prof(args: &Args) -> Result<ExitCode> {
@@ -178,7 +179,7 @@ fn prof(args: &Args) -> Result<ExitCode> {
     let mut metrics = MetricsObserver::new();
     let mut trace = PerfettoObserver::new();
     let mut cpi = CpiObserver::new();
-    let result = {
+    let (result, work) = {
         let mut multi = Multi::new().with(&mut metrics).with(&mut trace).with(&mut cpi);
         simulate(&cfg, &target, threads, Some(&mut multi))?
     };
@@ -204,6 +205,10 @@ fn prof(args: &Args) -> Result<ExitCode> {
     }
 
     print_summary(&target.label, &cfg, &result, &metrics_doc);
+    println!(
+        "driver: {} of {} cycles stepped; ticks: {} scalar-unit, {} lane-core, {} vector-unit",
+        work.stepped, result.cycles, work.core_ticks, work.lane_ticks, work.vu_ticks
+    );
     print_cpi(&cpi);
     if let Some(causes) = causes {
         run_whatif(&cfg, &target, threads, &result, &causes)?;
@@ -232,7 +237,7 @@ fn run_whatif(
         let mut icfg = cfg.clone();
         icfg.ideal = ideal;
         eprintln!("vlt prof: what-if {} ...", cause.name());
-        let r = simulate(&icfg, target, threads, None)?;
+        let (r, _) = simulate(&icfg, target, threads, None)?;
         let attributed = base.stalls().get(cause);
         let gain = base.cycles.saturating_sub(r.cycles);
         // The causal cross-check: removing a component can never buy more
