@@ -31,8 +31,8 @@ use vlt_exec::{DecodedProgram, DynKind, ExecError, FuncSim, Step};
 use vlt_isa::{Op, Program};
 use vlt_mem::{BankEvent, ClusterNet, MemSystem};
 use vlt_scalar::{
-    FetchResult, FetchSource, InOrderCore, LaneCoreConfig, NullVectorSink, OooCore, StallBreakdown,
-    VecDispatch, VecToken, VectorSink,
+    FetchResult, FetchSource, InOrderCore, LaneCoreConfig, OooCore, StallBreakdown, VecDispatch,
+    VecToken, VectorSink,
 };
 
 use crate::config::SystemConfig;
@@ -827,8 +827,9 @@ impl System {
 
     /// Advance the whole machine by one cycle, ticking the units awake at
     /// `now` in a fixed order. The front end ticks first: the scalar units
-    /// (their vector traffic routed to the vector units, or to
-    /// [`NullVectorSink`] on a machine without one), then the lane cores.
+    /// (their vector traffic routed to the vector units; on a machine
+    /// without one, fetch refuses vector instructions, so the router over
+    /// no units only ever answers `issued`), then the lane cores.
     /// At the boundary the driver snapshots park state and processes
     /// `vltcfg` requests ([`System::pre_backend`]); then the vector units
     /// tick. The network and the memory system are passive and never tick.
@@ -842,8 +843,6 @@ impl System {
         let inputs = self.vu_inputs();
         let System { cores, lane_cores, vus, mem, src, active_clusters, work, .. } = self;
         let mut arrivals = src.arrivals;
-        let mut null = NullVectorSink;
-        let no_vu = vus.is_empty();
         let mut router = VecRouter { vus, active: *active_clusters, inputs, now };
         for i in 0..cores.len() {
             let c = &mut cores[i];
@@ -853,8 +852,7 @@ impl System {
             c.catch_up(now, OooCore::credit_idle_span);
             work.core_ticks += 1;
             let mark = c.progress();
-            let sink: &mut dyn VectorSink = if no_vu { &mut null } else { &mut router };
-            c.tick(now, mem, src, sink)?;
+            c.tick(now, mem, src, &mut router)?;
             let busy = !sleeps || c.progress() != mark;
             c.ticked(now, busy, |c| c.next_event(now + 1, src));
             if src.arrivals != arrivals {

@@ -232,7 +232,7 @@ fn compile_block(prog: &DecodedProgram, start: usize) -> Option<CBlock> {
         }
         end += 1;
         if matches!(si.class, OpClass::Branch | OpClass::Jump) {
-            term = if matches!(si.inst.op, Op::Jr | Op::Jalr) { Term::Dyn } else { Term::Static };
+            term = if si.inst.op.is_indirect() { Term::Dyn } else { Term::Static };
             break;
         }
     }

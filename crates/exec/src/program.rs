@@ -103,7 +103,12 @@ mod tests {
         assert_eq!(d.get(0).defs, vec![RegRef::I(1)]);
         assert!(d.get(1).class.is_vector());
         assert_eq!(d.get(1).pc, TEXT_BASE + 4);
+        assert_eq!(d.index_of(TEXT_BASE), Some(0));
         assert_eq!(d.index_of(TEXT_BASE + 8), Some(2));
         assert_eq!(d.index_of(TEXT_BASE + 12), None);
+        // Misaligned, and below the text segment.
+        assert_eq!(d.index_of(TEXT_BASE + 2), None);
+        assert_eq!(d.index_of(TEXT_BASE - 4), None);
+        assert_eq!(d.index_of(0), None);
     }
 }

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use crate::encode::encode;
 use crate::error::IsaError;
 use crate::inst::Inst;
-use crate::opcode::{Format, Op, OperandSig};
+use crate::opcode::{Op, OperandSig};
 use crate::program::{Program, DATA_BASE, TEXT_BASE};
 
 pub use expr::eval;
@@ -263,26 +263,9 @@ pub(crate) fn parse_operands(
 
     let mut inst = Inst { op, rd: 0, rs1: 0, rs2: 0, imm: 0, masked };
     let mut fixup = None;
-    // Register fields in positional order, per format.
-    let fields: &[&str] = match op.format() {
-        Format::R0 => &[],
-        Format::R1 => &["rd"],
-        Format::Rs => &["rs1"],
-        Format::R2 | Format::U => &["rd", "rs1"],
-        Format::R | Format::I => &["rd", "rs1", "rs2"],
-        Format::RR0 => &["rs1", "rs2"],
-        Format::B => &["rs1", "rs2"],
-        Format::UI | Format::J => &[],
-    };
-    let mut reg_slot = 0usize;
-    let set = |inst: &mut Inst, slot: &mut usize, v: u8| {
-        match fields[*slot] {
-            "rd" => inst.rd = v,
-            "rs1" => inst.rs1 = v,
-            _ => inst.rs2 = v,
-        }
-        *slot += 1;
-    };
+    // Register operands and a memory base fill the format's fields in order.
+    let mut fields = op.format().reg_fields().iter().map(|&(field, _)| field);
+    let mut field = || fields.next().expect("the table gives each register operand a field");
 
     for (o, k) in ops.iter().zip(sig.iter()) {
         let o = o.trim();
@@ -293,8 +276,7 @@ pub(crate) fn parse_operands(
                     OperandSig::Rf => 'f',
                     _ => 'v',
                 };
-                let idx = parse_reg_alias(o, line, want)?;
-                set(&mut inst, &mut reg_slot, idx);
+                *inst.field_mut(field()) = parse_reg_alias(o, line, want)?;
             }
             OperandSig::Imm => {
                 inst.imm = eval(o, consts, line)? as i32;
@@ -308,8 +290,8 @@ pub(crate) fn parse_operands(
                 }
                 let off = o[..open].trim();
                 inst.imm = if off.is_empty() { 0 } else { eval(off, consts, line)? as i32 };
-                let base = parse_reg_alias(o[open + 1..o.len() - 1].trim(), line, 'x')?;
-                inst.rs1 = base;
+                *inst.field_mut(field()) =
+                    parse_reg_alias(o[open + 1..o.len() - 1].trim(), line, 'x')?;
             }
             OperandSig::Lab => {
                 if is_ident(o) && !consts.contains_key(o) {

@@ -4,9 +4,7 @@
 //! targets are printed as numeric word offsets, which the assembler accepts).
 
 use crate::inst::Inst;
-use crate::opcode::{Format, Op, OperandSig};
-#[allow(unused_imports)]
-use Op as _OpKeep;
+use crate::opcode::OperandSig;
 
 /// Render one instruction in assembler syntax.
 pub fn disasm(inst: &Inst) -> String {
@@ -15,33 +13,21 @@ pub fn disasm(inst: &Inst) -> String {
     if sig.is_empty() {
         return op.mnemonic().to_string();
     }
-
-    let mut parts: Vec<String> = Vec::with_capacity(sig.len() + 1);
-    // Register fields in positional order, mirroring the assembler.
-    let regs: [u8; 3] = match op.format() {
-        Format::B => [inst.rs1, inst.rs2, 0],
-        Format::Rs => [inst.rs1, 0, 0],
-        Format::RR0 => [inst.rs1, inst.rs2, 0],
-        _ => [inst.rd, inst.rs1, inst.rs2],
+    // Register operands and a memory base name the format's fields in
+    // order, as in the assembler.
+    let mut regs = op.format().reg_fields().iter().map(|&(field, _)| inst.field(field));
+    let mut reg = |class: char| {
+        format!("{class}{}", regs.next().expect("the table gives each register operand a field"))
     };
-    let mut slot = 0usize;
+    let mut parts: Vec<String> = Vec::with_capacity(sig.len() + 1);
     for k in sig {
-        match k {
-            OperandSig::Ri => {
-                parts.push(format!("x{}", regs[slot]));
-                slot += 1;
-            }
-            OperandSig::Rf => {
-                parts.push(format!("f{}", regs[slot]));
-                slot += 1;
-            }
-            OperandSig::Rv => {
-                parts.push(format!("v{}", regs[slot]));
-                slot += 1;
-            }
-            OperandSig::Imm | OperandSig::Lab => parts.push(inst.imm.to_string()),
-            OperandSig::Mem => parts.push(format!("{}(x{})", inst.imm, inst.rs1)),
-        }
+        parts.push(match k {
+            OperandSig::Ri => reg('x'),
+            OperandSig::Rf => reg('f'),
+            OperandSig::Rv => reg('v'),
+            OperandSig::Imm | OperandSig::Lab => inst.imm.to_string(),
+            OperandSig::Mem => format!("{}({})", inst.imm, reg('x')),
+        });
     }
     if inst.masked {
         parts.push("vm".to_string());
@@ -68,6 +54,7 @@ mod tests {
     use super::*;
     use crate::asm::assemble;
     use crate::encode::decode;
+    use crate::opcode::Op;
 
     #[test]
     fn simple_forms() {

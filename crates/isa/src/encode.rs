@@ -2,13 +2,9 @@
 
 use crate::error::IsaError;
 use crate::inst::Inst;
-use crate::opcode::{Format, Op};
+use crate::opcode::Op;
 
 const MASK_BIT: u32 = 1 << 8;
-
-fn field(v: u8, shift: u32) -> u32 {
-    ((v as u32) & 0x1F) << shift
-}
 
 fn check_signed(op: Op, imm: i64, bits: u32) -> Result<u32, IsaError> {
     let min = -(1i64 << (bits - 1));
@@ -19,12 +15,15 @@ fn check_signed(op: Op, imm: i64, bits: u32) -> Result<u32, IsaError> {
     Ok((imm as u32) & ((1u32 << bits) - 1))
 }
 
+/// The low `bits` bits of `v`, sign-extended.
 fn sext(v: u32, bits: u32) -> i32 {
     let shift = 32 - bits;
     ((v << shift) as i32) >> shift
 }
 
-/// Encode a decoded instruction into its 32-bit word.
+/// Encode a decoded instruction into its 32-bit word: the opcode byte,
+/// the format's register fields ([`Format::reg_fields`](crate::Format::reg_fields))
+/// and immediate, and the mask bit.
 ///
 /// Fails if the immediate does not fit the format's field, or a register
 /// field exceeds 31.
@@ -38,69 +37,40 @@ pub fn encode(inst: &Inst) -> Result<u32, IsaError> {
     if inst.masked && !op.maskable() {
         return Err(IsaError::BadMask(op.mnemonic()));
     }
-    let base = (op as u8 as u32) << 24;
-    let m = if inst.masked { MASK_BIT } else { 0 };
-    let w = match op.format() {
-        Format::R0 => base,
-        Format::R1 => base | field(inst.rd, 19),
-        Format::Rs => base | field(inst.rs1, 14),
-        Format::R2 => base | field(inst.rd, 19) | field(inst.rs1, 14) | m,
-        Format::R => base | field(inst.rd, 19) | field(inst.rs1, 14) | field(inst.rs2, 9) | m,
-        Format::RR0 => base | field(inst.rs1, 14) | field(inst.rs2, 9),
-        Format::I => {
-            base | field(inst.rd, 19) | field(inst.rs1, 14) | check_signed(op, inst.imm as i64, 14)?
-        }
-        Format::U => base | field(inst.rd, 19) | check_signed(op, inst.imm as i64, 19)?,
-        Format::UI => base | check_signed(op, inst.imm as i64, 19)?,
-        Format::B => {
-            base | field(inst.rs1, 19)
-                | field(inst.rs2, 14)
-                | check_signed(op, inst.imm as i64, 14)?
-        }
-        Format::J => base | check_signed(op, inst.imm as i64, 24)?,
-    };
+    let mut w = (op as u8 as u32) << 24;
+    if inst.masked {
+        w |= MASK_BIT;
+    }
+    for &(field, bit) in op.format().reg_fields() {
+        w |= (inst.field(field) as u32) << bit;
+    }
+    if let Some(bits) = op.format().imm_bits() {
+        w |= check_signed(op, inst.imm as i64, bits)?;
+    }
     Ok(w)
 }
 
-/// Decode a 32-bit word back into an instruction.
+/// Decode a 32-bit word back into an instruction. Fields the format does
+/// not carry decode as zero.
 pub fn decode(word: u32) -> Result<Inst, IsaError> {
     let opb = (word >> 24) as u8;
     let op = Op::from_u8(opb).ok_or(IsaError::BadOpcode(opb))?;
-    let rd = ((word >> 19) & 0x1F) as u8;
-    let rs1 = ((word >> 14) & 0x1F) as u8;
-    let rs2 = ((word >> 9) & 0x1F) as u8;
     // The mask bit is meaningful only on maskable (vector R/R2) ops;
     // scalar encodings treat bit 8 as don't-care so a stray bit cannot
     // conjure an `Inst` the assembler could never produce.
     let masked = op.maskable() && word & MASK_BIT != 0;
-    let inst = match op.format() {
-        Format::R0 => Inst::sys(op),
-        Format::R1 => Inst { op, rd, rs1: 0, rs2: 0, imm: 0, masked: false },
-        Format::Rs => Inst { op, rd: 0, rs1, rs2: 0, imm: 0, masked: false },
-        Format::R2 => Inst { op, rd, rs1, rs2: 0, imm: 0, masked },
-        Format::R => Inst { op, rd, rs1, rs2, imm: 0, masked },
-        Format::RR0 => Inst { op, rd: 0, rs1, rs2, imm: 0, masked: false },
-        Format::I => Inst { op, rd, rs1, rs2: 0, imm: sext(word & 0x3FFF, 14), masked: false },
-        Format::U => Inst { op, rd, rs1: 0, rs2: 0, imm: sext(word & 0x7FFFF, 19), masked: false },
-        Format::UI => {
-            Inst { op, rd: 0, rs1: 0, rs2: 0, imm: sext(word & 0x7FFFF, 19), masked: false }
-        }
-        Format::B => {
-            let brs1 = ((word >> 19) & 0x1F) as u8;
-            let brs2 = ((word >> 14) & 0x1F) as u8;
-            Inst { op, rd: 0, rs1: brs1, rs2: brs2, imm: sext(word & 0x3FFF, 14), masked: false }
-        }
-        Format::J => {
-            Inst { op, rd: 0, rs1: 0, rs2: 0, imm: sext(word & 0xFF_FFFF, 24), masked: false }
-        }
-    };
+    let imm = op.format().imm_bits().map_or(0, |bits| sext(word, bits));
+    let mut inst = Inst { op, rd: 0, rs1: 0, rs2: 0, imm, masked };
+    for &(field, bit) in op.format().reg_fields() {
+        *inst.field_mut(field) = ((word >> bit) & 0x1F) as u8;
+    }
     Ok(inst)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opcode::{Format, Op};
+    use crate::opcode::Op;
     use proptest::prelude::*;
 
     #[test]
@@ -147,61 +117,17 @@ mod tests {
         (0..Op::ALL.len(), 0u8..32, 0u8..32, 0u8..32, any::<i16>(), any::<bool>()).prop_map(
             |(opi, rd, rs1, rs2, imm16, masked)| {
                 let op = Op::ALL[opi];
-                // Clamp the immediate to the field width for the format.
-                let imm = match op.format() {
-                    Format::I | Format::B => (imm16 as i32).clamp(-8192, 8191),
-                    Format::U | Format::UI => (imm16 as i32).clamp(-262144, 262143),
-                    Format::J => imm16 as i32,
-                    _ => 0,
-                };
-                let mut i = Inst { op, rd, rs1, rs2, imm, masked };
-                // Normalize fields the format does not carry, mirroring decode.
-                match op.format() {
-                    Format::R0 => i = Inst::sys(op),
-                    Format::R1 => {
-                        i.rs1 = 0;
-                        i.rs2 = 0;
-                        i.masked = false;
-                    }
-                    Format::Rs => {
-                        i.rd = 0;
-                        i.rs2 = 0;
-                        i.masked = false;
-                    }
-                    Format::R2 => i.rs2 = 0,
-                    Format::R => {}
-                    Format::RR0 => {
-                        i.rd = 0;
-                        i.masked = false;
-                    }
-                    Format::I => {
-                        i.rs2 = 0;
-                        i.masked = false;
-                    }
-                    Format::U => {
-                        i.rs1 = 0;
-                        i.rs2 = 0;
-                        i.masked = false;
-                    }
-                    Format::UI => {
-                        i.rd = 0;
-                        i.rs1 = 0;
-                        i.rs2 = 0;
-                        i.masked = false;
-                    }
-                    Format::B => {
-                        i.rd = 0;
-                        i.masked = false;
-                    }
-                    Format::J => {
-                        i.rd = 0;
-                        i.rs1 = 0;
-                        i.rs2 = 0;
-                        i.masked = false;
-                    }
-                }
-                if !op.maskable() {
-                    i.masked = false;
+                let raw = Inst { op, rd, rs1, rs2, imm: 0, masked };
+                // Keep only what the format carries, mirroring decode, with
+                // the immediate clamped to its field.
+                let imm = op.format().imm_bits().map_or(0, |bits| {
+                    let max = (1 << (bits - 1)) - 1;
+                    (imm16 as i32).clamp(-max - 1, max)
+                });
+                let mut i =
+                    Inst { op, rd: 0, rs1: 0, rs2: 0, imm, masked: masked && op.maskable() };
+                for &(field, _) in op.format().reg_fields() {
+                    *i.field_mut(field) = raw.field(field);
                 }
                 i
             },

@@ -1,6 +1,6 @@
 //! The decoded instruction form and its register defs/uses.
 
-use crate::opcode::{Format, Op};
+use crate::opcode::{Effect, Op, OpClass, OperandSig, RegField};
 use crate::reg::RegRef;
 
 /// A decoded instruction: an opcode plus raw operand fields.
@@ -54,265 +54,69 @@ impl Inst {
         self
     }
 
-    /// Registers written (defs) and read (uses) by this instruction.
+    /// The register number in `field`.
+    pub fn field(&self, field: RegField) -> u8 {
+        match field {
+            RegField::Rd => self.rd,
+            RegField::Rs1 => self.rs1,
+            RegField::Rs2 => self.rs2,
+        }
+    }
+
+    /// The register number in `field`, to set.
+    pub fn field_mut(&mut self, field: RegField) -> &mut u8 {
+        match field {
+            RegField::Rd => &mut self.rd,
+            RegField::Rs1 => &mut self.rs1,
+            RegField::Rs2 => &mut self.rs2,
+        }
+    }
+
+    /// Registers written (defs) and read (uses) by this instruction, read
+    /// off its table row: the register operands ([`Op::sig`]) in the
+    /// fields they fill ([`Format::reg_fields`](crate::Format::reg_fields)),
+    /// then the row's [`Op::effects`].
     ///
-    /// `x0` never appears (writes are discarded, reads are constant-ready).
-    /// Vector instructions implicitly read the vector-length register and,
-    /// when masked, the mask register. This drives the timing models'
+    /// `rd` is written, except in a store, which reads it; `rs1`, `rs2` and
+    /// a memory operand's base are read. `x0` never appears (writes are
+    /// discarded, reads are constant-ready); `f0` and `v0` do. Uses come in
+    /// order: `rd` if the op reads it too, the source operands, the row's
+    /// implicit uses, and last the mask register for a masked vector op
+    /// that does not read it already. This drives the timing models'
     /// dependence tracking, so it must be exact.
     pub fn defs_uses(&self) -> (Vec<RegRef>, Vec<RegRef>) {
-        use Op::*;
-        let mut defs = Vec::new();
-        let mut uses = Vec::new();
-        let rd = self.rd;
-        let rs1 = self.rs1;
-        let rs2 = self.rs2;
-        let def_i = |v: &mut Vec<RegRef>, r: u8| {
-            if r != 0 {
-                v.push(RegRef::I(r));
-            }
-        };
-        let use_i = |v: &mut Vec<RegRef>, r: u8| {
-            if r != 0 {
-                v.push(RegRef::I(r));
-            }
-        };
-
-        match self.op {
-            Nop | Halt | Barrier | Region => {}
-            Tid | Nthr => def_i(&mut defs, rd),
-            GetVl => {
-                def_i(&mut defs, rd);
-                uses.push(RegRef::Vl);
-            }
-            SetVl => {
-                def_i(&mut defs, rd);
-                defs.push(RegRef::Vl);
-                use_i(&mut uses, rs1);
-            }
-            VltCfg => use_i(&mut uses, rs1),
-
-            Add | Sub | Mul | Div | Rem | And | Or | Xor | Sll | Srl | Sra | Slt | Sltu => {
-                def_i(&mut defs, rd);
-                use_i(&mut uses, rs1);
-                use_i(&mut uses, rs2);
-            }
-            Addi | Andi | Ori | Xori | Slli | Srli | Srai | Slti => {
-                def_i(&mut defs, rd);
-                use_i(&mut uses, rs1);
-            }
-            Lui => def_i(&mut defs, rd),
-
-            Ld | Lw | Lwu | Lb | Lbu => {
-                def_i(&mut defs, rd);
-                use_i(&mut uses, rs1);
-            }
-            Fld => {
-                defs.push(RegRef::F(rd));
-                use_i(&mut uses, rs1);
-            }
-            Sd | Sw | Sb => {
-                use_i(&mut uses, rd); // store value
-                use_i(&mut uses, rs1);
-            }
-            Fsd => {
-                uses.push(RegRef::F(rd));
-                use_i(&mut uses, rs1);
-            }
-
-            Beq | Bne | Blt | Bge | Bltu | Bgeu => {
-                use_i(&mut uses, rs1);
-                use_i(&mut uses, rs2);
-            }
-            J => {}
-            Jal => defs.push(RegRef::I(31)),
-            Jr => use_i(&mut uses, rs1),
-            Jalr => {
-                def_i(&mut defs, rd);
-                use_i(&mut uses, rs1);
-            }
-
-            Fadd | Fsub | Fmul | Fdiv | Fmin | Fmax => {
-                defs.push(RegRef::F(rd));
-                uses.push(RegRef::F(rs1));
-                uses.push(RegRef::F(rs2));
-            }
-            Fma => {
-                defs.push(RegRef::F(rd));
-                uses.push(RegRef::F(rd));
-                uses.push(RegRef::F(rs1));
-                uses.push(RegRef::F(rs2));
-            }
-            Fsqrt | Fneg | Fabs | Fmov => {
-                defs.push(RegRef::F(rd));
-                uses.push(RegRef::F(rs1));
-            }
-            Feq | Flt | Fle => {
-                def_i(&mut defs, rd);
-                uses.push(RegRef::F(rs1));
-                uses.push(RegRef::F(rs2));
-            }
-            FcvtFx => {
-                defs.push(RegRef::F(rd));
-                use_i(&mut uses, rs1);
-            }
-            FcvtXf => {
-                def_i(&mut defs, rd);
-                uses.push(RegRef::F(rs1));
-            }
-
-            VaddVV | VsubVV | VmulVV | VandVV | VorVV | VxorVV | VsllVV | VsrlVV | VsraVV
-            | VminVV | VmaxVV | VfaddVV | VfsubVV | VfmulVV | VfdivVV | VfminVV | VfmaxVV => {
-                defs.push(RegRef::V(rd));
-                uses.push(RegRef::V(rs1));
-                uses.push(RegRef::V(rs2));
-                uses.push(RegRef::Vl);
-            }
-            VfmaVV => {
-                defs.push(RegRef::V(rd));
-                uses.push(RegRef::V(rd));
-                uses.push(RegRef::V(rs1));
-                uses.push(RegRef::V(rs2));
-                uses.push(RegRef::Vl);
-            }
-            VaddVS | VsubVS | VmulVS | VandVS | VorVS | VxorVS | VsllVS | VsrlVS | VsraVS => {
-                defs.push(RegRef::V(rd));
-                uses.push(RegRef::V(rs1));
-                use_i(&mut uses, rs2);
-                uses.push(RegRef::Vl);
-            }
-            VfaddVS | VfsubVS | VfmulVS | VfdivVS => {
-                defs.push(RegRef::V(rd));
-                uses.push(RegRef::V(rs1));
-                uses.push(RegRef::F(rs2));
-                uses.push(RegRef::Vl);
-            }
-            VfmaVS => {
-                defs.push(RegRef::V(rd));
-                uses.push(RegRef::V(rd));
-                uses.push(RegRef::V(rs1));
-                uses.push(RegRef::F(rs2));
-                uses.push(RegRef::Vl);
-            }
-            Vfsqrt | Vmv | VcvtFx | VcvtXf => {
-                defs.push(RegRef::V(rd));
-                uses.push(RegRef::V(rs1));
-                uses.push(RegRef::Vl);
-            }
-
-            Vseq | Vsne | Vslt | Vsge | Vfeq | Vflt | Vfle => {
-                defs.push(RegRef::Vm);
-                uses.push(RegRef::V(rs1));
-                uses.push(RegRef::V(rs2));
-                uses.push(RegRef::Vl);
-            }
-            Vmnot => {
-                defs.push(RegRef::Vm);
-                uses.push(RegRef::Vm);
-            }
-            Vmset => defs.push(RegRef::Vm),
-            Vpopc | Vmfirst | Vmgetb => {
-                def_i(&mut defs, rd);
-                uses.push(RegRef::Vm);
-                uses.push(RegRef::Vl);
-            }
-            Vmsetb => {
-                defs.push(RegRef::Vm);
-                use_i(&mut uses, rs1);
-            }
-
-            Vmerge => {
-                defs.push(RegRef::V(rd));
-                uses.push(RegRef::V(rs1));
-                uses.push(RegRef::V(rs2));
-                uses.push(RegRef::Vm);
-                uses.push(RegRef::Vl);
-            }
-            Vid => {
-                defs.push(RegRef::V(rd));
-                uses.push(RegRef::Vl);
-            }
-            Vsplat => {
-                defs.push(RegRef::V(rd));
-                use_i(&mut uses, rs1);
-                uses.push(RegRef::Vl);
-            }
-            Vfsplat => {
-                defs.push(RegRef::V(rd));
-                uses.push(RegRef::F(rs1));
-                uses.push(RegRef::Vl);
-            }
-            Vextract => {
-                def_i(&mut defs, rd);
-                uses.push(RegRef::V(rs1));
-                use_i(&mut uses, rs2);
-            }
-            Vfextract => {
-                defs.push(RegRef::F(rd));
-                uses.push(RegRef::V(rs1));
-                use_i(&mut uses, rs2);
-            }
-            Vinsert => {
-                defs.push(RegRef::V(rd));
-                uses.push(RegRef::V(rd));
-                use_i(&mut uses, rs1);
-                use_i(&mut uses, rs2);
-            }
-            Vfinsert => {
-                defs.push(RegRef::V(rd));
-                uses.push(RegRef::V(rd));
-                use_i(&mut uses, rs1);
-                uses.push(RegRef::F(rs2));
-            }
-
-            Vredsum | Vredmin | Vredmax => {
-                def_i(&mut defs, rd);
-                uses.push(RegRef::V(rs1));
-                uses.push(RegRef::Vl);
-            }
-            Vfredsum | Vfredmin | Vfredmax => {
-                defs.push(RegRef::F(rd));
-                uses.push(RegRef::V(rs1));
-                uses.push(RegRef::Vl);
-            }
-
-            Vld => {
-                defs.push(RegRef::V(rd));
-                use_i(&mut uses, rs1);
-                uses.push(RegRef::Vl);
-            }
-            Vlds => {
-                defs.push(RegRef::V(rd));
-                use_i(&mut uses, rs1);
-                use_i(&mut uses, rs2);
-                uses.push(RegRef::Vl);
-            }
-            Vldx => {
-                defs.push(RegRef::V(rd));
-                use_i(&mut uses, rs1);
-                uses.push(RegRef::V(rs2));
-                uses.push(RegRef::Vl);
-            }
-            Vst => {
-                uses.push(RegRef::V(rd));
-                use_i(&mut uses, rs1);
-                uses.push(RegRef::Vl);
-            }
-            Vsts => {
-                uses.push(RegRef::V(rd));
-                use_i(&mut uses, rs1);
-                use_i(&mut uses, rs2);
-                uses.push(RegRef::Vl);
-            }
-            Vstx => {
-                uses.push(RegRef::V(rd));
-                use_i(&mut uses, rs1);
-                uses.push(RegRef::V(rs2));
-                uses.push(RegRef::Vl);
+        let (op, effects) = (self.op, self.op.effects());
+        let (mut defs, mut uses) = (Vec::new(), Vec::new());
+        let store = matches!(op.class(), OpClass::Store | OpClass::VStore);
+        let regs = op.sig().iter().filter(|k| !matches!(k, OperandSig::Imm | OperandSig::Lab));
+        for (kind, &(field, _)) in regs.zip(op.format().reg_fields()) {
+            let n = self.field(field);
+            let r = match kind {
+                OperandSig::Rf => RegRef::F(n),
+                OperandSig::Rv => RegRef::V(n),
+                _ if n == 0 => continue, // `x0` is never read or written
+                _ => RegRef::I(n),
+            };
+            if field == RegField::Rd && !store {
+                defs.push(r);
+                if effects.contains(&Effect::UseRd) {
+                    uses.push(r);
+                }
+            } else {
+                uses.push(r);
             }
         }
-
-        if self.masked && self.op.class().is_vector() && !uses.contains(&RegRef::Vm) {
+        for fx in effects {
+            match fx {
+                Effect::UseRd => {} // pushed with `rd` above
+                Effect::DefVl => defs.push(RegRef::Vl),
+                Effect::DefLink => defs.push(RegRef::I(31)),
+                Effect::DefVm => defs.push(RegRef::Vm),
+                Effect::UseVm => uses.push(RegRef::Vm),
+                Effect::UseVl => uses.push(RegRef::Vl),
+            }
+        }
+        if self.masked && op.class().is_vector() && !effects.contains(&Effect::UseVm) {
             uses.push(RegRef::Vm);
         }
         (defs, uses)
@@ -320,7 +124,7 @@ impl Inst {
 
     /// True if this is a control-transfer instruction.
     pub fn is_control(&self) -> bool {
-        matches!(self.op.format(), Format::B | Format::J) || matches!(self.op, Op::Jr | Op::Jalr)
+        matches!(self.op.class(), OpClass::Branch | OpClass::Jump)
     }
 
     /// True for the self-XOR/self-SUB zeroing idiom (`xor x5, x5, x5`,

@@ -44,7 +44,7 @@ pub use disasm::disasm;
 pub use encode::{decode, encode};
 pub use error::IsaError;
 pub use inst::Inst;
-pub use opcode::{Format, Op, OpClass, OperandSig, VMemPattern};
+pub use opcode::{Effect, Format, Op, OpClass, OperandSig, RegField, VMemPattern};
 pub use program::{
     access_regions, Program, DATA_BASE, READ_SLACK, STACK_BASE, STACK_END, STACK_SIZE, TEXT_BASE,
 };

@@ -56,25 +56,6 @@ impl Program {
         TEXT_BASE + 4 * self.text.len() as u64
     }
 
-    /// Decode the instruction at byte address `pc`, if in range.
-    pub fn fetch(&self, pc: u64) -> Option<Inst> {
-        let idx = self.index_of(pc)?;
-        decode(self.text[idx]).ok()
-    }
-
-    /// Map a byte address to a text index.
-    pub fn index_of(&self, pc: u64) -> Option<usize> {
-        if pc < TEXT_BASE || !pc.is_multiple_of(4) {
-            return None;
-        }
-        let idx = ((pc - TEXT_BASE) / 4) as usize;
-        if idx < self.text.len() {
-            Some(idx)
-        } else {
-            None
-        }
-    }
-
     /// Look up a symbol's address.
     pub fn symbol(&self, name: &str) -> Option<u64> {
         self.symbols.get(name).copied()
@@ -103,15 +84,11 @@ mod tests {
     }
 
     #[test]
-    fn fetch_and_index() {
+    fn text_end_follows_the_text() {
         let mut p = Program::new();
         p.text.push(encode(&Inst::r(Op::Add, 1, 2, 3)).unwrap());
         p.text.push(encode(&Inst::sys(Op::Halt)).unwrap());
-        assert_eq!(p.fetch(TEXT_BASE).unwrap().op, Op::Add);
-        assert_eq!(p.fetch(TEXT_BASE + 4).unwrap().op, Op::Halt);
-        assert!(p.fetch(TEXT_BASE + 8).is_none());
-        assert!(p.fetch(TEXT_BASE + 2).is_none());
-        assert!(p.fetch(0).is_none());
         assert_eq!(p.text_end(), TEXT_BASE + 8);
+        assert_eq!(p.decoded()[1].op, Op::Halt);
     }
 }

@@ -172,10 +172,11 @@ pub trait VectorSink {
     fn issued(&self) -> u64;
 }
 
-/// A vector sink for configurations without a vector unit (the CMP/CMT
-/// baselines), and this crate's test fake. Dispatching panics: the system
-/// driver refuses vector instructions at fetch on such machines
-/// (`ExecError::NoVectorUnit`), so a dispatch reaching here is a wiring bug.
+/// A vector sink with no vector unit behind it: this crate's test fake for
+/// scalar programs. Dispatching panics, since a scalar program dispatches
+/// nothing. (The system driver routes a machine without a vector unit
+/// through its router over zero units; fetch refuses vector instructions
+/// there with `ExecError::NoVectorUnit`.)
 #[derive(Debug, Default)]
 pub struct NullVectorSink;
 

@@ -205,10 +205,11 @@ impl MetricsRegistry {
 }
 
 /// Validate that `doc` is a well-formed version-1 metrics document:
-/// schema/version stamp, numeric counters, and histograms whose
-/// `counts` array is one longer than `bounds` and sums to `count`.
-/// Returns a description of the first violation.
+/// schema/version stamp, finite numeric counters, and histograms of
+/// finite numbers whose `counts` array is one longer than `bounds` and
+/// sums to `count`. Returns a description of the first violation.
 pub fn validate_metrics_json(doc: &Json) -> Result<(), String> {
+    let finite = |v: &Json| v.as_f64().is_some_and(f64::is_finite);
     if doc.get("schema").and_then(Json::as_str) != Some(METRICS_SCHEMA_NAME) {
         return Err("missing or wrong \"schema\" field".into());
     }
@@ -220,8 +221,8 @@ pub fn validate_metrics_json(doc: &Json) -> Result<(), String> {
         _ => return Err("\"counters\" is not an object".into()),
     };
     for (k, v) in counters {
-        if v.as_f64().is_none() {
-            return Err(format!("counter {k:?} is not a number"));
+        if !finite(v) {
+            return Err(format!("counter {k:?} is not a finite number"));
         }
     }
     let hists = match doc.get("histograms") {
@@ -235,15 +236,17 @@ pub fn validate_metrics_json(doc: &Json) -> Result<(), String> {
         if counts.len() != bounds.len() + 1 {
             return Err(format!("histogram {k:?}: counts/bounds length mismatch"));
         }
-        let total = h.get("count").and_then(Json::as_f64).ok_or_else(|| no("count"))?;
+        let num = |field: &str| h.get(field).and_then(Json::as_f64).ok_or_else(|| no(field));
+        let total = num("count")?;
         let sum: f64 = counts.iter().filter_map(Json::as_f64).sum();
         if sum != total {
             return Err(format!("histogram {k:?}: bucket counts sum to {sum}, count says {total}"));
         }
-        for field in ["sum", "min", "max"] {
-            if h.get(field).and_then(Json::as_f64).is_none() {
-                return Err(no(field));
-            }
+        let moments = [total, num("sum")?, num("min")?, num("max")?];
+        if !bounds.iter().chain(counts).all(finite) || !moments.iter().all(|n| n.is_finite()) {
+            return Err(format!(
+                "histogram {k:?}: a bound, count or moment is not a finite number"
+            ));
         }
     }
     Ok(())
@@ -301,6 +304,36 @@ mod tests {
                 m.insert("histograms".into(), hists);
             }
             assert_eq!(validate_metrics_json(&doc), Err(want.to_string()), "{hist}");
+        }
+    }
+
+    /// A number too large for an `f64` parses as infinity; no document
+    /// holding one is a metrics document, so `vlt prof --diff` never
+    /// compares it.
+    #[test]
+    fn validator_rejects_numbers_that_are_not_finite() {
+        let doc = |counters: &str, hist: &str| {
+            Json::parse(&format!(
+                r#"{{"schema": "vlt-metrics", "version": 1, "counters": {{{counters}}},
+                "histograms": {{"h": {hist}}}}}"#
+            ))
+            .unwrap()
+        };
+        let hist = |bound: &str, sum: &str| {
+            format!(
+                r#"{{"bounds": [{bound}], "counts": [0, 1], "count": 1, "sum": {sum},
+                "min": 1, "max": 1}}"#
+            )
+        };
+        validate_metrics_json(&doc(r#""x": 1"#, &hist("4", "1"))).unwrap();
+        let not_finite = r#"histogram "h": a bound, count or moment is not a finite number"#;
+        for (counters, hist, want) in [
+            (r#""x": 1e999"#, hist("4", "1"), r#"counter "x" is not a finite number"#),
+            (r#""x": -1e999"#, hist("4", "1"), r#"counter "x" is not a finite number"#),
+            (r#""x": 1"#, hist("1e999", "1"), not_finite),
+            (r#""x": 1"#, hist("4", "-1e999"), not_finite),
+        ] {
+            assert_eq!(validate_metrics_json(&doc(counters, &hist)), Err(want.into()), "{hist}");
         }
     }
 

@@ -7,7 +7,7 @@
 //! analysis reports [`crate::Code::IndirectFlow`] so the partiality is
 //! visible.
 
-use vlt_isa::{Inst, Op};
+use vlt_isa::{Format, Inst, Op, OpClass};
 
 /// How a basic block ends.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,14 +68,9 @@ pub struct Cfg {
 }
 
 /// The static branch-target instruction index, if `inst` is a direct
-/// control transfer at index `idx`.
+/// (PC-relative: `B` or `J` format) control transfer at index `idx`.
 pub fn direct_target(inst: &Inst, idx: usize) -> Option<i64> {
-    match inst.op {
-        Op::Beq | Op::Bne | Op::Blt | Op::Bge | Op::Bltu | Op::Bgeu | Op::J | Op::Jal => {
-            Some(idx as i64 + inst.imm as i64)
-        }
-        _ => None,
-    }
+    matches!(inst.op.format(), Format::B | Format::J).then(|| idx as i64 + inst.imm as i64)
 }
 
 impl Cfg {
@@ -98,9 +93,7 @@ impl Cfg {
                     wild_targets.push((i, t));
                 }
             }
-            if matches!(inst.op, Op::Jr | Op::Jalr) {
-                has_indirect = true;
-            }
+            has_indirect |= inst.op.is_indirect();
             let ends_block = inst.is_control() || inst.op == Op::Halt;
             if ends_block && i + 1 < n {
                 leader[i + 1] = true;
@@ -133,14 +126,14 @@ impl Cfg {
             let target_block = direct_target(inst, last)
                 .filter(|t| (0..n as i64).contains(t))
                 .map(|t| block_of[t as usize]);
-            let term = match inst.op {
-                Op::Halt => Term::Halt,
-                Op::Jr | Op::Jalr => Term::Indirect,
-                Op::J | Op::Jal => match target_block {
+            let term = match inst.op.class() {
+                _ if inst.op == Op::Halt => Term::Halt,
+                OpClass::Jump if inst.op.is_indirect() => Term::Indirect,
+                OpClass::Jump => match target_block {
                     Some(t) => Term::Jump(t),
                     None => Term::OffEnd, // wild target: no static successor
                 },
-                Op::Beq | Op::Bne | Op::Blt | Op::Bge | Op::Bltu | Op::Bgeu => match target_block {
+                OpClass::Branch => match target_block {
                     Some(t) => Term::Branch { taken: t, fall: fall_block },
                     None => match fall_block {
                         Some(f) => Term::Jump(f), // wild taken-target: only fall-through is static

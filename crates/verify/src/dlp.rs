@@ -48,7 +48,7 @@ use std::collections::BTreeMap;
 use vlt_exec::{
     interp, AddrArena, ArchState, DecodedProgram, DynInst, DynKind, Memory, RunSummary, StaticInst,
 };
-use vlt_isa::{decode, disasm, Op, OpClass, Program, RegRef, VMemPattern, MAX_VL};
+use vlt_isa::{decode, disasm, Format, Op, OpClass, Program, RegRef, VMemPattern, MAX_VL};
 
 use crate::diag::{Code, Diagnostic};
 
@@ -272,11 +272,6 @@ struct Walker<'a> {
     setvl_origin: [Option<usize>; 32],
 }
 
-/// Is `op` one of the vector-compare opcodes (partial mask writers)?
-fn is_vcmp(op: Op) -> bool {
-    matches!(op, Op::Vseq | Op::Vsne | Op::Vslt | Op::Vsge | Op::Vfeq | Op::Vflt | Op::Vfle)
-}
-
 impl<'a> Walker<'a> {
     fn new(
         prog: &'a DecodedProgram,
@@ -337,9 +332,7 @@ impl<'a> Walker<'a> {
         let bad_x = |r: u8| !self.known_x(r);
         let reason = match si.class {
             OpClass::Branch if bad_x(inst.rs1) || bad_x(inst.rs2) => "branch condition",
-            OpClass::Jump if matches!(inst.op, Op::Jr | Op::Jalr) && bad_x(inst.rs1) => {
-                "indirect jump target"
-            }
+            OpClass::Jump if inst.op.is_indirect() && bad_x(inst.rs1) => "indirect jump target",
             OpClass::Load | OpClass::Store if bad_x(inst.rs1) => "scalar access address",
             OpClass::VLoad | OpClass::VStore => {
                 if bad_x(inst.rs1) {
@@ -561,7 +554,8 @@ impl<'a> Walker<'a> {
                     }
                 }
                 RegRef::Vm => {
-                    let partial = is_vcmp(inst.op) && (d.vl as usize) < MAX_VL;
+                    // A vector compare (an `RR0` row) keeps the mask bits past `vl`.
+                    let partial = inst.op.format() == Format::RR0 && (d.vl as usize) < MAX_VL;
                     self.vm_known = ok && (!partial || self.vm_known);
                 }
                 RegRef::Vl => {}

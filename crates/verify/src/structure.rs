@@ -63,7 +63,7 @@ pub fn check(cfg: &Cfg) -> Vec<RawDiag> {
 
     // Indirect control flow: the analysis cannot follow it.
     for (i, inst) in cfg.insts.iter().enumerate() {
-        if matches!(inst.op, Op::Jr | Op::Jalr) && reachable[cfg.block_of[i]] {
+        if inst.op.is_indirect() && reachable[cfg.block_of[i]] {
             out.push((
                 Code::IndirectFlow,
                 i,

@@ -401,19 +401,16 @@ fn run_diff(a: &Path, b: &Path) -> Result<()> {
         );
         println!();
     }
-    let mut moved: Vec<(String, f64, f64)> = Vec::new();
-    for name in ra.keys().chain(rb.keys()) {
-        if moved.iter().any(|(n, _, _)| n == name) {
-            continue;
-        }
-        let va = ra.get(name).copied().unwrap_or(0.0);
-        let vb = rb.get(name).copied().unwrap_or(0.0);
-        if va != vb {
-            moved.push((name.clone(), va, vb));
-        }
-    }
+    let names = ra.keys().chain(rb.keys().filter(|name| !ra.contains_key(*name)));
+    let mut moved: Vec<(String, f64, f64)> = names
+        .filter_map(|name| {
+            let va = ra.get(name).copied().unwrap_or(0.0);
+            let vb = rb.get(name).copied().unwrap_or(0.0);
+            (va != vb).then(|| (name.clone(), va, vb))
+        })
+        .collect();
     let rel = |va: f64, vb: f64| (vb - va).abs() / va.abs().max(vb.abs()).max(1.0);
-    moved.sort_by(|x, y| rel(y.1, y.2).partial_cmp(&rel(x.1, x.2)).unwrap().then(x.0.cmp(&y.0)));
+    moved.sort_by(|x, y| rel(y.1, y.2).total_cmp(&rel(x.1, x.2)).then(x.0.cmp(&y.0)));
     if moved.is_empty() {
         println!("no differing metrics: the two documents agree on every scalar");
         return Ok(());

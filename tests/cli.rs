@@ -333,6 +333,49 @@ fn prof_stops_a_hang_at_its_cycle_budget() {
     assert!(!out.exists(), "a timed-out profile writes no documents");
 }
 
+/// `vlt prof --diff A B` over two hand-written metrics documents with
+/// the given counters: exit status, stdout, stderr. A's file is `a.json`.
+fn prof_diff(test: &str, a: &str, b: &str) -> (Option<i32>, String, String) {
+    let dir = scratch(test);
+    let doc = |counters: &str| {
+        format!(
+            r#"{{"schema": "vlt-metrics", "version": 1, "counters": {{{counters}}},
+            "histograms": {{}}}}"#
+        )
+    };
+    let (pa, pb) = (dir.join("a.json"), dir.join("b.json"));
+    std::fs::write(&pa, doc(a)).unwrap();
+    std::fs::write(&pb, doc(b)).unwrap();
+    vlt(&["prof", "--diff", pa.to_str().unwrap(), pb.to_str().unwrap()])
+}
+
+/// Identical documents print the no-difference line, a metric on one
+/// side only diffs against zero, and a number too large for an `f64`
+/// is a failed run naming the file, not a panic.
+#[test]
+fn prof_diff_compares_metrics_documents() {
+    let (code, stdout, stderr) = prof_diff("diff-same", r#""x": 1, "y": 2"#, r#""x": 1, "y": 2"#);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("no differing metrics"), "{stdout}");
+
+    let (code, stdout, stderr) =
+        prof_diff("diff-one-side", r#""x": 1, "gone": 4"#, r#""x": 1, "new": 3"#);
+    assert_eq!(code, Some(0), "{stderr}");
+    let row = |name: &str| {
+        let line = stdout.lines().find(|l| l.starts_with(&format!("{name} "))).unwrap_or_default();
+        line.split('|').map(str::trim).collect::<Vec<_>>()
+    };
+    assert_eq!(row("gone"), ["gone", "4", "0", "-4"], "{stdout}");
+    assert_eq!(row("new"), ["new", "0", "3", "+3"], "{stdout}");
+    assert_eq!(row("x"), [""], "an unchanged metric is not listed:\n{stdout}");
+
+    let (code, _, stderr) =
+        prof_diff("diff-overflow", r#""x": 1e999, "y": 1"#, r#""x": 1, "y": 2"#);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("a.json: not a metrics document"), "{stderr}");
+}
+
 /// `--lanes N` keeps meaning the base processor with N lanes.
 #[test]
 fn lanes_select_the_base_processor() {
